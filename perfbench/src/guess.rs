@@ -9,9 +9,9 @@
 //! prior.
 //!
 //! The measured loop runs a static attack of 10⁵ guesses on 1 shard and on
-//! 2, and a Dynamic+GS campaign of 10⁵ guesses (2 shards; its feedback runs
-//! one chunk at a time) with `PFATTACK` checkpoints every 25 000 guesses and
-//! a `PFGUESS` archive, both into a scratch directory. The bounded
+//! 2, and a Dynamic+GS campaign (`paper_default(10⁵)`, 2 shards) of 10⁵
+//! guesses with a `PFATTACK` checkpoint every 25 000 guesses and a
+//! `PFGUESS` archive, both into a scratch directory. The bounded
 //! throughput covers the 1-shard static attack and the campaign: on a
 //! shared 2-vCPU host a 2-thread attack's time swings with whatever else
 //! holds either core. The 2-shard rate is printed beside it.
@@ -33,7 +33,7 @@ use passflow_passwords::{CorpusConfig, SyntheticCorpusGenerator};
 
 use crate::report::{say, Report};
 use crate::spans::{self, Span, Tracer};
-use crate::stats::{median, percentile};
+use crate::stats::median;
 
 /// Guesses per attack.
 pub const BUDGET: u64 = 100_000;
@@ -41,8 +41,6 @@ pub const BUDGET: u64 = 100_000;
 pub const SHARDS: usize = 2;
 /// Guesses between campaign checkpoints.
 pub const CHECKPOINT_EVERY: u64 = 25_000;
-/// Guesses per engine chunk (the engine default).
-const CHUNK: u64 = 1_024;
 /// Passwords sampled from the trained flow into the target set.
 const SAMPLED_TARGETS: usize = 2_000;
 /// RNG stream of the sampled targets (the attack seed is separate).
@@ -103,16 +101,13 @@ pub fn static_attack(targets: &HashSet<String>, seed: u64, shards: usize) -> Att
         .seed(attack_seed(seed))
 }
 
-/// The Dynamic+GS campaign, persisting into `dir`. Reports land on every
-/// chunk boundary, which is where the engine cuts chunks anyway, so the
-/// reports do not change the attack.
+/// The Dynamic+GS campaign, persisting into `dir`.
 pub fn dynamic_attack<'a>(targets: &'a HashSet<String>, seed: u64, dir: &Path) -> Attack<'a> {
     Attack::new(targets)
         .budget(BUDGET)
         .strategy(GuessingStrategy::paper_default(BUDGET))
         .shards(SHARDS)
         .seed(attack_seed(seed))
-        .checkpoints((1..=BUDGET / CHUNK).map(|i| i * CHUNK).collect())
         .checkpoint_every(CHECKPOINT_EVERY)
         .checkpoint_to(dir.join("campaign.pfattack"))
         .archive_to(dir.join("campaign.pfguess"))
@@ -185,7 +180,6 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
     let mut serial_rates = Vec::new();
     let mut dynamic_rates = Vec::new();
     let mut session_rates = Vec::new();
-    let mut chunk_ms = Vec::new();
     let mut first: Option<(AttackOutcome, AttackOutcome)> = None;
     let mut repeats_agree = true;
     let mut shards_agree = true;
@@ -200,19 +194,11 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
         let st = static_attack(&s.targets, seed, SHARDS).run(&s.flow);
         static_rates.push(BUDGET as f64 / start.elapsed().as_secs_f64());
 
-        let mut marks = Vec::with_capacity((BUDGET / CHUNK + 1) as usize);
         let start = Instant::now();
-        let dy = dynamic_attack(&s.targets, seed, &dir)
-            .observer(|_| marks.push(Instant::now()))
-            .run(&s.flow);
+        let dy = dynamic_attack(&s.targets, seed, &dir).run(&s.flow);
         let dynamic_s = start.elapsed().as_secs_f64();
         dynamic_rates.push(BUDGET as f64 / dynamic_s);
         session_rates.push(2.0 * BUDGET as f64 / (serial_s + dynamic_s));
-        let mut prev = start;
-        for mark in marks {
-            chunk_ms.push((mark - prev).as_secs_f64() * 1e3);
-            prev = mark;
-        }
 
         report.attempted += 3;
         let (serial, st, dy) = match (serial, st, dy) {
@@ -252,12 +238,7 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
     say("guesses_per_s.static_1shard", median(&serial_rates), "1/s");
     say("guesses_per_s.dynamic_gs", median(&dynamic_rates), "1/s");
     say("attacks.static", static_rates.len() as f64, "count");
-    say("dynamic_gs.chunks_timed", chunk_ms.len() as f64, "count");
     report.set("setup_s", median(&setup_times));
-    if !chunk_ms.is_empty() {
-        say("dynamic_gs.chunk_ms.p50", percentile(&chunk_ms, 50.0), "ms");
-        say("dynamic_gs.chunk_ms.p99", percentile(&chunk_ms, 99.0), "ms");
-    }
     report.set("throughput_per_s", median(&session_rates));
 }
 
@@ -473,29 +454,47 @@ fn traced<'a>(
     }
 }
 
-/// The traced run: each attack once bare and once through [`TracedFlow`],
-/// repeated until `seconds` have passed; per-layer values are medians over
-/// the repetitions.
+/// The traced run: the attacks through [`TracedFlow`] with spans off and
+/// with spans on, repeated until `seconds` have passed, and once through
+/// the bare flow to check the outcomes. Per-layer values are medians over
+/// the repetitions; `trace.overhead_s` is the median difference between
+/// spans on and spans off.
 pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
     let s = setup(seed);
     let dir = campaign_dir("traced");
+    let bare_static = static_attack(&s.targets, seed, SHARDS).run(&s.flow);
+    let bare_dynamic = dynamic_attack(&s.targets, seed, &dir).run(&s.flow);
+    report.attempted += 2;
+    let (Ok(bare_static), Ok(bare_dynamic)) = (bare_static, bare_dynamic) else {
+        report.failed += 1;
+        report.check("every attack succeeds", false);
+        let _ = std::fs::remove_dir_all(&dir);
+        return;
+    };
+    let attacks = |tracer: &Tracer| {
+        let st = traced(&s.flow, tracer, "static", || {
+            static_attack(&s.targets, seed, SHARDS)
+        });
+        let dy = traced(&s.flow, tracer, "dynamic_gs", || {
+            dynamic_attack(&s.targets, seed, &dir)
+        });
+        (st, dy)
+    };
     let mut rows: Vec<[f64; 13]> = Vec::new();
     let mut overhead = Vec::new();
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
     while rows.is_empty() || Instant::now() < deadline {
-        let start = Instant::now();
-        let bare_static = static_attack(&s.targets, seed, SHARDS).run(&s.flow);
-        let bare_static_s = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let bare_dynamic = dynamic_attack(&s.targets, seed, &dir).run(&s.flow);
-        let bare_dynamic_s = start.elapsed().as_secs_f64();
-        let tracer = Tracer::new();
-        let st = traced(&s.flow, &tracer, "static", || {
-            static_attack(&s.targets, seed, SHARDS)
-        });
-        let dy = traced(&s.flow, &tracer, "dynamic_gs", || {
-            dynamic_attack(&s.targets, seed, &dir)
-        });
+        // Alternate which goes first, so neither is always the colder run.
+        let (off, tracer, (st, dy)) = if rows.len().is_multiple_of(2) {
+            let off = attacks(&Tracer::disabled());
+            let tracer = Tracer::new();
+            let on = attacks(&tracer);
+            (off, tracer, on)
+        } else {
+            let tracer = Tracer::new();
+            let on = attacks(&tracer);
+            (attacks(&Tracer::disabled()), tracer, on)
+        };
         let all = tracer.take();
         let bytes_written = ["campaign.pfattack", "campaign.pfguess"]
             .iter()
@@ -504,8 +503,8 @@ pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
             .sum::<f64>();
 
         report.attempted += 4;
-        let (Ok(bare_static), Ok(bare_dynamic), Ok(st_out), Ok(dy_out)) =
-            (bare_static, bare_dynamic, &st.outcome, &dy.outcome)
+        let (Ok(st_out), Ok(dy_out), Ok(_), Ok(_)) =
+            (&st.outcome, &dy.outcome, &off.0.outcome, &off.1.outcome)
         else {
             report.failed += 1;
             report.check("every attack succeeds", false);
@@ -552,7 +551,7 @@ pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
             dy.decodes as f64 / BUDGET as f64,
             bytes_written,
         ]);
-        overhead.push(st.wall_s + dy.wall_s - bare_static_s - bare_dynamic_s);
+        overhead.push(st.wall_s + dy.wall_s - off.0.wall_s - off.1.wall_s);
     }
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -5,14 +5,24 @@
 //! trained ones), registers it twice — as f32 and as its int8 tier — with
 //! a 2 000-sample `SampleTable`, builds a `PFDIGEST` store holding the
 //! passwords of every other screen request of the trace, and starts an
-//! in-process server with 1 batcher lane, 1 GEMM thread and 2 handler
-//! threads.
+//! in-process server with 1 batcher lane, 1 GEMM thread, no straggler wait
+//! and 2 handler threads. A handler serves its connection's requests one
+//! at a time, so 2 connections never fill a tick; with the default
+//! straggler wait every tick would idle for it, and the saturation rate
+//! would measure that timer rather than scoring.
 //!
 //! Load replays a `Trace::synth` trace (default profile) open-loop from 2
 //! keep-alive connections at each rate of a fixed ladder. Gaps are
 //! rescaled to the rung's rate and bursts are kept. One request in four
 //! names the int8 model. A request's latency runs from its due time, so
 //! time spent waiting for a free connection counts.
+//!
+//! Then rounds of a window at the nominal rate and a closed-loop
+//! saturation window follow. The saturation requests carry the trace's
+//! passwords packed 32 to a request, so each tick scores a full batch and
+//! the rate follows scoring cost; with the trace's few-password requests
+//! it followed thread wake-up latency, which a shared host's steal time
+//! swings by a factor of two.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -51,7 +61,7 @@ const LADDER_SHARE: f64 = 0.3;
 /// the result, and both phases sample the same stretches of time.
 const ROUNDS: usize = 8;
 /// The nominal window's share of a round; saturation takes the rest.
-const NOMINAL_SHARE: f64 = 0.6;
+const NOMINAL_SHARE: f64 = 0.5;
 /// Latency limit on p99 for a rung to count towards capacity.
 pub const P99_LIMIT_MS: f64 = 50.0;
 /// Client connections (and server handler threads).
@@ -151,6 +161,7 @@ pub fn setup(seed: u64, seconds: f64, tag: &str) -> Setup {
         batcher: BatcherConfig {
             lanes: 1,
             threads: 1,
+            max_wait: Duration::ZERO,
             ..BatcherConfig::default()
         },
         handler_threads: CONNECTIONS,
@@ -461,11 +472,42 @@ struct Saturation {
     rps: f64,
 }
 
+/// Passwords per saturation request.
+pub const SATURATION_ROWS: usize = 32;
+
+/// One request of a saturation window: its path and body.
+type Probe = (&'static str, String);
+
+/// `count` saturation requests: the trace's passwords in order, packed
+/// [`SATURATION_ROWS`] to a request, each with the endpoint and model of
+/// the record it starts at.
+fn saturation_probes(trace: &Trace, count: usize) -> Vec<Probe> {
+    let mut probes = Vec::with_capacity(count);
+    let mut i = 0;
+    while probes.len() < count {
+        let head = i % trace.records.len();
+        let mut passwords = Vec::with_capacity(SATURATION_ROWS);
+        while passwords.len() < SATURATION_ROWS {
+            passwords.extend(trace.records[i % trace.records.len()].passwords());
+            i += 1;
+        }
+        passwords.truncate(SATURATION_ROWS);
+        let items: Vec<String> = passwords.iter().map(|p| format!("\"{p}\"")).collect();
+        let body = format!(
+            "{{\"model\":\"{}\",\"passwords\":[{}]}}",
+            model_of(head),
+            items.join(",")
+        );
+        probes.push((trace.records[head].endpoint.path(), body));
+    }
+    probes
+}
+
 /// Closed loop for `seconds`: each of the [`CONNECTIONS`] connections
-/// keeps [`PIPELINE`] trace requests in flight, from record `first` on,
-/// sending the next as soon as an answer arrives.
-fn hammer(addr: SocketAddr, trace: &Trace, first: usize, seconds: f64) -> Saturation {
-    let next = AtomicUsize::new(first);
+/// keeps [`PIPELINE`] probes in flight, cycling through `probes`, and
+/// sends the next as soon as an answer arrives.
+fn hammer(addr: SocketAddr, probes: &[Probe], seconds: f64) -> Saturation {
+    let next = AtomicUsize::new(0);
     let start = Instant::now();
     let deadline = Duration::from_secs_f64(seconds);
     let (mut sent, mut failed) = (0, 0);
@@ -481,9 +523,9 @@ fn hammer(addr: SocketAddr, trace: &Trace, first: usize, seconds: f64) -> Satura
                     let mut in_flight = 0;
                     loop {
                         while in_flight < PIPELINE && start.elapsed() < deadline {
-                            let i = next.fetch_add(1, Ordering::Relaxed) % trace.records.len();
-                            let record = &trace.records[i];
-                            if conn.send(record.endpoint.path(), &body(i, record)).is_err() {
+                            let (path, body) =
+                                &probes[next.fetch_add(1, Ordering::Relaxed) % probes.len()];
+                            if conn.send(path, body).is_err() {
                                 return (sent + 1, failed + 1);
                             }
                             sent += 1;
@@ -516,15 +558,52 @@ fn hammer(addr: SocketAddr, trace: &Trace, first: usize, seconds: f64) -> Satura
     }
 }
 
-/// Kept responses checked against offline scoring and the digest store:
-/// `(scores, scores that matched, screens, screens that matched)`.
-type Checked = (usize, usize, usize, usize);
+/// Kept responses checked against offline scoring and the digest store.
+#[derive(Clone, Copy, Default)]
+struct Checked {
+    /// Answered requests whose body did not hold one result per password.
+    malformed: usize,
+    /// Passwords whose `log_prob_bits` were compared, and how many matched.
+    scores: usize,
+    score_ok: usize,
+    /// Screened passwords whose verdict was compared, and how many matched.
+    screens: usize,
+    screen_ok: usize,
+}
+
+/// What one password's result should say: its `log_prob_bits` (`None`
+/// for a password the scorer cannot encode) and, for a screen, whether the
+/// store holds it (`None` if the store could not answer).
+type Expected = (Option<String>, Option<Option<bool>>);
+
+/// Checks one response's results against what each password should get.
+/// A missing `log_prob_bits` where a score is expected, and a `"breached":
+/// null` verdict where the store answered, are mismatches.
+fn check_results(c: &mut Checked, results: &[Json], expected: &[Expected]) {
+    if results.len() != expected.len() {
+        c.malformed += 1;
+        return;
+    }
+    for (result, (bits, stored)) in results.iter().zip(expected) {
+        let served = result.get("log_prob_bits").and_then(Json::as_str);
+        c.scores += 1;
+        c.score_ok += usize::from(bits.as_deref() == served);
+        if let Some(stored) = stored {
+            let verdict = match result.get("breached") {
+                Some(Json::Bool(breached)) => Some(*breached),
+                _ => None,
+            };
+            c.screens += 1;
+            c.screen_ok += usize::from(verdict.is_some() && verdict == *stored);
+        }
+    }
+}
 
 /// Checks kept responses against offline scoring and the digest store.
 fn check_responses(s: &Setup, rung: &Rung) -> Checked {
     let scorer = FlowScorer::new(&s.flow);
     let quant = QuantizedScorer::new(&s.flow);
-    let (mut scores, mut score_ok, mut screens, mut screen_ok) = (0, 0, 0, 0);
+    let mut c = Checked::default();
     for (offset, sent) in rung.requests.iter().enumerate() {
         let i = rung.first + offset;
         let Some(body) = &sent.body else { continue };
@@ -539,51 +618,52 @@ fn check_responses(s: &Setup, rung: &Rung) -> Checked {
             .and_then(|d| d.get("results"))
             .and_then(Json::as_arr)
             .unwrap_or(&[]);
-        let passwords = s.trace.records[i].passwords();
-        for (password, result) in passwords.iter().zip(results) {
-            if let Some(bits) = result.get("log_prob_bits").and_then(Json::as_str) {
+        let record = &s.trace.records[i];
+        let expected: Vec<Expected> = record
+            .passwords()
+            .iter()
+            .map(|password| {
                 let offline = if model_of(i) == "int8" {
                     quant.log_prob(password)
                 } else {
                     scorer.log_prob(password)
                 };
-                scores += 1;
-                score_ok += usize::from(
-                    offline
-                        .map(|lp| format!("{:016x}", lp.to_bits()))
-                        .as_deref()
-                        == Some(bits),
-                );
-            }
-            if let Some(Json::Bool(breached)) = result.get("breached") {
-                screens += 1;
-                let stored = s
-                    .digest
-                    .contains_password(password)
-                    .ok()
-                    .flatten()
-                    .is_some();
-                screen_ok += usize::from(*breached == stored);
-            }
-        }
+                let stored = (record.endpoint == Endpoint::Screen).then(|| {
+                    s.digest
+                        .contains_password(password)
+                        .ok()
+                        .map(|hit| hit.is_some())
+                });
+                (offline.map(|lp| format!("{:016x}", lp.to_bits())), stored)
+            })
+            .collect();
+        check_results(&mut c, results, &expected);
     }
-    (scores, score_ok, screens, screen_ok)
+    c
 }
 
 /// Records the response checks of every window.
 fn report_checks(report: &mut Report, checked: &[Checked]) {
-    let (scores, score_ok, screens, screen_ok) = checked.iter().fold((0, 0, 0, 0), |a, c| {
-        (a.0 + c.0, a.1 + c.1, a.2 + c.2, a.3 + c.3)
+    let c = checked.iter().fold(Checked::default(), |a, c| Checked {
+        malformed: a.malformed + c.malformed,
+        scores: a.scores + c.scores,
+        score_ok: a.score_ok + c.score_ok,
+        screens: a.screens + c.screens,
+        screen_ok: a.screen_ok + c.screen_ok,
     });
-    say("checked.log_prob_bits", scores as f64, "count");
-    say("checked.screen_verdicts", screens as f64, "count");
+    say("checked.log_prob_bits", c.scores as f64, "count");
+    say("checked.screen_verdicts", c.screens as f64, "count");
+    report.check(
+        "every checked response holds one result per password",
+        c.malformed == 0,
+    );
     report.check(
         "log_prob_bits of the checked responses equal offline FlowScorer/QuantizedScorer bits",
-        scores > 0 && score_ok == scores,
+        c.scores > 0 && c.score_ok == c.scores,
     );
     report.check(
         "screen verdicts of the checked responses equal DigestStore::contains_password",
-        screens > 0 && screen_ok == screens,
+        c.screens > 0 && c.screen_ok == c.screens,
     );
 }
 
@@ -633,19 +713,20 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
     let (mut p50s, mut p99s, mut rates) = (Vec::new(), Vec::new(), Vec::new());
     let mut checked = Vec::new();
     let mut round_failures = 0;
+    // More than a saturation window sends; each window cycles through them.
+    let probes = saturation_probes(&s.trace, 4 * n);
     for round in 0..ROUNDS {
         let window = replay(addr, &s.trace, round * n, n, NOMINAL_RPS, true);
         let saturation = hammer(
             addr,
-            &s.trace,
-            round * n,
+            &probes,
             round_seconds(seconds) * (1.0 - NOMINAL_SHARE),
         );
         checked.push(check_responses(&s, &window));
         let lat = window.latencies_ms();
         p50s.push(percentile(&lat, 50.0));
         p99s.push(percentile(&lat, 99.0));
-        rates.push(saturation.rps);
+        rates.push(saturation.rps * SATURATION_ROWS as f64);
         report.attempted += (window.requests.len() + saturation.sent) as u64;
         round_failures += window.failed() + saturation.failed;
     }
@@ -655,7 +736,7 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
     say("nominal_rps", NOMINAL_RPS, "1/s");
     say("p50_ms", median(&p50s), "ms");
     say("p99_ms", median(&p99s), "ms");
-    say("saturation_rps", median(&rates), "1/s");
+    say("saturation_passwords_per_s", median(&rates), "1/s");
     report.set("throughput_per_s", median(&rates));
     report.set("setup_s", median(&setup_times));
     s.stop();
@@ -679,19 +760,22 @@ fn batcher_counters(handle: &ServerHandle) -> (f64, f64, f64, f64) {
     )
 }
 
-/// The traced run: the nominal-rate requests of every round, bare and with
-/// client spans, then the same requests through each layer's public calls,
-/// offline.
+/// The traced run: the nominal-rate requests of every round, then the same
+/// requests through each layer's public calls, offline, with spans off and
+/// with spans on.
+///
+/// The client spans are built after the replay from the times it records
+/// for its own accounting, so they cost the replay nothing; the tracing
+/// overhead is that of the offline calls.
 pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
     let s = setup(seed, seconds, "traced");
     let addr = s.handle.addr();
     let n = ROUNDS * window_requests(seconds);
-    let bare = replay(addr, &s.trace, 0, n, NOMINAL_RPS, false);
     let before = batcher_counters(&s.handle);
     let rung = replay(addr, &s.trace, 0, n, NOMINAL_RPS, true);
     let after = batcher_counters(&s.handle);
-    report.attempted += (bare.requests.len() + rung.requests.len()) as u64;
-    report.failed += (bare.failed() + rung.failed()) as u64;
+    report.attempted += rung.requests.len() as u64;
+    report.failed += rung.failed() as u64;
     report_checks(report, &[check_responses(&s, &rung)]);
 
     // Client spans: each request from its due time, split into the wait
@@ -718,7 +802,12 @@ pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
     }
     tracer.extend(client);
 
+    let start = Instant::now();
+    time_layers(&s, &rung, &Tracer::disabled());
+    let off = start.elapsed().as_secs_f64();
+    let start = Instant::now();
     let offline = time_layers(&s, &rung, &tracer);
+    let on = start.elapsed().as_secs_f64();
     let all = tracer.take();
     spans::publish("serve", seed, &all);
 
@@ -743,7 +832,7 @@ pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
         "kernels.gemm_macs_per_scored_row",
         crate::flow_macs_per_row(s.flow.config()) as f64,
     );
-    report.set("trace.overhead_s", rung.wall_s - bare.wall_s);
+    report.set("trace.overhead_s", on - off);
     s.stop();
 }
 
@@ -846,4 +935,60 @@ fn time_layers(s: &Setup, rung: &Rung, tracer: &Tracer) -> Vec<(&'static str, f6
         .iter()
         .map(|(span, metric)| (*metric, samples.get(span).map_or(0.0, |v| median(v))))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn results(body: &str) -> Vec<Json> {
+        match json::parse(body).expect("valid JSON") {
+            Json::Arr(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    fn bits(hex: &str) -> Option<String> {
+        Some(hex.to_string())
+    }
+
+    #[test]
+    fn matching_results_pass() {
+        let mut c = Checked::default();
+        let got = results(
+            r#"[{"log_prob_bits":"00000000000000aa","breached":true},
+                {"log_prob_bits":"00000000000000bb","breached":false}, null]"#,
+        );
+        let want = [
+            (bits("00000000000000aa"), Some(Some(true))),
+            (bits("00000000000000bb"), Some(Some(false))),
+            (None, None),
+        ];
+        check_results(&mut c, &got, &want);
+        assert_eq!((c.malformed, c.scores, c.score_ok), (0, 3, 3));
+        assert_eq!((c.screens, c.screen_ok), (2, 2));
+    }
+
+    #[test]
+    fn dropped_and_nulled_answers_are_mismatches() {
+        // One result short.
+        let mut c = Checked::default();
+        let got = results(r#"[{"log_prob_bits":"00000000000000aa"}]"#);
+        let want = [
+            (bits("00000000000000aa"), None),
+            (bits("0000000000000001"), None),
+        ];
+        check_results(&mut c, &got, &want);
+        assert_eq!(c.malformed, 1);
+
+        // A null score where the scorer gives one, and a withheld verdict.
+        let mut c = Checked::default();
+        let got = results(r#"[{"log_prob":null,"breached":null}]"#);
+        check_results(
+            &mut c,
+            &got,
+            &[(bits("00000000000000aa"), Some(Some(false)))],
+        );
+        assert_eq!((c.scores, c.score_ok, c.screens, c.screen_ok), (1, 0, 1, 0));
+    }
 }

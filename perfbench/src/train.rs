@@ -15,7 +15,8 @@
 //! The traced mode replays the 2-worker epoch through the public calls the
 //! trainer's step makes (`PassFlow::encode_batch`, `PassFlow::nll_grad_sum`,
 //! `GradBatch::merge`, `Optimizer::step`) on the same batches, and must end
-//! on the same loss as the trainer.
+//! on the same loss as the trainer. It runs the replay with spans off and
+//! with spans on; the difference is the tracing overhead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -30,7 +31,7 @@ use passflow_passwords::{CorpusConfig, SyntheticCorpusGenerator};
 
 use crate::report::{say, Report};
 use crate::spans::{self, Span, Tracer};
-use crate::stats::{median, percentile};
+use crate::stats::median;
 
 /// Training passwords.
 pub const SUBSAMPLE: usize = 20_000;
@@ -39,8 +40,9 @@ pub const SUBSAMPLE: usize = 20_000;
 pub const GRAD_WORKERS: [usize; 2] = [1, 2];
 /// Epochs per measured repetition.
 const EPOCHS: usize = 1;
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Set-ups per untraced run; `setup_s` is their median. One set-up takes
+/// about 20 ms, so many are needed to span the host's short stalls.
+const SETUPS: usize = 50;
 /// The trainer's shuffle and dequantization-noise stream offsets.
 const STREAM_SHUFFLE: u64 = 1 << 41;
 const STREAM_NOISE: u64 = 1 << 42;
@@ -65,11 +67,6 @@ fn fresh_flow(seed: u64) -> PassFlow {
         .expect("the evaluation config is valid")
 }
 
-/// Optimizer steps per epoch.
-fn steps_per_epoch(passwords: usize, config: &TrainConfig) -> usize {
-    passwords.div_ceil(config.batch_size)
-}
-
 /// Trains a fresh flow through [`Trainer`] on `workers` gradient workers;
 /// returns the final loss and the wall time.
 fn train_once(seed: u64, workers: usize, passwords: &[String]) -> (Option<f32>, f64) {
@@ -90,7 +87,6 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
         passwords = setup(seed);
         setup_times.push(start.elapsed().as_secs_f64());
     }
-    let steps = (steps_per_epoch(passwords.len(), &config(seed, 1)) * EPOCHS) as f64;
     let rows = (passwords.len() * EPOCHS) as f64;
 
     // Wall times per worker count, in `GRAD_WORKERS` order.
@@ -120,15 +116,12 @@ pub fn run(seed: u64, seconds: f64, report: &mut Report) {
         );
     }
     let rates = |walls: &[f64]| walls.iter().map(|w| rows / w).collect::<Vec<f64>>();
-    let step_ms: Vec<f64> = walls[0].iter().map(|w| w * 1e3 / steps).collect();
     say("train_passwords_per_s", median(&rates(&walls[0])), "1/s");
     say(
         "train_passwords_per_s.workers2",
         median(&rates(&walls[1])),
         "1/s",
     );
-    say("train.step_ms.p50", percentile(&step_ms, 50.0), "ms");
-    say("train.step_ms.max", percentile(&step_ms, 100.0), "ms");
     say(
         "train.epochs_per_worker_count",
         walls[0].len() as f64,
@@ -266,22 +259,34 @@ fn micro_grads(
         .collect()
 }
 
-/// The traced run: one epoch through [`Trainer`] and one through
-/// [`replay_epoch`], repeated until `seconds` have passed.
+/// The traced run: one epoch through [`Trainer`] to check the replay's
+/// loss, then [`replay_epoch`] with spans off and with spans on, repeated
+/// until `seconds` have passed.
 pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
     let passwords = setup(seed);
     let workers = GRAD_WORKERS[GRAD_WORKERS.len() - 1];
     let config = config(seed, workers);
+    let (trainer_loss, _) = train_once(seed, workers, &passwords);
+    report.attempted += 1;
+    let replay = |tracer: &Tracer| {
+        let flow = fresh_flow(seed);
+        let start = Instant::now();
+        let loss = replay_epoch(&flow, &passwords, &config, tracer);
+        (loss, start.elapsed().as_secs_f64())
+    };
     let mut rows: Vec<[f64; 5]> = Vec::new();
     let mut overhead = Vec::new();
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
     while rows.is_empty() || Instant::now() < deadline {
-        let (trainer_loss, trainer_wall) = train_once(seed, workers, &passwords);
-        let flow = fresh_flow(seed);
+        // Alternate which goes first, so neither is always the colder run.
         let tracer = Tracer::new();
-        let start = Instant::now();
-        let loss = replay_epoch(&flow, &passwords, &config, &tracer);
-        let wall = start.elapsed().as_secs_f64();
+        let ((_, off), (loss, on)) = if rows.len().is_multiple_of(2) {
+            let off = replay(&Tracer::disabled());
+            (off, replay(&tracer))
+        } else {
+            let on = replay(&tracer);
+            (replay(&Tracer::disabled()), on)
+        };
         let all = tracer.take();
         report.attempted += 2;
         if rows.is_empty() {
@@ -307,7 +312,7 @@ pub fn run_traced(seed: u64, seconds: f64, report: &mut Report) {
             t("optim.step"),
             covered as f64 / root.duration_ns().max(1) as f64,
         ]);
-        overhead.push(wall - trainer_wall);
+        overhead.push(on - off);
     }
     let names = [
         "encoding.encode_s",
