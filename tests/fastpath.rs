@@ -7,8 +7,9 @@ use std::collections::HashSet;
 use passflow::nn::rng as nnrng;
 use passflow::nn::{Module, NetWorkspace, ResNet, Tensor};
 use passflow::{
-    train, Attack, AttackOutcome, CorpusConfig, DynamicParams, FlowConfig, FlowWorkspace,
-    GaussianSmoothing, Guesser, GuessingStrategy, PassFlow, SyntheticCorpusGenerator, TrainConfig,
+    train, Attack, AttackOutcome, CorpusConfig, DynamicParams, FlowConfig, FlowScorer,
+    FlowWorkspace, GaussianSmoothing, Guesser, GuessingStrategy, PassFlow, QuantizedScorer,
+    SyntheticCorpusGenerator, TrainConfig,
 };
 
 fn random_flow(config: FlowConfig, seed: u64) -> PassFlow {
@@ -319,4 +320,89 @@ fn quantized_log_prob_stays_within_documented_bound_of_reference() {
         "quantized tier exceeded its documented bound: max |delta log-prob| \
          = {max_delta}, documented {QUANT_LOG_PROB_BOUND}"
     );
+}
+
+/// FNV-1a-64 over the exact bits of a score list (`None` hashes as a flag
+/// byte), so the pin below sees any single-bit change in any score.
+fn score_digest(scores: &[Option<f64>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for score in scores {
+        let mut bytes = [0u8; 9];
+        if let Some(v) = score {
+            bytes[0] = 1;
+            bytes[1..].copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+        for &b in &bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Pinned `log_probs` bits of the exact and int8 scorers. The shapes make
+/// every part of the GEMM driver run: hidden width 61 = 16·3 + 8 + 4 + 1
+/// takes the 16-wide tile and every column tail; 203 scored rows take
+/// 4-row blocks and a 3-row tail; and at 2 threads each hidden GEMM is
+/// 203·61·61 ≈ 7.6·10⁵ multiply-accumulates, so the pooled row partition
+/// runs. The constants were recorded from the scorers before the int8 tier
+/// shared the f32 driver; a refactor that moves any bit fails here, which
+/// the |Δ| bound above cannot see.
+#[test]
+fn scorer_log_prob_bits_are_pinned() {
+    let flow = random_flow(
+        FlowConfig::tiny()
+            .with_coupling_layers(2)
+            .with_hidden_size(61),
+        1301,
+    );
+    let mut passwords = SyntheticCorpusGenerator::new(CorpusConfig::small().with_size(400))
+        .generate(1302)
+        .into_passwords();
+    passwords.retain(|p| flow.encoder().encode(p).is_some());
+    passwords.truncate(203);
+    assert_eq!(passwords.len(), 203, "corpus yields enough encodable rows");
+    passwords.insert(5, "x".repeat(64));
+
+    let exact = FlowScorer::new(&flow);
+    let int8 = QuantizedScorer::from_scorer(&exact);
+    let pins = [
+        (
+            "f32",
+            exact.log_probs(&passwords),
+            exact.clone().with_threads(2).log_probs(&passwords),
+            0x4a5a_7391_bc5c_a470,
+            [
+                0xc04a_85ac_bc1b_9dd0,
+                0xc04b_c3f2_a41b_9dd0,
+                0xc04a_b94a_2c1b_9dd0,
+            ],
+        ),
+        (
+            "int8",
+            int8.log_probs(&passwords),
+            int8.clone().with_threads(2).log_probs(&passwords),
+            0x003c_a526_a576_49c1,
+            [
+                0xc04a_8567_f41b_9dd0,
+                0xc04b_beec_e41b_9dd0,
+                0xc04a_b900_0c1b_9dd0,
+            ],
+        ),
+    ];
+    for (tier, serial, threaded, digest, head) in pins {
+        assert_eq!(serial[5], None, "{tier}: unencodable password scores None");
+        for (label, scores) in [("serial", &serial), ("2 threads", &threaded)] {
+            let bits: Vec<u64> = [0, 1, 202]
+                .iter()
+                .map(|&i| scores[i].expect("encodable").to_bits())
+                .collect();
+            assert_eq!(bits, head, "{tier} {label}: pinned scores moved");
+            assert_eq!(
+                score_digest(scores),
+                digest,
+                "{tier} {label}: score digest moved"
+            );
+        }
+    }
 }
