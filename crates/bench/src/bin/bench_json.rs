@@ -139,7 +139,7 @@ fn main() {
     // isolates the tier's bandwidth advantage rather than ALU throughput.
     let quant_summary;
     {
-        use passflow_nn::{LinearSnapshot, QuantizedLinearSnapshot};
+        use passflow_nn::{LinearSnapshot, LinearWeights, QuantizedLinearSnapshot};
         let (m, k, n) = (16usize, 1024usize, 1024usize);
         let mut rng = nnrng::seeded(43);
         let exact =
@@ -156,7 +156,7 @@ fn main() {
             elements_per_iter: (m * k * n) as u64,
         });
         let s = median_secs(samples, || {
-            quantized.forward_into(&x, &mut out, None);
+            quantized.forward_into_with(&x, &mut out, None);
         });
         entries.push(Entry {
             name: format!("quantized/linear_int8_{m}x{k}x{n}"),

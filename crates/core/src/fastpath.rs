@@ -13,13 +13,19 @@
 //! implementations on [`CouplingLayer`] and `PassFlow::*_reference`; the
 //! conformance suite in `tests/fastpath.rs` and the engine's
 //! shard-invariance tests are the oracle.
+//!
+//! The snapshots are generic over the linear layers' weight format
+//! ([`LinearWeights`]): f32 by default, or the opt-in int8 tier
+//! ([`QuantizedFlowSnapshot`]), which scores through the same coupling and
+//! flow walks. Only the f32 format can invert.
 
 use passflow_nn::kernels::{
     affine_coupling_forward_into, affine_coupling_inverse_into, mul_row_broadcast_into,
     row_squared_norms_into,
 };
 use passflow_nn::{
-    NetWorkspace, Parameter, QuantizedResNetSnapshot, ResNetSnapshot, Tensor, ThreadPool,
+    LinearSnapshot, LinearWeights, NetWorkspace, Parameter, QuantizedLinearSnapshot,
+    QuantizedResNetSnapshot, ResNetSnapshot, Tensor, ThreadPool,
 };
 use std::sync::Arc;
 
@@ -91,21 +97,28 @@ impl FlowWorkspace {
 /// An owned, immutable copy of one coupling layer's masks and network
 /// weights, evaluated through the fused kernels.
 #[derive(Clone, Debug)]
-pub struct CouplingSnapshot {
+pub struct CouplingSnapshot<L = LinearSnapshot> {
     mask: Tensor,
     inv_mask: Tensor,
-    s_net: ResNetSnapshot,
-    t_net: ResNetSnapshot,
+    s_net: ResNetSnapshot<L>,
+    t_net: ResNetSnapshot<L>,
     dim: usize,
 }
 
-impl CouplingSnapshot {
+/// One coupling layer with int8-quantized `s`/`t` networks. It has only the
+/// scoring direction (forward + log-determinant): the quantized tier exists
+/// for scoring-only workloads (serve `/v1/score`, strength tables), and
+/// inverting through approximate weights would let quantization error
+/// compound across the guess-generation chain.
+pub type QuantizedCouplingSnapshot = CouplingSnapshot<QuantizedLinearSnapshot>;
+
+impl<L> CouplingSnapshot<L> {
     /// Assembles a coupling snapshot from its mask and network snapshots.
     ///
     /// # Panics
     ///
     /// Panics if `mask` is not a binary `1 × dim` row vector.
-    pub fn new(mask: Tensor, s_net: ResNetSnapshot, t_net: ResNetSnapshot) -> Self {
+    pub fn new(mask: Tensor, s_net: ResNetSnapshot<L>, t_net: ResNetSnapshot<L>) -> Self {
         assert_eq!(mask.rows(), 1, "mask must be a row vector");
         assert!(
             mask.as_slice().iter().all(|&v| v == 0.0 || v == 1.0),
@@ -126,12 +139,27 @@ impl CouplingSnapshot {
     pub fn dim(&self) -> usize {
         self.dim
     }
+}
+
+impl<L: LinearWeights> CouplingSnapshot<L> {
+    /// Evaluates the `s`/`t` networks on the masked input into `ws.s`/`ws.t`.
+    fn nets_into(&self, input: &Tensor, ws: &mut FlowWorkspace) {
+        assert_eq!(
+            input.cols(),
+            self.dim,
+            "input width must equal coupling dim"
+        );
+        mul_row_broadcast_into(input, &self.mask, &mut ws.masked);
+        self.s_net.forward_into(&ws.masked, &mut ws.net, &mut ws.s);
+        self.t_net.forward_into(&ws.masked, &mut ws.net, &mut ws.t);
+    }
 
     /// Fast-path forward transform: writes `z` into `z_out` and **adds**
     /// each row's log-determinant to `log_det_acc` (a `rows × 1` tensor),
     /// matching how the flow accumulates log-determinants across layers.
     ///
-    /// Bit-exact with [`CouplingLayer::forward`](crate::CouplingLayer::forward).
+    /// Bit-exact with [`CouplingLayer::forward`](crate::CouplingLayer::forward)
+    /// for f32 weights.
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -139,10 +167,7 @@ impl CouplingSnapshot {
         z_out: &mut Tensor,
         log_det_acc: &mut Tensor,
     ) {
-        assert_eq!(x.cols(), self.dim, "input width must equal coupling dim");
-        mul_row_broadcast_into(x, &self.mask, &mut ws.masked);
-        self.s_net.forward_into(&ws.masked, &mut ws.net, &mut ws.s);
-        self.t_net.forward_into(&ws.masked, &mut ws.net, &mut ws.t);
+        self.nets_into(x, ws);
         affine_coupling_forward_into(
             x,
             &ws.s,
@@ -153,16 +178,26 @@ impl CouplingSnapshot {
             log_det_acc,
         );
     }
+}
 
+impl CouplingSnapshot {
     /// Fast-path inverse transform: recovers `x` from `z` into `x_out`.
     ///
     /// Bit-exact with [`CouplingLayer::inverse`](crate::CouplingLayer::inverse).
     pub fn inverse_into(&self, z: &Tensor, ws: &mut FlowWorkspace, x_out: &mut Tensor) {
-        assert_eq!(z.cols(), self.dim, "input width must equal coupling dim");
-        mul_row_broadcast_into(z, &self.mask, &mut ws.masked);
-        self.s_net.forward_into(&ws.masked, &mut ws.net, &mut ws.s);
-        self.t_net.forward_into(&ws.masked, &mut ws.net, &mut ws.t);
+        self.nets_into(z, ws);
         affine_coupling_inverse_into(z, &ws.s, &ws.t, &self.mask, &self.inv_mask, x_out);
+    }
+
+    /// The int8 copy of this layer (see [`QuantizedCouplingSnapshot`]).
+    fn quantize(&self) -> QuantizedCouplingSnapshot {
+        CouplingSnapshot {
+            mask: self.mask.clone(),
+            inv_mask: self.inv_mask.clone(),
+            s_net: QuantizedResNetSnapshot::from_snapshot(&self.s_net),
+            t_net: QuantizedResNetSnapshot::from_snapshot(&self.t_net),
+            dim: self.dim,
+        }
     }
 }
 
@@ -177,14 +212,26 @@ impl CouplingSnapshot {
 /// cache a snapshot and invalidate it automatically when an optimizer (or
 /// `load_weights`) mutates any parameter.
 #[derive(Clone, Debug)]
-pub struct FlowSnapshot {
-    couplings: Vec<CouplingSnapshot>,
+pub struct FlowSnapshot<L = LinearSnapshot> {
+    couplings: Vec<CouplingSnapshot<L>>,
     dim: usize,
     params: Vec<Parameter>,
     stamps: Vec<u64>,
 }
 
-impl FlowSnapshot {
+/// The opt-in int8 tier of a [`FlowSnapshot`]: every coupling network's
+/// weights stored as one byte per element plus per-row scales (~4× smaller),
+/// scoring through the same coupling walk and fused kernels.
+///
+/// Scores are **approximate**: per model, the error bound
+/// (max |Δ log-prob| vs. the exact `log_prob_reference` oracle) must be
+/// measured — `strength::probe_quantization` does exactly that — and
+/// reported to callers so they opt in knowingly. Scores are deterministic
+/// and thread-count invariant, exactly like the f32 path. There is no
+/// inverse.
+pub type QuantizedFlowSnapshot = FlowSnapshot<QuantizedLinearSnapshot>;
+
+impl<L> FlowSnapshot<L> {
     /// Assembles a flow snapshot from per-layer coupling snapshots plus the
     /// live parameters they were exported from (used for staleness checks).
     ///
@@ -192,7 +239,7 @@ impl FlowSnapshot {
     ///
     /// Panics if `couplings` is empty, dimensions disagree, or the stamp
     /// bookkeeping is inconsistent.
-    pub fn new(couplings: Vec<CouplingSnapshot>, params: Vec<Parameter>) -> Self {
+    pub fn new(couplings: Vec<CouplingSnapshot<L>>, params: Vec<Parameter>) -> Self {
         assert!(!couplings.is_empty(), "flow has at least one coupling");
         let dim = couplings[0].dim();
         assert!(
@@ -218,15 +265,6 @@ impl FlowSnapshot {
         self.couplings.len()
     }
 
-    /// Bytes held by the f32 coupling-network weights (for compression
-    /// reporting against [`QuantizedFlowSnapshot::memory_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
-        self.couplings
-            .iter()
-            .map(|c| c.s_net.memory_bytes() + c.t_net.memory_bytes())
-            .sum()
-    }
-
     /// Returns `true` while no source parameter has been mutated since the
     /// snapshot was exported.
     pub fn is_current(&self) -> bool {
@@ -235,11 +273,22 @@ impl FlowSnapshot {
             .zip(self.stamps.iter())
             .all(|(p, &stamp)| p.version() == stamp)
     }
+}
+
+impl<L: LinearWeights> FlowSnapshot<L> {
+    /// Bytes held by the coupling-network weights (for compression
+    /// reporting between the f32 and int8 tiers).
+    pub fn memory_bytes(&self) -> usize {
+        self.couplings
+            .iter()
+            .map(|c| c.s_net.memory_bytes() + c.t_net.memory_bytes())
+            .sum()
+    }
 
     /// Applies the forward flow `z = f_θ(x)` into `z_out`, writing the
     /// per-sample log-determinants into `log_det_out` (`rows × 1`).
     ///
-    /// Bit-exact with `PassFlow::forward_reference`.
+    /// Bit-exact with `PassFlow::forward_reference` for f32 weights.
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -261,20 +310,6 @@ impl FlowSnapshot {
         );
     }
 
-    /// Applies the inverse flow `x = f_θ⁻¹(z)` into `x_out`.
-    ///
-    /// Bit-exact with `PassFlow::inverse_reference`.
-    pub fn inverse_into(&self, z: &Tensor, ws: &mut FlowWorkspace, x_out: &mut Tensor) {
-        assert_eq!(z.cols(), self.dim, "input width must equal flow dimension");
-        chain(
-            self.couplings.iter().rev(),
-            z,
-            ws,
-            x_out,
-            |coupling, src, ws, dst| coupling.inverse_into(src, ws, dst),
-        );
-    }
-
     /// Exact log-density of each row of `x` (Equation 5) through the fast
     /// path, written into `log_prob_out` (`rows × 1`):
     /// `log p_θ(x) = −½·(‖f_θ(x)‖² + D·ln 2π) + log |det ∂f_θ/∂x|`.
@@ -283,7 +318,7 @@ impl FlowSnapshot {
     /// ([`row_squared_norms_into`]) and the per-row log-determinants all run
     /// in workspace scratch, so batched scoring (the strength subsystem's
     /// hot loop) allocates nothing after warm-up. Bit-exact with
-    /// `PassFlow::log_prob_reference`.
+    /// `PassFlow::log_prob_reference` for f32 weights.
     pub fn log_prob_into(&self, x: &Tensor, ws: &mut FlowWorkspace, log_prob_out: &mut Tensor) {
         let mut z = std::mem::take(&mut ws.z_buf);
         let mut log_det = std::mem::take(&mut ws.log_det_buf);
@@ -303,14 +338,6 @@ impl FlowSnapshot {
         ws.log_det_buf = log_det;
     }
 
-    /// Convenience inverse allocating its own workspace and output.
-    pub fn inverse(&self, z: &Tensor) -> Tensor {
-        let mut ws = FlowWorkspace::new();
-        let mut out = Tensor::zeros(0, 0);
-        self.inverse_into(z, &mut ws, &mut out);
-        out
-    }
-
     /// Convenience forward allocating its own workspace and outputs.
     pub fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
         let mut ws = FlowWorkspace::new();
@@ -319,166 +346,58 @@ impl FlowSnapshot {
         self.forward_into(x, &mut ws, &mut z, &mut log_det);
         (z, log_det)
     }
+}
+
+impl FlowSnapshot {
+    /// Applies the inverse flow `x = f_θ⁻¹(z)` into `x_out`.
+    ///
+    /// Bit-exact with `PassFlow::inverse_reference`.
+    pub fn inverse_into(&self, z: &Tensor, ws: &mut FlowWorkspace, x_out: &mut Tensor) {
+        assert_eq!(z.cols(), self.dim, "input width must equal flow dimension");
+        chain(
+            self.couplings.iter().rev(),
+            z,
+            ws,
+            x_out,
+            |coupling, src, ws, dst| coupling.inverse_into(src, ws, dst),
+        );
+    }
+
+    /// Convenience inverse allocating its own workspace and output.
+    pub fn inverse(&self, z: &Tensor) -> Tensor {
+        let mut ws = FlowWorkspace::new();
+        let mut out = Tensor::zeros(0, 0);
+        self.inverse_into(z, &mut ws, &mut out);
+        out
+    }
 
     /// Converts this snapshot to the opt-in int8 tier (see
     /// [`QuantizedFlowSnapshot`]). The conversion is deterministic; the
     /// resulting scores are approximate — measure the error with
     /// `strength::probe_quantization` before serving from it.
     pub fn quantize(&self) -> QuantizedFlowSnapshot {
-        QuantizedFlowSnapshot {
+        FlowSnapshot {
             couplings: self
                 .couplings
                 .iter()
-                .map(QuantizedCouplingSnapshot::from_coupling)
+                .map(CouplingSnapshot::quantize)
                 .collect(),
             dim: self.dim,
+            params: self.params.clone(),
+            stamps: self.stamps.clone(),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quantized tier
-// ---------------------------------------------------------------------------
-
-/// One coupling layer with int8-quantized `s`/`t` networks.
-///
-/// Only the scoring direction (forward + log-determinant) is provided: the
-/// quantized tier exists for scoring-only workloads (serve `/v1/score`,
-/// strength tables), and inverting through approximate weights would let
-/// quantization error compound across the guess-generation chain.
-#[derive(Clone, Debug)]
-pub struct QuantizedCouplingSnapshot {
-    mask: Tensor,
-    inv_mask: Tensor,
-    s_net: QuantizedResNetSnapshot,
-    t_net: QuantizedResNetSnapshot,
-    dim: usize,
-}
-
-impl QuantizedCouplingSnapshot {
-    fn from_coupling(coupling: &CouplingSnapshot) -> Self {
-        QuantizedCouplingSnapshot {
-            mask: coupling.mask.clone(),
-            inv_mask: coupling.inv_mask.clone(),
-            s_net: QuantizedResNetSnapshot::from_snapshot(&coupling.s_net),
-            t_net: QuantizedResNetSnapshot::from_snapshot(&coupling.t_net),
-            dim: coupling.dim,
-        }
-    }
-
-    /// Quantized forward transform; same structure as
-    /// [`CouplingSnapshot::forward_into`], approximate values.
-    fn forward_into(
-        &self,
-        x: &Tensor,
-        ws: &mut FlowWorkspace,
-        z_out: &mut Tensor,
-        log_det_acc: &mut Tensor,
-    ) {
-        assert_eq!(x.cols(), self.dim, "input width must equal coupling dim");
-        mul_row_broadcast_into(x, &self.mask, &mut ws.masked);
-        self.s_net.forward_into(&ws.masked, &mut ws.net, &mut ws.s);
-        self.t_net.forward_into(&ws.masked, &mut ws.net, &mut ws.t);
-        affine_coupling_forward_into(
-            x,
-            &ws.s,
-            &ws.t,
-            &self.mask,
-            &self.inv_mask,
-            z_out,
-            log_det_acc,
-        );
-    }
-}
-
-/// The opt-in int8 tier of a [`FlowSnapshot`]: every coupling network's
-/// weights stored as one byte per element plus per-row scales (~4× smaller),
-/// scoring through the same fused kernels.
-///
-/// Scores are **approximate**: per model, the error bound
-/// (max |Δ log-prob| vs. the exact `log_prob_reference` oracle) must be
-/// measured — `strength::probe_quantization` does exactly that — and
-/// reported to callers so they opt in knowingly. Scores are deterministic
-/// and thread-count invariant, exactly like the f32 path.
-#[derive(Clone, Debug)]
-pub struct QuantizedFlowSnapshot {
-    couplings: Vec<QuantizedCouplingSnapshot>,
-    dim: usize,
-}
-
-impl QuantizedFlowSnapshot {
-    /// Dimensionality of the data and latent spaces.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of coupling layers.
-    pub fn num_couplings(&self) -> usize {
-        self.couplings.len()
-    }
-
-    /// Bytes held by the quantized coupling networks.
-    pub fn memory_bytes(&self) -> usize {
-        self.couplings
-            .iter()
-            .map(|c| c.s_net.memory_bytes() + c.t_net.memory_bytes())
-            .sum()
-    }
-
-    /// Quantized forward flow; same contract as
-    /// [`FlowSnapshot::forward_into`], approximate values.
-    pub fn forward_into(
-        &self,
-        x: &Tensor,
-        ws: &mut FlowWorkspace,
-        z_out: &mut Tensor,
-        log_det_out: &mut Tensor,
-    ) {
-        assert_eq!(x.cols(), self.dim, "input width must equal flow dimension");
-        log_det_out.resize(x.rows(), 1);
-        log_det_out.as_mut_slice().fill(0.0);
-        chain(
-            self.couplings.iter(),
-            x,
-            ws,
-            z_out,
-            |coupling, src, ws, dst| {
-                coupling.forward_into(src, ws, dst, log_det_out);
-            },
-        );
-    }
-
-    /// Quantized log-density of each row of `x` into `log_prob_out`
-    /// (`rows × 1`); same structure as [`FlowSnapshot::log_prob_into`],
-    /// approximate values.
-    pub fn log_prob_into(&self, x: &Tensor, ws: &mut FlowWorkspace, log_prob_out: &mut Tensor) {
-        let mut z = std::mem::take(&mut ws.z_buf);
-        let mut log_det = std::mem::take(&mut ws.log_det_buf);
-        self.forward_into(x, ws, &mut z, &mut log_det);
-        row_squared_norms_into(&z, log_prob_out);
-        let norm = self.dim as f32 * LN_2PI;
-        for (lp, ld) in log_prob_out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(log_det.as_slice())
-        {
-            *lp = -0.5 * (*lp + norm) + ld;
-        }
-        ws.z_buf = z;
-        ws.log_det_buf = log_det;
     }
 }
 
 /// Chains coupling layers (in the iterator's order) through the workspace's
 /// ping/pong buffers: the first layer reads `input`, the last writes `out`,
-/// and intermediates bounce between two reused scratch tensors. Generic over
-/// the coupling type so the exact and quantized tiers share it.
-fn chain<'a, C: 'a>(
-    couplings: impl ExactSizeIterator<Item = &'a C>,
+/// and intermediates bounce between two reused scratch tensors.
+fn chain<'a, L: 'a>(
+    couplings: impl ExactSizeIterator<Item = &'a CouplingSnapshot<L>>,
     input: &Tensor,
     ws: &mut FlowWorkspace,
     out: &mut Tensor,
-    mut step_fn: impl FnMut(&C, &Tensor, &mut FlowWorkspace, &mut Tensor),
+    mut step_fn: impl FnMut(&CouplingSnapshot<L>, &Tensor, &mut FlowWorkspace, &mut Tensor),
 ) {
     let n = couplings.len();
     let mut ping = std::mem::take(&mut ws.ping);

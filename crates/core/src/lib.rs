@@ -98,7 +98,7 @@ pub use sample::{
 pub use strength::{
     attack_unique_rank, probe_quantization, score_wordlist, FlowScorer, PasswordStrength,
     ProbabilityModel, QuantizationReport, QuantizedScorer, SampleTable, SamplingRankEstimate,
-    StrengthEstimate,
+    Scorer, StrengthEstimate,
 };
 pub use train::{
     train, EarlyStop, EarlyStopConfig, EpochDriver, EpochStats, EpochVerdict, LoopControl,

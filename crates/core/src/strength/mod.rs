@@ -40,7 +40,7 @@ mod scorer;
 
 pub use estimator::{SampleTable, SamplingRankEstimate, StrengthEstimate};
 pub use score::{attack_unique_rank, score_wordlist, PasswordStrength};
-pub use scorer::{probe_quantization, FlowScorer, QuantizationReport, QuantizedScorer};
+pub use scorer::{probe_quantization, FlowScorer, QuantizationReport, QuantizedScorer, Scorer};
 
 use crate::engine::Guesser;
 use crate::flow::PassFlow;

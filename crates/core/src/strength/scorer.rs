@@ -14,82 +14,48 @@
 //! independent, so batching requests together never changes a result
 //! (asserted by `tests/strength.rs` and the serving suite in
 //! `tests/serve.rs`).
+//!
+//! The handle is generic over the weight format: [`FlowScorer`] reads f32
+//! weights and [`QuantizedScorer`] the opt-in int8 tier, through the same
+//! encode-chunk-score walk.
 
 use std::sync::Arc;
 
-use passflow_nn::{Tensor, ThreadPool};
+use passflow_nn::{LinearSnapshot, LinearWeights, QuantizedLinearSnapshot, Tensor, ThreadPool};
 use passflow_passwords::PasswordEncoder;
 
-use crate::fastpath::{FlowSnapshot, FlowWorkspace, QuantizedFlowSnapshot};
+use crate::fastpath::{FlowSnapshot, FlowWorkspace};
 use crate::flow::PassFlow;
 
 /// Rows scored per fused call; bounds scratch memory without affecting
 /// results (row-independent kernels).
 const CHUNK_ROWS: usize = 1024;
 
-/// The shared encode-chunk-score loop behind both scoring tiers.
-///
-/// `out` is cleared and refilled with one entry per input password, in
-/// input order; unencodable passwords score `None`. `score` is called per
-/// chunk with (encoded batch, workspace, log-prob output). If `pool` is
-/// `Some`, it is installed into `ws` for the duration of the call (a
-/// caller-installed pool is left alone when `pool` is `None`).
-fn score_chunked(
-    encoder: &PasswordEncoder,
-    log_cell_volume: f64,
-    pool: Option<&Arc<ThreadPool>>,
-    passwords: &[String],
-    ws: &mut FlowWorkspace,
-    out: &mut Vec<Option<f64>>,
-    mut score: impl FnMut(&Tensor, &mut FlowWorkspace, &mut Tensor),
-) {
-    if let Some(pool) = pool {
-        ws.set_thread_pool(Some(Arc::clone(pool)));
-    }
-    out.clear();
-    out.resize(passwords.len(), None);
-
-    let mut lp = Tensor::default();
-    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(CHUNK_ROWS.min(passwords.len()));
-    let mut row_indices: Vec<usize> = Vec::with_capacity(CHUNK_ROWS.min(passwords.len()));
-
-    let mut flush =
-        |rows: &mut Vec<Vec<f32>>, row_indices: &mut Vec<usize>, out: &mut Vec<Option<f64>>| {
-            if rows.is_empty() {
-                return;
-            }
-            let x = Tensor::from_rows(rows);
-            score(&x, ws, &mut lp);
-            for (slot, &idx) in lp.as_slice().iter().zip(row_indices.iter()) {
-                out[idx] = Some(f64::from(*slot) + log_cell_volume);
-            }
-            rows.clear();
-            row_indices.clear();
-        };
-
-    for (i, password) in passwords.iter().enumerate() {
-        if let Some(features) = encoder.encode(password) {
-            rows.push(features);
-            row_indices.push(i);
-            if rows.len() == CHUNK_ROWS {
-                flush(&mut rows, &mut row_indices, out);
-            }
-        }
-    }
-    flush(&mut rows, &mut row_indices, out);
-}
-
-/// An owned, immutable scoring handle: snapshot + encoder + cell volume.
+/// An owned, immutable scoring handle: snapshot + encoder + cell volume,
+/// generic over the snapshot's weight format. Use it through the
+/// [`FlowScorer`] (f32) and [`QuantizedScorer`] (int8) aliases.
 ///
 /// Cheap to clone (the snapshot is shared behind an [`Arc`]); `Send + Sync`,
 /// so one scorer can be shared by any number of serving threads.
 #[derive(Clone, Debug)]
-pub struct FlowScorer {
-    snapshot: Arc<FlowSnapshot>,
+pub struct Scorer<L> {
+    snapshot: Arc<FlowSnapshot<L>>,
     encoder: PasswordEncoder,
     log_cell_volume: f64,
     pool: Option<Arc<ThreadPool>>,
 }
+
+/// The exact scoring handle: bit-identical to the flow it was exported from.
+pub type FlowScorer = Scorer<LinearSnapshot>;
+
+/// The opt-in int8 scoring handle: same contract as [`FlowScorer`], ~4×
+/// smaller weights, **approximate** scores.
+///
+/// Build one with [`QuantizedScorer::new`] and measure its error with
+/// [`probe_quantization`] before serving from it — the bound is a property
+/// of the weights, not a universal constant. Scores remain deterministic,
+/// batching-invariant and thread-count invariant.
+pub type QuantizedScorer = Scorer<QuantizedLinearSnapshot>;
 
 impl FlowScorer {
     /// Exports a scorer from the flow's current weights (reusing the flow's
@@ -98,19 +64,39 @@ impl FlowScorer {
     /// The scorer is detached: later weight mutations on `flow` do not
     /// affect it.
     pub fn new(flow: &PassFlow) -> FlowScorer {
-        FlowScorer {
+        Scorer {
             snapshot: flow.snapshot(),
             encoder: flow.encoder().clone(),
             log_cell_volume: flow.log_cell_volume(),
             pool: None,
         }
     }
+}
 
+impl QuantizedScorer {
+    /// Quantizes the flow's current weights into a detached scoring handle.
+    pub fn new(flow: &PassFlow) -> QuantizedScorer {
+        QuantizedScorer::from_scorer(&FlowScorer::new(flow))
+    }
+
+    /// Quantizes the snapshot behind an existing exact scorer (inheriting
+    /// its encoder, cell volume and thread pool).
+    pub fn from_scorer(scorer: &FlowScorer) -> QuantizedScorer {
+        Scorer {
+            snapshot: Arc::new(scorer.snapshot.quantize()),
+            encoder: scorer.encoder.clone(),
+            log_cell_volume: scorer.log_cell_volume,
+            pool: scorer.pool.clone(),
+        }
+    }
+}
+
+impl<L> Scorer<L> {
     /// Runs this scorer's GEMMs on a pool of `threads` threads (resolved
     /// through [`passflow_nn::clamp_threads`] by callers; `threads <= 1`
     /// keeps the serial path). Scores are bit-identical at any thread count
     /// — this is purely a throughput knob.
-    pub fn with_threads(mut self, threads: usize) -> FlowScorer {
+    pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = if threads > 1 {
             Some(Arc::new(ThreadPool::new(threads)))
         } else {
@@ -120,7 +106,7 @@ impl FlowScorer {
     }
 
     /// The flow snapshot this scorer reads.
-    pub fn snapshot(&self) -> &Arc<FlowSnapshot> {
+    pub fn snapshot(&self) -> &Arc<FlowSnapshot<L>> {
         &self.snapshot
     }
 
@@ -137,6 +123,13 @@ impl FlowScorer {
     /// The encoder the scorer canonicalizes passwords with.
     pub fn encoder(&self) -> &PasswordEncoder {
         &self.encoder
+    }
+}
+
+impl<L: LinearWeights> Scorer<L> {
+    /// Bytes held by the coupling-network weights.
+    pub fn memory_bytes(&self) -> usize {
+        self.snapshot.memory_bytes()
     }
 
     /// Scores one password; `None` if it cannot be encoded. Bit-identical
@@ -168,127 +161,51 @@ impl FlowScorer {
     /// serving batcher, which keeps one workspace alive across ticks.
     ///
     /// `out` is cleared and refilled with one entry per input password, in
-    /// input order. Results are bit-identical for any chunking of the same
-    /// passwords (each output row depends only on its own input row) and at
-    /// any thread count.
+    /// input order; unencodable passwords score `None`. Results are
+    /// bit-identical for any chunking of the same passwords (each output
+    /// row depends only on its own input row) and at any thread count. If
+    /// this scorer has a thread pool, it is installed into `ws` (a
+    /// caller-installed pool is left alone otherwise).
     pub fn log_probs_with(
         &self,
         passwords: &[String],
         ws: &mut FlowWorkspace,
         out: &mut Vec<Option<f64>>,
     ) {
-        score_chunked(
-            &self.encoder,
-            self.log_cell_volume,
-            self.pool.as_ref(),
-            passwords,
-            ws,
-            out,
-            |x, ws, lp| self.snapshot.log_prob_into(x, ws, lp),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quantized tier
-// ---------------------------------------------------------------------------
-
-/// The opt-in int8 scoring handle: same contract as [`FlowScorer`], ~4×
-/// smaller weights, **approximate** scores.
-///
-/// Build one with [`QuantizedScorer::new`] and measure its error with
-/// [`probe_quantization`] before serving from it — the bound is a property
-/// of the weights, not a universal constant. Scores remain deterministic,
-/// batching-invariant and thread-count invariant.
-#[derive(Clone, Debug)]
-pub struct QuantizedScorer {
-    snapshot: Arc<QuantizedFlowSnapshot>,
-    encoder: PasswordEncoder,
-    log_cell_volume: f64,
-    pool: Option<Arc<ThreadPool>>,
-}
-
-impl QuantizedScorer {
-    /// Quantizes the flow's current weights into a detached scoring handle.
-    pub fn new(flow: &PassFlow) -> QuantizedScorer {
-        QuantizedScorer::from_scorer(&FlowScorer::new(flow))
-    }
-
-    /// Quantizes the snapshot behind an existing exact scorer (inheriting
-    /// its encoder, cell volume and thread pool).
-    pub fn from_scorer(scorer: &FlowScorer) -> QuantizedScorer {
-        QuantizedScorer {
-            snapshot: Arc::new(scorer.snapshot.quantize()),
-            encoder: scorer.encoder.clone(),
-            log_cell_volume: scorer.log_cell_volume,
-            pool: scorer.pool.clone(),
+        if let Some(pool) = &self.pool {
+            ws.set_thread_pool(Some(Arc::clone(pool)));
         }
-    }
+        out.clear();
+        out.resize(passwords.len(), None);
 
-    /// See [`FlowScorer::with_threads`].
-    pub fn with_threads(mut self, threads: usize) -> QuantizedScorer {
-        self.pool = if threads > 1 {
-            Some(Arc::new(ThreadPool::new(threads)))
-        } else {
-            None
-        };
-        self
-    }
+        let mut lp = Tensor::default();
+        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(CHUNK_ROWS.min(passwords.len()));
+        let mut row_indices: Vec<usize> = Vec::with_capacity(CHUNK_ROWS.min(passwords.len()));
 
-    /// Dimensionality of the underlying flow.
-    pub fn dim(&self) -> usize {
-        self.snapshot.dim()
-    }
+        let mut flush =
+            |rows: &mut Vec<Vec<f32>>, row_indices: &mut Vec<usize>, out: &mut Vec<Option<f64>>| {
+                if rows.is_empty() {
+                    return;
+                }
+                let x = Tensor::from_rows(rows);
+                self.snapshot.log_prob_into(&x, ws, &mut lp);
+                for (slot, &idx) in lp.as_slice().iter().zip(row_indices.iter()) {
+                    out[idx] = Some(f64::from(*slot) + self.log_cell_volume);
+                }
+                rows.clear();
+                row_indices.clear();
+            };
 
-    /// The encoder the scorer canonicalizes passwords with.
-    pub fn encoder(&self) -> &PasswordEncoder {
-        &self.encoder
-    }
-
-    /// Bytes held by the quantized coupling networks.
-    pub fn memory_bytes(&self) -> usize {
-        self.snapshot.memory_bytes()
-    }
-
-    /// Scores one password (approximate); `None` if it cannot be encoded.
-    pub fn log_prob(&self, password: &str) -> Option<f64> {
-        let mut ws = FlowWorkspace::new();
-        let mut out = vec![None];
-        self.log_probs_with(
-            std::slice::from_ref(&password.to_string()),
-            &mut ws,
-            &mut out,
-        );
-        out[0]
-    }
-
-    /// Scores a batch of passwords (approximate), allocating a fresh
-    /// workspace.
-    pub fn log_probs(&self, passwords: &[String]) -> Vec<Option<f64>> {
-        let mut ws = FlowWorkspace::new();
-        let mut out = Vec::new();
-        self.log_probs_with(passwords, &mut ws, &mut out);
-        out
-    }
-
-    /// Scores a batch of passwords into `out` through a caller-managed
-    /// workspace; same contract as [`FlowScorer::log_probs_with`], with
-    /// quantized (approximate) values.
-    pub fn log_probs_with(
-        &self,
-        passwords: &[String],
-        ws: &mut FlowWorkspace,
-        out: &mut Vec<Option<f64>>,
-    ) {
-        score_chunked(
-            &self.encoder,
-            self.log_cell_volume,
-            self.pool.as_ref(),
-            passwords,
-            ws,
-            out,
-            |x, ws, lp| self.snapshot.log_prob_into(x, ws, lp),
-        );
+        for (i, password) in passwords.iter().enumerate() {
+            if let Some(features) = self.encoder.encode(password) {
+                rows.push(features);
+                row_indices.push(i);
+                if rows.len() == CHUNK_ROWS {
+                    flush(&mut rows, &mut row_indices, out);
+                }
+            }
+        }
+        flush(&mut rows, &mut row_indices, out);
     }
 }
 

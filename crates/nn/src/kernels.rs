@@ -29,7 +29,7 @@ use crate::ActivationKind;
 
 /// What to do with the accumulated dot products when a tile completes.
 #[derive(Clone, Copy)]
-enum Epilogue<'a> {
+pub(crate) enum Epilogue<'a> {
     /// `out = acc` (plain matrix product).
     Store,
     /// `out = acc + bias[j]` (fused linear layer).
@@ -56,39 +56,64 @@ pub fn simd_tile_available() -> bool {
     }
 }
 
-/// One register tile: `R` output rows × `W` output columns at `(i, j)`.
+/// The weight operand `B` (`k × n`, row-major) of the GEMM driver, in one
+/// storage format: f32 (`[f32]`) or int8 with per-row scales
+/// ([`QuantizedLinearSnapshot`](crate::QuantizedLinearSnapshot)).
 ///
-/// Accumulates over the full shared dimension `k` with `p` ascending via
-/// fused multiply-adds, then applies the epilogue. `mul_add` has exact FMA
-/// semantics per element, so the loop vectorizes to `vfmadd` without any
-/// reassociation — every caller of the GEMM (reference path, fast path,
-/// autograd) therefore computes the identical value.
+/// The driver owns everything above the inner tile — row blocks, column
+/// tails and the pool row partition — so a format supplies only its two
+/// tiles. Each tile accumulates `Σ_p fma(a[i][p]·…, w[p][j], acc)` from
+/// `0.0` with `p` ascending and finishes through the shared epilogue
+/// ([`write_tile`] or `simd::write_tile16`), which is what keeps a format's
+/// scalar and SIMD tiles, and every thread count, bit-identical.
+pub(crate) trait GemmWeights: Sync {
+    /// One register tile: `R` output rows × `W` output columns at `(i, j)`.
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize, const W: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    );
+
+    /// The 16-wide AVX2/FMA tile for `R` rows at `(i, j)`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are available ([`simd_tile_available`])
+    /// and that the `R`×16 tile at `(i, j)` is in bounds for `a`/`self`/`out`
+    /// with the given `k`/`n` strides (the contract the scalar tile's
+    /// slicing enforces).
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile16<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    );
+}
+
+/// Writes an `R`×`W` accumulator tile at `(i, j)` under `epi`. The bias is
+/// added once per element after the full accumulation.
 #[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn tile<const R: usize, const W: usize>(
-    a: &[f32],
-    b: &[f32],
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn write_tile<const R: usize, const W: usize>(
+    acc: &[[f32; W]; R],
     out: &mut [f32],
     i: usize,
     j: usize,
-    k: usize,
     n: usize,
     epi: Epilogue<'_>,
 ) {
-    let mut acc = [[0.0f32; W]; R];
-    // Pre-sliced A rows let the compiler prove `p` stays in range.
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-    let mut b_off = j;
-    for p in 0..k {
-        let b_row: &[f32; W] = b[b_off..b_off + W].try_into().expect("tile width");
-        for r in 0..R {
-            let a_val = a_rows[r][p];
-            for c in 0..W {
-                acc[r][c] = a_val.mul_add(b_row[c], acc[r][c]);
-            }
-        }
-        b_off += n;
-    }
     for r in 0..R {
         let out_row = &mut out[(i + r) * n + j..(i + r) * n + j + W];
         match epi {
@@ -107,20 +132,90 @@ fn tile<const R: usize, const W: usize>(
     }
 }
 
-/// The explicit AVX2/FMA inner tiles (`x86_64` only).
+/// f32 weights: `B` itself, streamed row by row.
+impl GemmWeights for [f32] {
+    /// Accumulates over the full shared dimension `k` with `p` ascending via
+    /// fused multiply-adds. `mul_add` has exact FMA semantics per element,
+    /// so the loop vectorizes to `vfmadd` without any reassociation — every
+    /// caller of the GEMM (reference path, fast path, autograd) therefore
+    /// computes the identical value.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    fn tile<const R: usize, const W: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        let mut acc = [[0.0f32; W]; R];
+        // Pre-sliced A rows let the compiler prove `p` stays in range.
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let mut b_off = j;
+        for p in 0..k {
+            let b_row: &[f32; W] = self[b_off..b_off + W].try_into().expect("tile width");
+            for r in 0..R {
+                let a_val = a_rows[r][p];
+                for c in 0..W {
+                    acc[r][c] = a_val.mul_add(b_row[c], acc[r][c]);
+                }
+            }
+            b_off += n;
+        }
+        write_tile(&acc, out, i, j, n, epi);
+    }
+
+    /// Two 8-lane accumulators per row: exactly the scalar tile's per-lane
+    /// operations, one `vfmadd` per `(row, column, p)` with `p` ascending.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile16<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        use std::arch::x86_64::{
+            _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        };
+        debug_assert!((i + R) * k <= a.len());
+        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= self.len());
+        let mut acc_lo = [_mm256_setzero_ps(); R];
+        let mut acc_hi = [_mm256_setzero_ps(); R];
+        let mut b_off = j;
+        for p in 0..k {
+            let b_lo = _mm256_loadu_ps(self.as_ptr().add(b_off));
+            let b_hi = _mm256_loadu_ps(self.as_ptr().add(b_off + 8));
+            for r in 0..R {
+                let a_val = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
+                acc_lo[r] = _mm256_fmadd_ps(a_val, b_lo, acc_lo[r]);
+                acc_hi[r] = _mm256_fmadd_ps(a_val, b_hi, acc_hi[r]);
+            }
+            b_off += n;
+        }
+        simd::write_tile16(&acc_lo, &acc_hi, out, i, j, n, epi);
+    }
+}
+
+/// The AVX2/FMA support shared by every format's 16-wide tile (`x86_64`
+/// only).
 ///
-/// Each function computes exactly the same per-lane operations as the scalar
-/// [`tile`] it replaces: one `vfmadd` per `(row, column, p)` with `p`
-/// ascending, bias added once after the full accumulation. SIMD re-tiles the
-/// *independent* row/column loops only — the `p` reduction order per output
-/// element is untouched — so scalar and SIMD tiles agree to 0 ULP (asserted
-/// by the `simd_tile_matches_scalar_tile` test on AVX2 hosts).
+/// SIMD re-tiles the *independent* row/column loops only — the `p`
+/// reduction order per output element is untouched — so scalar and SIMD
+/// tiles agree to 0 ULP (asserted by the `simd_tile_matches_scalar_tile`
+/// test on AVX2 hosts).
 #[cfg(target_arch = "x86_64")]
-mod simd {
+pub(crate) mod simd {
     use super::Epilogue;
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
     use std::sync::OnceLock;
 
@@ -133,41 +228,26 @@ mod simd {
         })
     }
 
-    /// `R` rows × 16 columns at `(i, j)`: two 8-lane accumulators per row.
+    /// Writes `R` rows × 16 columns of accumulators (two octets per row) at
+    /// `(i, j)` under `epi` — the SIMD form of [`super::write_tile`], with
+    /// the same operation order: `acc + bias`, then (for `BiasAdd`)
+    /// `out + (acc + bias)`.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2+FMA are available ([`available`]) and that
-    /// the `R`×16 tile at `(i, j)` is in bounds for `a`/`b`/`out` with the
-    /// given `k`/`n` strides (the same contract the scalar tile's slicing
-    /// enforces).
+    /// Caller must ensure AVX2+FMA are available and that the `R`×16 tile
+    /// at `(i, j)` is in bounds for `out` (and `bias`) with row stride `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tile16<const R: usize>(
-        a: &[f32],
-        b: &[f32],
+    #[inline]
+    pub(crate) unsafe fn write_tile16<const R: usize>(
+        acc_lo: &[__m256; R],
+        acc_hi: &[__m256; R],
         out: &mut [f32],
         i: usize,
         j: usize,
-        k: usize,
         n: usize,
         epi: Epilogue<'_>,
     ) {
-        debug_assert!((i + R) * k <= a.len());
-        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= b.len());
-        let mut acc_lo = [_mm256_setzero_ps(); R];
-        let mut acc_hi = [_mm256_setzero_ps(); R];
-        let mut b_off = j;
-        for p in 0..k {
-            let b_lo = _mm256_loadu_ps(b.as_ptr().add(b_off));
-            let b_hi = _mm256_loadu_ps(b.as_ptr().add(b_off + 8));
-            for r in 0..R {
-                let a_val = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                acc_lo[r] = _mm256_fmadd_ps(a_val, b_lo, acc_lo[r]);
-                acc_hi[r] = _mm256_fmadd_ps(a_val, b_hi, acc_hi[r]);
-            }
-            b_off += n;
-        }
         let (bias_lo, bias_hi): (__m256, __m256) = match epi {
             Epilogue::Store => (_mm256_setzero_ps(), _mm256_setzero_ps()),
             Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => (
@@ -182,8 +262,6 @@ mod simd {
                     _mm256_storeu_ps(out_ptr, acc_lo[r]);
                     _mm256_storeu_ps(out_ptr.add(8), acc_hi[r]);
                 }
-                // Same operation order as the scalar epilogues:
-                // `acc + bias`, then (for BiasAdd) `out + (acc + bias)`.
                 Epilogue::Bias(_) => {
                     _mm256_storeu_ps(out_ptr, _mm256_add_ps(acc_lo[r], bias_lo));
                     _mm256_storeu_ps(out_ptr.add(8), _mm256_add_ps(acc_hi[r], bias_hi));
@@ -208,9 +286,9 @@ mod simd {
 /// All column tiles for a block of `R` rows starting at row `i`.
 #[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
 #[inline(always)]
-fn row_block<const R: usize>(
+fn row_block<B: GemmWeights + ?Sized, const R: usize>(
     a: &[f32],
-    b: &[f32],
+    b: &B,
     out: &mut [f32],
     i: usize,
     k: usize,
@@ -224,26 +302,26 @@ fn row_block<const R: usize>(
         while j + 16 <= n {
             // SAFETY: AVX2+FMA availability is checked before `use_simd` is
             // set; bounds follow from `j + 16 <= n` and `i + R <= m`.
-            unsafe { simd::tile16::<R>(a, b, out, i, j, k, n, epi) };
+            unsafe { b.tile16::<R>(a, out, i, j, k, n, epi) };
             j += 16;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_simd;
     while j + 16 <= n {
-        tile::<R, 16>(a, b, out, i, j, k, n, epi);
+        b.tile::<R, 16>(a, out, i, j, k, n, epi);
         j += 16;
     }
     if j + 8 <= n {
-        tile::<R, 8>(a, b, out, i, j, k, n, epi);
+        b.tile::<R, 8>(a, out, i, j, k, n, epi);
         j += 8;
     }
     if j + 4 <= n {
-        tile::<R, 4>(a, b, out, i, j, k, n, epi);
+        b.tile::<R, 4>(a, out, i, j, k, n, epi);
         j += 4;
     }
     while j < n {
-        tile::<R, 1>(a, b, out, i, j, k, n, epi);
+        b.tile::<R, 1>(a, out, i, j, k, n, epi);
         j += 1;
     }
 }
@@ -251,26 +329,25 @@ fn row_block<const R: usize>(
 /// Single-threaded blocked GEMM over a row range — the unit of work the
 /// threaded driver hands to each pool block.
 #[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
-fn gemm_rows(
+pub(crate) fn gemm_rows<B: GemmWeights + ?Sized>(
     a: &[f32],
     m: usize,
     k: usize,
-    b: &[f32],
+    b: &B,
     n: usize,
     out: &mut [f32],
     epi: Epilogue<'_>,
     use_simd: bool,
 ) {
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     let mut i = 0;
     while i + 4 <= m {
-        row_block::<4>(a, b, out, i, k, n, epi, use_simd);
+        row_block::<B, 4>(a, b, out, i, k, n, epi, use_simd);
         i += 4;
     }
     while i < m {
-        row_block::<1>(a, b, out, i, k, n, epi, use_simd);
+        row_block::<B, 1>(a, b, out, i, k, n, epi, use_simd);
         i += 1;
     }
 }
@@ -293,28 +370,28 @@ const PAR_MIN_MACS: usize = 1 << 17;
 /// 4-row register blocks and bounds per-block dispatch overhead).
 const PAR_MIN_BLOCK_ROWS: usize = 16;
 
-/// The blocked GEMM driver: `out ∘= a (m×k) × b (k×n)` under `epi`,
-/// optionally splitting output row blocks across a [`ThreadPool`].
+/// The blocked GEMM driver: `out ∘= a (m×k) × b (k×n)` under `epi`, for any
+/// weight format, optionally splitting output row blocks across a
+/// [`ThreadPool`].
 ///
 /// **Bit-exactness across thread counts.** The i/j loops are fully
-/// independent — every output element is `Σ_p fma(a[i][p], b[p][j], ·)`
+/// independent — every output element is `Σ_p fma(a[i][p]·…, w[p][j], ·)`
 /// with `p` ascending regardless of which thread computes it — so
 /// partitioning rows across threads (in any assignment) produces the same
 /// bytes as the serial loop. Only the row partition is parallelized; `p`
 /// accumulation order is untouched.
 #[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
-fn gemm(
+pub(crate) fn gemm<B: GemmWeights + ?Sized>(
     a: &[f32],
     m: usize,
     k: usize,
-    b: &[f32],
+    b: &B,
     n: usize,
     out: &mut [f32],
     epi: Epilogue<'_>,
     pool: Option<&ThreadPool>,
 ) {
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     let use_simd = simd_tile_available();
     let threads = pool.map_or(1, ThreadPool::threads);

@@ -60,6 +60,8 @@ pub use error::{NnError, Result};
 pub use layers::{Activation, ActivationKind, Linear, Module, ResNet, ResidualBlock, Sequential};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use pool::{clamp_lane_threads, clamp_threads, host_threads, resolve_threads, ThreadPool};
-pub use quant::{QuantizedBlockSnapshot, QuantizedLinearSnapshot, QuantizedResNetSnapshot};
-pub use snapshot::{BlockSnapshot, LinearSnapshot, NetWorkspace, ResNetSnapshot, WeightSnapshot};
+pub use quant::{QuantizedLinearSnapshot, QuantizedResNetSnapshot};
+pub use snapshot::{
+    BlockSnapshot, LinearSnapshot, LinearWeights, NetWorkspace, ResNetSnapshot, WeightSnapshot,
+};
 pub use tensor::Tensor;

@@ -8,21 +8,25 @@
 //! small-batch scoring, where the GEMM is bound by streaming the weight
 //! matrix, not by arithmetic.
 //!
-//! The quantized GEMM keeps the exact-path discipline *structurally*: the
-//! same i-k-j register-blocked loop, the same ascending-`p` per-lane
-//! `mul_add` accumulation, the same row-block partitioning across an
-//! optional [`ThreadPool`]. Results are therefore **deterministic and
-//! thread-count invariant bit-for-bit** — but they are *approximate* with
-//! respect to the f32 weights: quantization error is a property of the
-//! weights, measured per model as max |Δ log-prob| against the exact oracle
-//! (`log_prob_reference` in `passflow-core`) and surfaced to callers so the
-//! trade is explicit. This module never replaces the exact path; callers
-//! opt in per workload (serve `--quantized`, strength tables).
+//! The int8 weights are a weight *format*, not a second inference stack:
+//! [`QuantizedLinearSnapshot`] supplies only its two inner tiles to the one
+//! GEMM driver in [`crate::kernels`] (same i-k-j register blocking, same
+//! ascending-`p` per-lane `mul_add` accumulation, same row partition across
+//! an optional [`ThreadPool`]), and every structure above a linear layer —
+//! [`ResNetSnapshot`] here, the coupling layers, flows and scorers in
+//! `passflow-core` — is the f32 code, generic over [`LinearWeights`].
+//! Results are therefore **deterministic and thread-count invariant
+//! bit-for-bit** — but they are *approximate* with respect to the f32
+//! weights: quantization error is a property of the weights, measured per
+//! model as max |Δ log-prob| against the exact oracle (`log_prob_reference`
+//! in `passflow-core`) and surfaced to callers so the trade is explicit.
+//! This module never replaces the exact path; callers opt in per workload
+//! (serve `--quantized`, strength tables).
 
+use crate::kernels::{gemm, write_tile, Epilogue, GemmWeights};
 use crate::pool::ThreadPool;
-use crate::snapshot::{BlockSnapshot, LinearSnapshot, NetWorkspace, ResNetSnapshot};
+use crate::snapshot::{BlockSnapshot, LinearSnapshot, LinearWeights, ResNetSnapshot};
 use crate::tensor::Tensor;
-use crate::ActivationKind;
 
 /// Largest magnitude a quantized weight may take (symmetric, no −128 so
 /// the grid is symmetric around zero and negation is exact).
@@ -92,14 +96,6 @@ impl QuantizedLinearSnapshot {
         self.out_features
     }
 
-    /// Bytes held by the quantized weights + scales + bias — ~¼ of the f32
-    /// layer for any non-trivial width.
-    pub fn memory_bytes(&self) -> usize {
-        self.q.len()
-            + std::mem::size_of_val(self.scales.as_slice())
-            + std::mem::size_of_val(self.bias.as_slice())
-    }
-
     /// The dequantized weight matrix `q[p][j] · s[p]` (diagnostics/tests).
     pub fn dequantized_weight(&self) -> Tensor {
         let mut out = Tensor::zeros(self.in_features, self.out_features);
@@ -112,32 +108,37 @@ impl QuantizedLinearSnapshot {
         }
         out
     }
+}
 
-    /// Fused `out = input × (q·s) + bias`, resizing `out` as needed.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+impl LinearWeights for QuantizedLinearSnapshot {
+    /// Bytes held by the quantized weights + scales + bias — ~¼ of the f32
+    /// layer for any non-trivial width.
+    fn memory_bytes(&self) -> usize {
+        self.q.len()
+            + std::mem::size_of_val(self.scales.as_slice())
+            + std::mem::size_of_val(self.bias.as_slice())
+    }
+
+    fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
         assert_eq!(
             input.cols(),
             self.in_features,
             "quantized linear shape mismatch"
         );
         out.resize(input.rows(), self.out_features);
-        qgemm(
+        gemm(
             input.as_slice(),
             input.rows(),
             self.in_features,
-            &self.scales,
-            &self.q,
+            self,
             self.out_features,
-            &self.bias,
             out.as_mut_slice(),
-            false,
+            Epilogue::Bias(&self.bias),
             pool,
         );
     }
 
-    /// Fused residual `out += input × (q·s) + bias` (`out` must already be
-    /// `input.rows() × out_features`).
-    pub fn forward_add_into(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+    fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
         assert_eq!(
             input.cols(),
             self.in_features,
@@ -148,118 +149,85 @@ impl QuantizedLinearSnapshot {
             (input.rows(), self.out_features),
             "quantized residual output shape mismatch"
         );
-        qgemm(
+        gemm(
             input.as_slice(),
             input.rows(),
             self.in_features,
-            &self.scales,
-            &self.q,
+            self,
             self.out_features,
-            &self.bias,
             out.as_mut_slice(),
-            true,
+            Epilogue::BiasAdd(&self.bias),
             pool,
         );
     }
 }
 
-// ---------------------------------------------------------------------------
-// Quantized GEMM
-// ---------------------------------------------------------------------------
-
-/// One quantized register tile: `R` rows × `W` columns at `(i, j)`.
-///
-/// Per output element: `Σ_p fma(a[i][p] · s[p], f32(q[p][j]), acc)` with `p`
-/// ascending — the dequantize happens in registers, the accumulation order
-/// matches the f32 kernel, and every lane is independent, so results are
-/// deterministic and identical under any row partitioning.
-#[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn qtile<const R: usize, const W: usize>(
-    a: &[f32],
-    scales: &[f32],
-    q: &[i8],
-    n: usize,
-    k: usize,
-    bias: &[f32],
-    out: &mut [f32],
-    i: usize,
-    j: usize,
-    accumulate: bool,
-) {
-    let mut acc = [[0.0f32; W]; R];
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-    let mut q_off = j;
-    for p in 0..k {
-        let s = scales[p];
-        let q_row: &[i8] = &q[q_off..q_off + W];
-        let mut w = [0.0f32; W];
-        for c in 0..W {
-            w[c] = f32::from(q_row[c]);
-        }
-        for r in 0..R {
-            let a_val = a_rows[r][p] * s;
-            for c in 0..W {
-                acc[r][c] = a_val.mul_add(w[c], acc[r][c]);
-            }
-        }
-        q_off += n;
-    }
-    for r in 0..R {
-        let out_row = &mut out[(i + r) * n + j..(i + r) * n + j + W];
-        if accumulate {
-            for c in 0..W {
-                out_row[c] += acc[r][c] + bias[j + c];
-            }
-        } else {
-            for c in 0..W {
-                out_row[c] = acc[r][c] + bias[j + c];
-            }
-        }
-    }
-}
-
-/// The explicit AVX2/FMA quantized inner tile (`x86_64` only).
-///
-/// Per-lane identical to the scalar [`qtile`]: the weight byte is widened to
-/// f32 in registers, `a·s` is one scalar multiply, and the accumulation is
-/// one `vfmadd` per `(row, column, p)` with `p` ascending — so scalar and
-/// SIMD quantized tiles agree to 0 ULP (asserted in tests on AVX2 hosts).
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    #[allow(clippy::wildcard_imports)]
-    use core::arch::x86_64::*;
-
-    /// 16-wide quantized tile for `R` rows at `(i, j)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2+FMA are available, `j + 16 <= n`, rows
-    /// `i..i + R` exist in `a`/`out`, and `q` is a `k × n` matrix.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn qtile16<const R: usize>(
+/// int8 weights: `w[p][j] = q[p][j] · s[p]`, dequantized in registers.
+impl GemmWeights for QuantizedLinearSnapshot {
+    /// Per output element: `Σ_p fma(a[i][p] · s[p], f32(q[p][j]), acc)` with
+    /// `p` ascending — the dequantize happens in registers, the accumulation
+    /// order matches the f32 tile, and every lane is independent.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    fn tile<const R: usize, const W: usize>(
+        &self,
         a: &[f32],
-        scales: &[f32],
-        q: &[i8],
-        n: usize,
-        k: usize,
-        bias: &[f32],
         out: &mut [f32],
         i: usize,
         j: usize,
-        accumulate: bool,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
     ) {
+        let mut acc = [[0.0f32; W]; R];
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let mut q_off = j;
+        for p in 0..k {
+            let s = self.scales[p];
+            let q_row: &[i8] = &self.q[q_off..q_off + W];
+            let mut w = [0.0f32; W];
+            for c in 0..W {
+                w[c] = f32::from(q_row[c]);
+            }
+            for r in 0..R {
+                let a_val = a_rows[r][p] * s;
+                for c in 0..W {
+                    acc[r][c] = a_val.mul_add(w[c], acc[r][c]);
+                }
+            }
+            q_off += n;
+        }
+        write_tile(&acc, out, i, j, n, epi);
+    }
+
+    /// Per-lane identical to the scalar tile: the weight bytes are widened
+    /// to f32 in registers, `a·s` is one scalar multiply, and the
+    /// accumulation is one `vfmadd` per `(row, column, p)` with `p`
+    /// ascending.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile16<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        #[allow(clippy::wildcard_imports)]
+        use core::arch::x86_64::*;
         debug_assert!(k == 0 || (i + R) * k <= a.len());
-        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= q.len());
+        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= self.q.len());
         let mut acc_lo = [_mm256_setzero_ps(); R];
         let mut acc_hi = [_mm256_setzero_ps(); R];
         let mut q_off = j;
         for p in 0..k {
-            let s = *scales.get_unchecked(p);
+            let s = *self.scales.get_unchecked(p);
             // Widen 16 weight bytes to two f32 octets in registers —
             // exactly `f32::from(q)` per lane.
-            let qv = _mm_loadu_si128(q.as_ptr().add(q_off).cast());
+            let qv = _mm_loadu_si128(self.q.as_ptr().add(q_off).cast());
             let w_lo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv));
             let w_hi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(qv)));
             for r in 0..R {
@@ -269,238 +237,38 @@ mod simd {
             }
             q_off += n;
         }
-        let bias_lo = _mm256_loadu_ps(bias.as_ptr().add(j));
-        let bias_hi = _mm256_loadu_ps(bias.as_ptr().add(j + 8));
-        for r in 0..R {
-            let out_ptr = out.as_mut_ptr().add((i + r) * n + j);
-            // Same order as the scalar epilogue: acc + bias (then += out).
-            let mut lo = _mm256_add_ps(acc_lo[r], bias_lo);
-            let mut hi = _mm256_add_ps(acc_hi[r], bias_hi);
-            if accumulate {
-                lo = _mm256_add_ps(_mm256_loadu_ps(out_ptr), lo);
-                hi = _mm256_add_ps(_mm256_loadu_ps(out_ptr.add(8)), hi);
-            }
-            _mm256_storeu_ps(out_ptr, lo);
-            _mm256_storeu_ps(out_ptr.add(8), hi);
-        }
+        crate::kernels::simd::write_tile16(&acc_lo, &acc_hi, out, i, j, n, epi);
     }
 }
 
-/// All column tiles for a block of `R` rows starting at row `i`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn qrow_block<const R: usize>(
-    a: &[f32],
-    scales: &[f32],
-    q: &[i8],
-    n: usize,
-    k: usize,
-    bias: &[f32],
-    out: &mut [f32],
-    i: usize,
-    accumulate: bool,
-    use_simd: bool,
-) {
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-    let mut j = 0;
-    while j + 16 <= n {
-        #[cfg(target_arch = "x86_64")]
-        if use_simd {
-            // SAFETY: `use_simd` implies AVX2+FMA (runtime-detected), and
-            // the loop guard gives `j + 16 <= n`.
-            unsafe { simd::qtile16::<R>(a, scales, q, n, k, bias, out, i, j, accumulate) };
-            j += 16;
-            continue;
-        }
-        qtile::<R, 16>(a, scales, q, n, k, bias, out, i, j, accumulate);
-        j += 16;
-    }
-    if j + 8 <= n {
-        qtile::<R, 8>(a, scales, q, n, k, bias, out, i, j, accumulate);
-        j += 8;
-    }
-    if j + 4 <= n {
-        qtile::<R, 4>(a, scales, q, n, k, bias, out, i, j, accumulate);
-        j += 4;
-    }
-    while j < n {
-        qtile::<R, 1>(a, scales, q, n, k, bias, out, i, j, accumulate);
-        j += 1;
-    }
-}
-
-/// Single-threaded quantized GEMM over a row range.
-#[allow(clippy::too_many_arguments)]
-fn qgemm_rows(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    scales: &[f32],
-    q: &[i8],
-    n: usize,
-    bias: &[f32],
-    out: &mut [f32],
-    accumulate: bool,
-    use_simd: bool,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(q.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let mut i = 0;
-    while i + 4 <= m {
-        qrow_block::<4>(a, scales, q, n, k, bias, out, i, accumulate, use_simd);
-        i += 4;
-    }
-    while i < m {
-        qrow_block::<1>(a, scales, q, n, k, bias, out, i, accumulate, use_simd);
-        i += 1;
-    }
-}
-
-/// See the f32 GEMM driver: same raw-pointer idiom, same disjoint-rows
-/// soundness argument.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Same cut-offs as the f32 driver (`kernels::PAR_MIN_MACS` rationale).
-const PAR_MIN_MACS: usize = 1 << 17;
-const PAR_MIN_BLOCK_ROWS: usize = 16;
-
-/// The quantized GEMM driver: row blocks across an optional pool,
-/// bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn qgemm(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    scales: &[f32],
-    q: &[i8],
-    n: usize,
-    bias: &[f32],
-    out: &mut [f32],
-    accumulate: bool,
-    pool: Option<&ThreadPool>,
-) {
-    let use_simd = crate::kernels::simd_tile_available();
-    let threads = pool.map_or(1, ThreadPool::threads);
-    if threads <= 1 || m < 2 * PAR_MIN_BLOCK_ROWS || m * k * n < PAR_MIN_MACS {
-        return qgemm_rows(a, m, k, scales, q, n, bias, out, accumulate, use_simd);
-    }
-    let pool = pool.expect("threads > 1 implies a pool");
-    let target_blocks = threads * 4;
-    let rows_per_block = m
-        .div_ceil(target_blocks)
-        .next_multiple_of(4)
-        .max(PAR_MIN_BLOCK_ROWS);
-    let blocks = m.div_ceil(rows_per_block);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    pool.run(blocks, &move |block| {
-        // Read the whole wrapper so the closure captures the `Sync` wrapper,
-        // not the bare pointer field (edition-2021 disjoint capture).
-        let base = { out_ptr }.0;
-        let start = block * rows_per_block;
-        let rows = rows_per_block.min(m - start);
-        // SAFETY: blocks tile `0..m` disjointly (see the f32 driver).
-        let out_block = unsafe { std::slice::from_raw_parts_mut(base.add(start * n), rows * n) };
-        qgemm_rows(
-            &a[start * k..(start + rows) * k],
-            rows,
-            k,
-            scales,
-            q,
-            n,
-            bias,
-            out_block,
-            accumulate,
-            use_simd,
-        );
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Quantized ResNet
-// ---------------------------------------------------------------------------
-
-/// One residual block with quantized weights.
-#[derive(Clone, Debug)]
-pub struct QuantizedBlockSnapshot {
-    /// First (widening) linear layer.
-    pub fc1: QuantizedLinearSnapshot,
-    /// Second (projecting) linear layer.
-    pub fc2: QuantizedLinearSnapshot,
-    /// Nonlinearity between the two (applied in f32, exactly as the f32
-    /// path does).
-    pub activation: ActivationKind,
-}
-
-/// An int8 copy of a [`ResNetSnapshot`] — the coupling networks' quantized
-/// tier. Activations stay f32 throughout; only weights are quantized.
-#[derive(Clone, Debug)]
-pub struct QuantizedResNetSnapshot {
-    input: QuantizedLinearSnapshot,
-    blocks: Vec<QuantizedBlockSnapshot>,
-    output: QuantizedLinearSnapshot,
-    output_tanh: bool,
-}
+/// An int8 copy of a [`ResNetSnapshot`]: the same network walk over
+/// [`QuantizedLinearSnapshot`] layers. Activations stay f32 throughout; only
+/// weights are quantized.
+pub type QuantizedResNetSnapshot = ResNetSnapshot<QuantizedLinearSnapshot>;
 
 impl QuantizedResNetSnapshot {
     /// Quantizes every linear layer of an f32 ResNet snapshot.
     pub fn from_snapshot(snapshot: &ResNetSnapshot) -> Self {
-        let quantize_block = |block: &BlockSnapshot| QuantizedBlockSnapshot {
+        let quantize_block = |block: &BlockSnapshot| BlockSnapshot {
             fc1: QuantizedLinearSnapshot::from_snapshot(&block.fc1),
             fc2: QuantizedLinearSnapshot::from_snapshot(&block.fc2),
             activation: block.activation,
         };
-        QuantizedResNetSnapshot {
-            input: QuantizedLinearSnapshot::from_snapshot(snapshot.input_layer()),
-            blocks: snapshot.block_layers().iter().map(quantize_block).collect(),
-            output: QuantizedLinearSnapshot::from_snapshot(snapshot.output_layer()),
-            output_tanh: snapshot.output_tanh(),
-        }
-    }
-
-    /// Total bytes held by quantized weights across all layers.
-    pub fn memory_bytes(&self) -> usize {
-        self.input.memory_bytes()
-            + self.output.memory_bytes()
-            + self
-                .blocks
-                .iter()
-                .map(|b| b.fc1.memory_bytes() + b.fc2.memory_bytes())
-                .sum::<usize>()
-    }
-
-    /// Runs the forward pass into `out`, using `ws` for hidden activations
-    /// (and its thread pool, if one is installed).
-    ///
-    /// Structurally identical to [`ResNetSnapshot::forward_into`]; the only
-    /// difference is the dequantize-in-register weight reads.
-    pub fn forward_into(&self, x: &Tensor, ws: &mut NetWorkspace, out: &mut Tensor) {
-        let mut h = ws.take();
-        let mut tmp = ws.take();
-        self.input.forward_into(x, &mut h, ws.thread_pool());
-        crate::kernels::relu_in_place(&mut h);
-        for block in &self.blocks {
-            block.fc1.forward_into(&h, &mut tmp, ws.thread_pool());
-            crate::kernels::activate_in_place(block.activation, &mut tmp);
-            block.fc2.forward_add_into(&tmp, &mut h, ws.thread_pool());
-        }
-        self.output.forward_into(&h, out, ws.thread_pool());
-        if self.output_tanh {
-            crate::kernels::tanh_in_place(out);
-        }
-        ws.put(tmp);
-        ws.put(h);
+        ResNetSnapshot::new(
+            QuantizedLinearSnapshot::from_snapshot(snapshot.input_layer()),
+            snapshot.block_layers().iter().map(quantize_block).collect(),
+            QuantizedLinearSnapshot::from_snapshot(snapshot.output_layer()),
+            snapshot.output_tanh(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::gemm_rows;
     use crate::layers::ResNet;
+    use crate::snapshot::NetWorkspace;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -541,7 +309,7 @@ mod tests {
         let mut exact = Tensor::zeros(0, 0);
         snap.forward_into(&x, &mut exact);
         let mut quantized = Tensor::zeros(0, 0);
-        qsnap.forward_into(&x, &mut quantized, None);
+        qsnap.forward_into_with(&x, &mut quantized, None);
         assert_eq!(exact.shape(), quantized.shape());
         // Per-element error is bounded by Σ_p |x[p]| · s[p]/2; with unit
         // Gaussian weights and inputs this is well under 0.05 relative to
@@ -569,21 +337,15 @@ mod tests {
             let qsnap = QuantizedLinearSnapshot::from_snapshot(&snap);
             let x = Tensor::randn(m, k, &mut r);
             for accumulate in [false, true] {
+                let epi = if accumulate {
+                    Epilogue::BiasAdd(&qsnap.bias)
+                } else {
+                    Epilogue::Bias(&qsnap.bias)
+                };
                 let mut simd_out = vec![1.0f32; m * n];
                 let mut scalar_out = vec![1.0f32; m * n];
                 for (buf, use_simd) in [(&mut simd_out, true), (&mut scalar_out, false)] {
-                    qgemm_rows(
-                        x.as_slice(),
-                        m,
-                        k,
-                        &qsnap.scales,
-                        &qsnap.q,
-                        n,
-                        &qsnap.bias,
-                        buf,
-                        accumulate,
-                        use_simd,
-                    );
+                    gemm_rows(x.as_slice(), m, k, &qsnap, n, buf, epi, use_simd);
                 }
                 assert_eq!(simd_out, scalar_out, "({m},{k},{n}) acc={accumulate}");
             }
@@ -597,11 +359,11 @@ mod tests {
         let qsnap = QuantizedLinearSnapshot::from_snapshot(&snap);
         let x = Tensor::randn(160, 64, &mut r);
         let mut serial = Tensor::zeros(0, 0);
-        qsnap.forward_into(&x, &mut serial, None);
+        qsnap.forward_into_with(&x, &mut serial, None);
         for threads in [2, 4] {
             let pool = ThreadPool::new(threads);
             let mut threaded = Tensor::zeros(0, 0);
-            qsnap.forward_into(&x, &mut threaded, Some(&pool));
+            qsnap.forward_into_with(&x, &mut threaded, Some(&pool));
             assert_eq!(
                 serial.as_slice(),
                 threaded.as_slice(),
@@ -645,7 +407,7 @@ mod tests {
         let qsnap = QuantizedLinearSnapshot::from_snapshot(&snap);
         let x = Tensor::from_rows(&[vec![1.0; 5]]);
         let mut out = Tensor::zeros(0, 0);
-        qsnap.forward_into(&x, &mut out, None);
+        qsnap.forward_into_with(&x, &mut out, None);
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
     }
 }

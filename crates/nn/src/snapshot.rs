@@ -117,21 +117,9 @@ impl LinearSnapshot {
         &self.bias
     }
 
-    /// Bytes held by the f32 weights + bias (for compression reporting
-    /// against the quantized tier).
-    pub fn memory_bytes(&self) -> usize {
-        (self.weight.as_slice().len() + self.bias.as_slice().len()) * std::mem::size_of::<f32>()
-    }
-
     /// Fused `out = input × W + b`, resizing `out` as needed.
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         self.forward_into_with(input, out, None);
-    }
-
-    /// [`Self::forward_into`] with an optional GEMM thread pool
-    /// (bit-identical results at any thread count).
-    pub fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
-        matmul_bias_into_with(input, &self.weight, &self.bias, out, pool);
     }
 
     /// Fused residual `out += input × W + b` (`out` must already be
@@ -139,14 +127,43 @@ impl LinearSnapshot {
     pub fn forward_add_into(&self, input: &Tensor, out: &mut Tensor) {
         self.forward_add_into_with(input, out, None);
     }
+}
 
-    /// [`Self::forward_add_into`] with an optional GEMM thread pool.
-    pub fn forward_add_into_with(
-        &self,
-        input: &Tensor,
-        out: &mut Tensor,
-        pool: Option<&ThreadPool>,
-    ) {
+/// A linear layer's weights in one inference format: f32
+/// ([`LinearSnapshot`]) or int8 ([`QuantizedLinearSnapshot`]).
+///
+/// Both formats run through the one GEMM driver in [`crate::kernels`] and
+/// differ only in their inner tiles, so every structure above a linear
+/// layer — [`BlockSnapshot`], [`ResNetSnapshot`], and in `passflow-core` the
+/// coupling layers, flows and scorers — is written once, generic over this
+/// trait.
+///
+/// [`QuantizedLinearSnapshot`]: crate::QuantizedLinearSnapshot
+pub trait LinearWeights {
+    /// Bytes held by the weights + bias (for compression reporting between
+    /// formats).
+    fn memory_bytes(&self) -> usize;
+
+    /// Fused `out = input × W + b`, resizing `out` as needed, with an
+    /// optional GEMM thread pool (bit-identical results at any thread
+    /// count).
+    fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>);
+
+    /// Fused residual `out += input × W + b` (`out` must already be
+    /// `input.rows() × out_features`), with an optional GEMM thread pool.
+    fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>);
+}
+
+impl LinearWeights for LinearSnapshot {
+    fn memory_bytes(&self) -> usize {
+        (self.weight.as_slice().len() + self.bias.as_slice().len()) * std::mem::size_of::<f32>()
+    }
+
+    fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+        matmul_bias_into_with(input, &self.weight, &self.bias, out, pool);
+    }
+
+    fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
         matmul_bias_add_into_with(input, &self.weight, &self.bias, out, pool);
     }
 }
@@ -155,35 +172,33 @@ impl LinearSnapshot {
 // ResNet
 // ---------------------------------------------------------------------------
 
-/// One residual block's weights plus its activation kind.
+/// One residual block's weights plus its activation kind, in any weight
+/// format (f32 by default).
 #[derive(Clone, Debug)]
-pub struct BlockSnapshot {
+pub struct BlockSnapshot<L = LinearSnapshot> {
     /// First (widening) linear layer.
-    pub fc1: LinearSnapshot,
+    pub fc1: L,
     /// Second (projecting) linear layer.
-    pub fc2: LinearSnapshot,
+    pub fc2: L,
     /// Nonlinearity between the two.
     pub activation: ActivationKind,
 }
 
 /// An owned copy of a [`ResNet`](crate::ResNet)'s weights — the coupling
-/// networks' architecture — evaluated entirely in scratch buffers.
+/// networks' architecture — evaluated entirely in scratch buffers, in any
+/// weight format (f32 by default; see
+/// [`QuantizedResNetSnapshot`](crate::QuantizedResNetSnapshot)).
 #[derive(Clone, Debug)]
-pub struct ResNetSnapshot {
-    input: LinearSnapshot,
-    blocks: Vec<BlockSnapshot>,
-    output: LinearSnapshot,
+pub struct ResNetSnapshot<L = LinearSnapshot> {
+    input: L,
+    blocks: Vec<BlockSnapshot<L>>,
+    output: L,
     output_tanh: bool,
 }
 
-impl ResNetSnapshot {
+impl<L> ResNetSnapshot<L> {
     /// Assembles a snapshot from its layer snapshots.
-    pub fn new(
-        input: LinearSnapshot,
-        blocks: Vec<BlockSnapshot>,
-        output: LinearSnapshot,
-        output_tanh: bool,
-    ) -> Self {
+    pub fn new(input: L, blocks: Vec<BlockSnapshot<L>>, output: L, output_tanh: bool) -> Self {
         ResNetSnapshot {
             input,
             blocks,
@@ -193,17 +208,17 @@ impl ResNetSnapshot {
     }
 
     /// The input projection layer.
-    pub fn input_layer(&self) -> &LinearSnapshot {
+    pub fn input_layer(&self) -> &L {
         &self.input
     }
 
     /// The residual blocks, in forward order.
-    pub fn block_layers(&self) -> &[BlockSnapshot] {
+    pub fn block_layers(&self) -> &[BlockSnapshot<L>] {
         &self.blocks
     }
 
     /// The output projection layer.
-    pub fn output_layer(&self) -> &LinearSnapshot {
+    pub fn output_layer(&self) -> &L {
         &self.output
     }
 
@@ -211,8 +226,10 @@ impl ResNetSnapshot {
     pub fn output_tanh(&self) -> bool {
         self.output_tanh
     }
+}
 
-    /// Total bytes held by the f32 weights across all layers.
+impl<L: LinearWeights> ResNetSnapshot<L> {
+    /// Total bytes held by the weights across all layers.
     pub fn memory_bytes(&self) -> usize {
         self.input.memory_bytes()
             + self.output.memory_bytes()
