@@ -2,41 +2,14 @@
 //!
 //! Baselines implement [`passflow_core::Guesser`] directly, so the unified
 //! [`Attack`](passflow_core::Attack) engine drives them with the same
-//! protocol as `PassFlow`. The old [`PasswordGuesser`] trait remains as a
-//! deprecated alias, blanket-implemented for every `Guesser`, so code
-//! written against the pre-engine API keeps compiling.
-
-use rand::RngCore;
+//! protocol as `PassFlow`.
 
 pub use passflow_core::Guesser;
-
-/// The legacy baseline-guesser interface.
-#[deprecated(
-    since = "0.1.0",
-    note = "implement `passflow_core::Guesser` instead; every `Guesser` provides this trait automatically"
-)]
-pub trait PasswordGuesser {
-    /// Human-readable name used as the row label in tables.
-    fn name(&self) -> &str;
-
-    /// Generates `n` password guesses.
-    fn generate(&self, n: usize, rng: &mut dyn RngCore) -> Vec<String>;
-}
-
-#[allow(deprecated)]
-impl<T: Guesser + ?Sized> PasswordGuesser for T {
-    fn name(&self) -> &str {
-        Guesser::name(self)
-    }
-
-    fn generate(&self, n: usize, rng: &mut dyn RngCore) -> Vec<String> {
-        self.generate_batch(n, rng)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     struct Fixed;
 
@@ -56,14 +29,5 @@ mod tests {
         let out = guessers[0].generate_batch(3, &mut rng);
         assert_eq!(out.len(), 3);
         assert_eq!(guessers[0].name(), "fixed");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_trait_is_provided_for_every_guesser() {
-        let mut rng = passflow_nn::rng::seeded(2);
-        let legacy: &dyn PasswordGuesser = &Fixed;
-        assert_eq!(legacy.name(), "fixed");
-        assert_eq!(legacy.generate(2, &mut rng).len(), 2);
     }
 }

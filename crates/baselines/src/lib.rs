@@ -32,7 +32,5 @@ mod pcfg;
 pub use cwae::{Cwae, CwaeConfig};
 pub use gan::{PassGan, PassGanConfig};
 pub use guesser::Guesser;
-#[allow(deprecated)]
-pub use guesser::PasswordGuesser;
 pub use markov::MarkovModel;
 pub use pcfg::PcfgModel;

@@ -1251,4 +1251,86 @@ mod tests {
         assert_eq!(outcome.final_report().matched, 0);
         assert_eq!(outcome.final_report().matched_percent, 0.0);
     }
+
+    #[test]
+    fn reports_land_on_requested_budgets() {
+        let guesser = Cycler(["hit1", "miss1", "hit2", "miss2"].map(String::from).to_vec());
+        let targets: HashSet<String> = ["hit1", "hit2", "hit3", "neverguessed"]
+            .map(String::from)
+            .into();
+        let outcome = Attack::new(&targets)
+            .budget(400)
+            .batch_size(64)
+            .checkpoints(vec![100])
+            .seed(1)
+            .run(&guesser)
+            .unwrap();
+        let reports = &outcome.checkpoints;
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].guesses, 100);
+        // With only 4 distinct guesses, unique saturates at 4 and matched
+        // at the 2 reachable targets: 50 % of the target set.
+        assert_eq!(reports[1].unique, 4);
+        assert_eq!(reports[1].matched, 2);
+        assert!((reports[1].matched_percent - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn matched_passwords_are_really_in_the_target_set() {
+        let (flow, targets) = flow_fixture();
+        let outcome = Attack::new(&targets)
+            .budget(3_000)
+            .nonmatched_samples(40)
+            .run(&flow)
+            .unwrap();
+        assert!(!outcome.matched_passwords.is_empty());
+        assert!(!outcome.nonmatched_samples.is_empty());
+        for p in &outcome.matched_passwords {
+            assert!(targets.contains(p));
+        }
+        for p in &outcome.nonmatched_samples {
+            assert!(!targets.contains(p));
+        }
+        assert!(outcome.nonmatched_samples.len() <= 40);
+    }
+
+    #[test]
+    fn attack_is_deterministic_for_fixed_seed() {
+        let (flow, targets) = flow_fixture();
+        let run = |seed| Attack::new(&targets).budget(1_000).seed(seed).run(&flow).unwrap();
+        let a = run(3);
+        assert_eq!(a, run(3));
+        assert_ne!(a.final_report().unique, 0);
+        // Different seeds explore differently.
+        assert_ne!(a, run(4));
+    }
+
+    #[test]
+    fn smoothing_increases_unique_guesses_under_dynamic_sampling() {
+        let (flow, targets) = flow_fixture();
+        // Aggressively concentrated dynamic sampling to force collisions.
+        let params = DynamicParams::new(0, 0.03, 1_000);
+        let run = |strategy| {
+            Attack::new(&targets)
+                .budget(2_000)
+                .strategy(strategy)
+                .seed(11)
+                .run(&flow)
+                .unwrap()
+                .final_report()
+                .clone()
+        };
+        let without = run(GuessingStrategy::Dynamic(params));
+        let with = run(GuessingStrategy::DynamicWithSmoothing {
+            params,
+            smoothing: GaussianSmoothing::new(0.02, 6),
+        });
+        assert!(without.matched > 0, "the mixture prior must activate");
+        assert!(
+            with.unique >= without.unique,
+            "GS should not reduce uniques: {} vs {}",
+            with.unique,
+            without.unique
+        );
+    }
 }

@@ -61,7 +61,6 @@ pub mod engine;
 mod error;
 mod fastpath;
 mod flow;
-mod guess;
 mod interpolate;
 mod mask;
 mod persist;
@@ -82,9 +81,6 @@ pub use fastpath::{
     CouplingSnapshot, FlowSnapshot, FlowWorkspace, QuantizedCouplingSnapshot, QuantizedFlowSnapshot,
 };
 pub use flow::PassFlow;
-#[allow(deprecated)]
-pub use guess::run_attack;
-pub use guess::AttackConfig;
 pub use interpolate::{interpolate, interpolate_passwords, InterpolationPoint};
 pub use mask::MaskStrategy;
 pub use persist::{

@@ -8,7 +8,6 @@
 //! * [`tables`] regenerates Tables I–VI,
 //! * [`figures`] regenerates the data series behind Figures 2–5,
 //! * [`projection`] provides the PCA / t-SNE used by Figure 2,
-//! * [`attack::evaluate_guesser`] runs the guessing protocol for baselines,
 //! * [`strength`] reports guess-number distributions and model agreement
 //!   from the core strength-meter subsystem,
 //! * [`report::Table`] renders results as aligned text or CSV.
@@ -27,7 +26,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod attack;
 pub mod figures;
 pub mod projection;
 pub mod report;

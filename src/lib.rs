@@ -50,13 +50,11 @@ pub use passflow_serve as serve;
 pub use passflow_store as store;
 
 // The most commonly used items, re-exported at the crate root.
-#[allow(deprecated)]
-pub use passflow_core::run_attack;
 pub use passflow_core::{
     attack_unique_rank, interpolate, interpolate_passwords, load_checkpoint, load_flow,
-    probe_quantization, save_checkpoint, save_flow, score_wordlist, train, Attack, AttackConfig,
-    AttackEngine, AttackOutcome, CheckpointReport, DynamicParams, EarlyStopConfig, FlowConfig,
-    FlowError, FlowScorer, FlowSnapshot, FlowWorkspace, GaussianSmoothing, GuessSession, Guesser,
+    probe_quantization, save_checkpoint, save_flow, score_wordlist, train, Attack, AttackEngine,
+    AttackOutcome, CheckpointReport, DynamicParams, EarlyStopConfig, FlowConfig, FlowError,
+    FlowScorer, FlowSnapshot, FlowWorkspace, GaussianSmoothing, GuessSession, Guesser,
     GuessingStrategy, LatentGuesser, LatentSession, MaskStrategy, PassFlow, PasswordStrength,
     Penalization, ProbabilityModel, QuantizationReport, QuantizedFlowSnapshot, QuantizedScorer,
     SampleTable, SamplingRankEstimate, Schedule, ShardedSet, StrengthEstimate, TrainConfig,

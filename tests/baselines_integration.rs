@@ -108,15 +108,12 @@ fn pcfg_outperforms_markov_of_order_one_on_structured_corpora() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn baseline_generation_is_reproducible_through_the_legacy_trait() {
+fn baseline_generation_is_reproducible_through_the_guesser_trait() {
     let split = split();
     let markov = MarkovModel::train(&split.train, 2, 10);
-    // The deprecated trait is provided automatically for every Guesser.
-    use passflow::baselines::PasswordGuesser;
     use passflow::Guesser;
-    let a = markov.generate(100, &mut nnrng::seeded(4));
-    let b = markov.generate(100, &mut nnrng::seeded(4));
+    let a = markov.generate_batch(100, &mut nnrng::seeded(4));
+    let b = markov.generate_batch(100, &mut nnrng::seeded(4));
     assert_eq!(a, b);
-    assert_eq!(a, markov.generate_batch(100, &mut nnrng::seeded(4)));
+    assert_eq!(a.len(), 100);
 }

@@ -203,15 +203,14 @@ fn matched_passwords_are_consistent_with_checkpoints() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_attack_wrapper_matches_the_engine() {
-    use passflow::{run_attack, AttackConfig};
+fn seeded_attack_is_reproducible_end_to_end() {
     let fixture = fixture();
-    let config = AttackConfig::quick(1_000).with_seed(13);
-    let wrapped = run_attack(&fixture.flow, &fixture.targets, &config);
-    let direct = config
-        .to_attack(&fixture.targets)
-        .run(&fixture.flow)
-        .unwrap();
-    assert_eq!(wrapped, direct);
+    let run = || {
+        Attack::new(&fixture.targets)
+            .budget(1_000)
+            .seed(13)
+            .run(&fixture.flow)
+            .unwrap()
+    };
+    assert_eq!(run(), run());
 }
