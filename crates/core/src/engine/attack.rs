@@ -1254,7 +1254,11 @@ mod tests {
 
     #[test]
     fn reports_land_on_requested_budgets() {
-        let guesser = Cycler(["hit1", "miss1", "hit2", "miss2"].map(String::from).to_vec());
+        let guesser = Cycler(
+            ["hit1", "miss1", "hit2", "miss2"]
+                .map(String::from)
+                .to_vec(),
+        );
         let targets: HashSet<String> = ["hit1", "hit2", "hit3", "neverguessed"]
             .map(String::from)
             .into();
@@ -1297,7 +1301,13 @@ mod tests {
     #[test]
     fn attack_is_deterministic_for_fixed_seed() {
         let (flow, targets) = flow_fixture();
-        let run = |seed| Attack::new(&targets).budget(1_000).seed(seed).run(&flow).unwrap();
+        let run = |seed| {
+            Attack::new(&targets)
+                .budget(1_000)
+                .seed(seed)
+                .run(&flow)
+                .unwrap()
+        };
         let a = run(3);
         assert_eq!(a, run(3));
         assert_ne!(a.final_report().unique, 0);

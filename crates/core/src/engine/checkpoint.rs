@@ -39,6 +39,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
+use passflow_store::format::{fnv1a, FNV_SEED};
 use passflow_store::{GuessStreamReader, GuessStreamWriter};
 
 use crate::error::{FlowError, Result};
@@ -48,18 +49,6 @@ use super::attack::CheckpointReport;
 
 const MAGIC: &[u8; 8] = b"PFATTACK";
 const VERSION: u32 = 1;
-
-/// FNV-1a offset basis (shared with the store crate's artifact checksums).
-pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a hash.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Order-independent digest of a target set: per-target FNV-1a hashes folded
 /// with wrapping addition, so iteration order never matters.

@@ -213,8 +213,8 @@ impl Guesser for PassFlow {
         // the weights (and with nothing else).
         let mut bytes = Vec::new();
         crate::persist::save_flow_to_writer(self, &mut bytes).ok()?;
-        Some(super::checkpoint::fnv1a(
-            super::checkpoint::FNV_SEED,
+        Some(passflow_store::format::fnv1a(
+            passflow_store::format::FNV_SEED,
             &bytes,
         ))
     }

@@ -43,6 +43,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use passflow_store::io::splitmix64;
+
 use crate::client::Connection;
 use crate::json;
 
@@ -454,16 +456,6 @@ fn extract_outcome_fields(body: &str) -> (Vec<String>, Vec<String>) {
         .filter_map(|entry| entry.get("breached").map(|v| v.to_string()))
         .collect();
     (bits, verdicts)
-}
-
-/// SplitMix64: tiny, seedable, and identical everywhere — the only RNG
-/// the trace format depends on.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Maps a u64 to (0, 1] — never 0, so `ln` and `powf` stay finite.

@@ -185,8 +185,11 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     format_err("varint longer than 64 bits")
 }
 
-/// FNV-1a 64-bit, used for the whole-stream record checksum.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into a running FNV-1a 64-bit hash (start from
+/// [`FNV_SEED`]). The workspace's one FNV-1a-64: the store's record
+/// checksums, the attack checkpoint format and the engine's state digests
+/// all use it.
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -195,7 +198,7 @@ pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a offset basis (checksum seed).
-pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one served record into the running checksum. The count hashed is
 /// the count a reader will *see* (1 when counts are disabled), so the

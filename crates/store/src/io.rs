@@ -177,10 +177,12 @@ pub fn read_exact_at(
 // Deterministic fault injection
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 — the per-read fault decision stream.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
+/// SplitMix64: advances `state` and returns the next output. Tiny,
+/// seedable and identical everywhere — the fault injector's per-read
+/// decision stream and the serving trace synthesizer both draw from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -299,8 +301,8 @@ impl StoreIo for FaultyIo {
         if !self.injector.active.load(Ordering::SeqCst) {
             return self.inner.read_at(buf, offset);
         }
-        let roll =
-            (splitmix64(self.plan.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000) as u16;
+        let roll = (splitmix64(&mut (self.plan.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            % 1000) as u16;
         let mut band = self.plan.short_read_per_mille;
         if roll < band && buf.len() >= 2 {
             self.injector.injected.fetch_add(1, Ordering::SeqCst);
