@@ -36,7 +36,6 @@
 //! then a counts-bearing `PFGUESS` stream plus its running checksum).
 
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 use passflow_store::format::{fnv1a, FNV_SEED};
@@ -349,22 +348,8 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     file_bytes.extend_from_slice(&payload);
     file_bytes.extend_from_slice(&fnv1a(FNV_SEED, &payload).to_le_bytes());
 
-    let mut tmp_os = path.to_path_buf().into_os_string();
-    tmp_os.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_os);
-    let write = |p: &Path| -> std::io::Result<()> {
-        let mut f = fs::File::create(p)?;
-        f.write_all(&file_bytes)?;
-        f.sync_all()
-    };
-    write(&tmp).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        persist_err(format!("writing checkpoint {tmp:?}: {e}"))
-    })?;
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        persist_err(format!("renaming checkpoint into {path:?}: {e}"))
-    })
+    crate::persist::write_atomic(path, &file_bytes)
+        .map_err(|e| persist_err(format!("writing checkpoint {path:?}: {e}")))
 }
 
 /// Reads and fully validates a `PFATTACK v1` file (magic, version, payload

@@ -241,10 +241,9 @@ pub fn save_checkpoint_to_writer<W: Write>(
 /// Saves a `PASSFLOW v2` checkpoint to a file. See
 /// [`save_checkpoint_to_writer`].
 ///
-/// The write is atomic: the checkpoint is assembled in a `.tmp` sibling
-/// and renamed over `path`, so a crash mid-write never destroys the
-/// previous good checkpoint — the failure mode checkpointing exists to
-/// survive.
+/// The write is atomic (see [`write_atomic`]), so a crash mid-write never
+/// destroys the previous good checkpoint — the failure mode checkpointing
+/// exists to survive.
 ///
 /// # Errors
 ///
@@ -255,17 +254,31 @@ pub fn save_checkpoint(
     path: impl AsRef<Path>,
 ) -> Result<()> {
     let path = path.as_ref();
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    let file = fs::File::create(&tmp)
-        .map_err(|e| FlowError::IncompatibleWeights(format!("cannot create file: {e}")))?;
-    let mut writer = std::io::BufWriter::new(file);
-    save_checkpoint_to_writer(flow, state, &mut writer)?;
-    writer.flush().map_err(io_err)?;
-    drop(writer);
-    fs::rename(&tmp, path)
-        .map_err(|e| FlowError::IncompatibleWeights(format!("cannot replace checkpoint: {e}")))
+    let mut bytes = Vec::new();
+    save_checkpoint_to_writer(flow, state, &mut bytes)?;
+    write_atomic(path, &bytes).map_err(|e| {
+        FlowError::IncompatibleWeights(format!("cannot write checkpoint {path:?}: {e}"))
+    })
+}
+
+/// Replaces `path` with `bytes` atomically: the bytes go to a `<path>.tmp`
+/// sibling, which is synced to disk and then renamed over `path`. On any
+/// error the tmp file is removed and the previous file at `path` is left
+/// as it was.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let result = fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 // ---------------------------------------------------------------------------

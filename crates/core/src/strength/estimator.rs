@@ -397,6 +397,7 @@ impl SampleTable {
     }
 
     /// Saves the table to a file (see [`save_to_writer`](Self::save_to_writer)).
+    /// The write is atomic: on failure the previous file at `path` is kept.
     ///
     /// # Errors
     ///
@@ -404,7 +405,7 @@ impl SampleTable {
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         let mut buf = Vec::new();
         self.save_to_writer(&mut buf)?;
-        fs::write(path, buf)
+        crate::persist::write_atomic(path.as_ref(), &buf)
             .map_err(|e| FlowError::IncompatibleWeights(format!("write failed: {e}")))
     }
 
@@ -579,6 +580,22 @@ mod tests {
         assert_eq!(loaded, table);
         assert_eq!(loaded.model_name(), "toy");
         assert_eq!(loaded.seed(), 11);
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_table() {
+        let dir = std::env::temp_dir().join(format!("pfstrength-save-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("table.pfs");
+        let previous = SampleTable::build(&Toy, 256, 1);
+        previous.save(&path).unwrap();
+        let before = fs::read(&path).unwrap();
+        // A directory squatting on the tmp name makes the write fail.
+        fs::create_dir_all(dir.join("table.pfs.tmp")).unwrap();
+        assert!(SampleTable::build(&Toy, 512, 2).save(&path).is_err());
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert_eq!(SampleTable::load(&path).unwrap(), previous);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
