@@ -13,7 +13,7 @@
 use std::io::Write as _;
 use std::net::Shutdown;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use passflow::serve::client::{self, ClientResponse, Connection};
@@ -27,6 +27,11 @@ fn tiny_flow(seed: u64) -> PassFlow {
     let mut rng = passflow::nn::rng::seeded(seed);
     PassFlow::new(FlowConfig::tiny(), &mut rng).unwrap()
 }
+
+/// The idle-flood test reads the process-wide thread count, so no other
+/// test in this binary may start or stop threads while it runs: it holds
+/// this lock exclusively, every other test holds it shared.
+static THREAD_COUNT: RwLock<()> = RwLock::new(());
 
 fn chaos_config() -> ServerConfig {
     ServerConfig {
@@ -117,6 +122,7 @@ fn screen_one(addr: std::net::SocketAddr, pw: &str) -> ClientResponse {
 
 #[test]
 fn screen_verdicts_stay_exact_under_transient_store_faults() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     // ~35% of reads misbehave: short reads, EINTR and bounded transients,
     // each also stalling briefly. The retry discipline must absorb all of
     // it — every verdict stays exactly what a clean store serves.
@@ -181,6 +187,7 @@ fn screen_verdicts_stay_exact_under_transient_store_faults() {
 
 #[test]
 fn outage_opens_the_breaker_degrades_screen_and_recovers() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     let breached: Vec<String> = (0..500).map(|i| format!("breached-{i}")).collect();
     let (digest, injector, path) = faulty_digest("outage", &breached, FaultPlan::quiet(1));
     let cooldown = Duration::from_millis(400);
@@ -279,6 +286,7 @@ fn outage_opens_the_breaker_degrades_screen_and_recovers() {
 
 #[test]
 fn expired_deadlines_answer_504_not_stale_work() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     // A long straggler window so a short-deadline job can expire *inside*
     // a tick, not just before submission.
     let (server, _flow) = start_server(
@@ -361,6 +369,7 @@ fn expired_deadlines_answer_504_not_stale_work() {
 
 #[test]
 fn slow_loris_and_torn_bodies_cannot_pin_a_handler() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     let (server, flow) = start_server(
         ServerConfig {
             request_read_budget: Duration::from_millis(200),
@@ -448,6 +457,7 @@ fn slow_loris_and_torn_bodies_cannot_pin_a_handler() {
 /// must be reaped — no thread leak, no stuck `/healthz` connection count.
 #[test]
 fn parked_connections_that_vanish_are_reaped() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     let (server, _flow) = start_server(
         ServerConfig {
             idle_timeout: Duration::from_secs(60),
@@ -506,6 +516,7 @@ fn parked_connections_that_vanish_are_reaped() {
 
 #[test]
 fn saturated_batcher_sheds_503_and_serves_on() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     // A one-slot queue behind a 40ms straggler window: concurrent clients
     // *will* find it full. Shedding must be a clean 503 per request — not
     // a hang, not a tear — and service must be exact afterwards.
@@ -591,6 +602,7 @@ fn saturated_batcher_sheds_503_and_serves_on() {
 
 #[test]
 fn killed_lane_under_live_load_degrades_and_survivors_serve_exactly() {
+    let _shared = THREAD_COUNT.read().unwrap_or_else(PoisonError::into_inner);
     let (server, flow) = start_server(
         ServerConfig {
             batcher: BatcherConfig {
@@ -723,6 +735,7 @@ fn process_threads() -> u64 {
 
 #[test]
 fn hundreds_of_idle_keepalive_connections_cost_no_threads() {
+    let _exclusive = THREAD_COUNT.write().unwrap_or_else(PoisonError::into_inner);
     let (server, flow) = start_server(chaos_config(), 67);
     let addr = server.addr();
 
