@@ -241,9 +241,10 @@ pub fn save_checkpoint_to_writer<W: Write>(
 /// Saves a `PASSFLOW v2` checkpoint to a file. See
 /// [`save_checkpoint_to_writer`].
 ///
-/// The write is atomic (see [`write_atomic`]), so a crash mid-write never
-/// destroys the previous good checkpoint — the failure mode checkpointing
-/// exists to survive.
+/// The write is atomic: the checkpoint goes to a `.tmp` sibling, is synced
+/// to disk and renamed over `path`, so a crash mid-write never destroys the
+/// previous good checkpoint — the failure mode checkpointing exists to
+/// survive.
 ///
 /// # Errors
 ///
