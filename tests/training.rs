@@ -2,11 +2,13 @@
 //! invariance, bit-exact checkpoint resume, v1 read compatibility and
 //! early stopping.
 
+use passflow::store::format::{fnv1a, FNV_SEED};
 use passflow::{
     load_checkpoint, save_flow, train, EarlyStopConfig, FlowConfig, PassFlow, Schedule,
     TrainConfig, Trainer,
 };
 use passflow_nn::rng as nnrng;
+use passflow_nn::{Parameter, Tensor};
 use passflow_passwords::{CorpusConfig, SyntheticCorpusGenerator};
 
 fn tiny_flow(seed: u64) -> PassFlow {
@@ -313,4 +315,56 @@ fn trained_flow_still_attacks_after_a_checkpoint_round_trip() {
     let b = restored.sample_passwords(50, &mut rng_b);
     assert_eq!(a, b);
     assert_eq!(flow.sample_passwords(10, &mut nnrng::seeded(3)).len(), 10);
+}
+
+/// FNV-1a over the bit patterns of `tensors`, shapes included.
+fn tensors_digest<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> u64 {
+    let mut hash = FNV_SEED;
+    for t in tensors {
+        hash = fnv1a(hash, &(t.rows() as u64).to_le_bytes());
+        hash = fnv1a(hash, &(t.cols() as u64).to_le_bytes());
+        for v in t.as_slice() {
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+        }
+    }
+    hash
+}
+
+#[test]
+fn nll_grad_and_adam_bits_are_pinned() {
+    // Hidden width 61 = 3×16 + 8 + 4 + 1 walks every GEMM column tile;
+    // 67 rows = 16 four-row blocks + a 3-row tail. The pinned values were
+    // recorded on the tensor-op backward and allocating Adam update; the
+    // training step's kernels may change only if these bits do not.
+    let config = FlowConfig::tiny().with_hidden_size(61);
+    let flow = PassFlow::new(config, &mut nnrng::seeded(43)).unwrap();
+    let passwords = corpus(3 * 134);
+    let batch = flow.encode_batch(&passwords[..67]).unwrap();
+
+    let (loss, grads) = flow.nll_grad_sum(&batch);
+    let parameters: Vec<Parameter> = flow.parameters();
+    let ordered: Vec<&Tensor> = parameters
+        .iter()
+        .map(|p| grads.get(p).expect("every parameter has a gradient"))
+        .collect();
+    // The clip threshold below must bind, or the pin skips clipping.
+    let clip = 1.0f32;
+    assert!(ordered.iter().any(|g| g.scale(1.0 / 67.0).norm() > clip));
+    let grad_digest = tensors_digest(ordered);
+
+    // Three optimizer steps: one epoch of three 134-row batches, each two
+    // 67-row micro-batches, with per-parameter clipping active.
+    let mut train_config = TrainConfig::tiny()
+        .with_epochs(1)
+        .with_batch_size(134)
+        .with_micro_batch(67);
+    train_config.clip_norm = Some(clip);
+    train(&flow, &passwords, &train_config).unwrap();
+    let weights_digest = tensors_digest(&flow.weight_snapshot());
+
+    assert_eq!(
+        (loss.to_bits(), grad_digest, weights_digest),
+        (0x4486_2e2f, 0xa98d_8df1_b8c1_9b5c, 0xc74d_92e2_f8b2_d448),
+        "loss {loss}: pinned training-step bits moved"
+    );
 }
