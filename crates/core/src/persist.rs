@@ -143,15 +143,18 @@ pub fn save_flow_to_writer<W: Write>(flow: &PassFlow, writer: &mut W) -> Result<
 
 /// Saves a flow to a file. See [`save_flow_to_writer`] for the format.
 ///
+/// The file is replaced atomically (see [`save_checkpoint`]): a crash
+/// mid-save leaves the previous weights intact.
+///
 /// # Errors
 ///
 /// Returns [`FlowError::IncompatibleWeights`] wrapping any I/O failure.
 pub fn save_flow(flow: &PassFlow, path: impl AsRef<Path>) -> Result<()> {
-    let file = fs::File::create(path.as_ref())
-        .map_err(|e| FlowError::IncompatibleWeights(format!("cannot create file: {e}")))?;
-    let mut writer = std::io::BufWriter::new(file);
-    save_flow_to_writer(flow, &mut writer)?;
-    writer.flush().map_err(io_err)
+    let path = path.as_ref();
+    let mut bytes = Vec::new();
+    save_flow_to_writer(flow, &mut bytes)?;
+    write_atomic(path, &bytes)
+        .map_err(|e| FlowError::IncompatibleWeights(format!("cannot write weights {path:?}: {e}")))
 }
 
 /// Serializes a `PASSFLOW v2` checkpoint: the flow plus, when given, the
@@ -788,6 +791,33 @@ mod tests {
         let restored = load_flow(&path).unwrap();
         assert_eq!(restored.config(), flow.config());
         let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn save_flow_replaces_an_existing_file_atomically() {
+        let path = std::env::temp_dir().join(format!(
+            "passflow_persist_test_overwrite_{}.pfw",
+            std::process::id()
+        ));
+        save_flow(&tiny_flow(3), &path).unwrap();
+        let flow = tiny_flow(4);
+        save_flow(&flow, &path).unwrap();
+
+        let restored = load_flow(&path).unwrap();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp_left = std::path::Path::new(&tmp).exists();
+        let _ = fs::remove_file(&path);
+        assert!(!tmp_left, "the .tmp sibling must be renamed away");
+        assert_eq!(restored.config(), flow.config());
+        for (a, b) in flow
+            .weight_snapshot()
+            .iter()
+            .zip(restored.weight_snapshot().iter())
+        {
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! a fresh tape, and an optimizer consumes the accumulated gradients.
 
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::kernels;
 use crate::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -59,7 +61,7 @@ impl Parameter {
     }
 
     /// A counter incremented on every value mutation
-    /// ([`set_value`](Self::set_value) / [`update_value`](Self::update_value)).
+    /// ([`set_value`](Self::set_value) / [`update`](Self::update)).
     ///
     /// Weight snapshots record the version at export time and compare it to
     /// detect staleness, so cached inference snapshots invalidate themselves
@@ -95,11 +97,9 @@ impl Parameter {
         self.0.write().grad.add_assign(delta);
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero in place.
     pub fn zero_grad(&self) {
-        let mut data = self.0.write();
-        let (r, c) = data.value.shape();
-        data.grad = Tensor::zeros(r, c);
+        self.0.write().grad.as_mut_slice().fill(0.0);
     }
 
     /// Parameter name (used for debugging and serialization).
@@ -117,18 +117,16 @@ impl Parameter {
         self.len() == 0
     }
 
-    /// Applies `f` to the value in place: `value <- f(value, grad)`.
+    /// Steps the value in place from the accumulated gradient, under one
+    /// write lock: `f(value, grad)` updates `value`'s elements, then the
+    /// gradient is reset to zero (filled, keeping its allocation) and the
+    /// version bumped.
     ///
-    /// This is the primitive optimizers use to update weights.
-    pub fn update_value(&self, f: impl FnOnce(&Tensor, &Tensor) -> Tensor) {
-        let mut data = self.0.write();
-        let new = f(&data.value, &data.grad);
-        assert_eq!(
-            new.shape(),
-            data.value.shape(),
-            "update must preserve parameter shape"
-        );
-        data.value = new;
+    /// This is the primitive optimizers update weights through.
+    pub fn update(&self, f: impl FnOnce(&mut [f32], &Tensor)) {
+        let data = &mut *self.0.write();
+        f(data.value.as_mut_slice(), &data.grad);
+        data.grad.as_mut_slice().fill(0.0);
         data.version += 1;
     }
 
@@ -190,13 +188,19 @@ impl GradBatch {
     ///
     /// Panics if `grad` has a different shape from an existing entry.
     pub fn accumulate(&mut self, parameter: &Parameter, grad: &Tensor) {
+        self.add(parameter, Cow::Borrowed(grad));
+    }
+
+    /// [`accumulate`](Self::accumulate) that keeps an owned gradient
+    /// instead of copying it into a new entry.
+    fn add(&mut self, parameter: &Parameter, grad: Cow<'_, Tensor>) {
         match self.index.entry(parameter.key()) {
             std::collections::hash_map::Entry::Occupied(slot) => {
-                self.entries[*slot.get()].1.add_assign(grad);
+                self.entries[*slot.get()].1.add_assign(&grad);
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(self.entries.len());
-                self.entries.push((parameter.clone(), grad.clone()));
+                self.entries.push((parameter.clone(), grad.into_owned()));
             }
         }
     }
@@ -250,9 +254,15 @@ impl GradBatch {
 enum Op {
     Constant,
     Param(Parameter),
+    /// `input × weight + bias`, reading both parameters in place (see
+    /// [`Var::linear`]).
+    Linear {
+        input: usize,
+        weight: Parameter,
+        bias: Parameter,
+    },
     MatMul(usize, usize),
     Add(usize, usize),
-    AddRow(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
     Neg(usize),
@@ -269,15 +279,14 @@ enum Op {
     Mean(usize),
 }
 
-struct Node {
-    value: Tensor,
-    grad: Option<Tensor>,
-    op: Op,
-}
-
+/// The recorded graph, one entry per node in each column. Values and ops
+/// are write-once; gradients live apart so the backward pass can borrow
+/// every value while it writes parent gradients.
 #[derive(Default)]
 struct TapeInner {
-    nodes: Vec<Node>,
+    values: Vec<Tensor>,
+    grads: Vec<Option<Tensor>>,
+    ops: Vec<Op>,
 }
 
 /// A recording of a differentiable computation.
@@ -297,7 +306,7 @@ impl Default for Tape {
 
 impl fmt::Debug for Tape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tape({} nodes)", self.inner.borrow().nodes.len())
+        write!(f, "Tape({} nodes)", self.len())
     }
 }
 
@@ -311,7 +320,7 @@ impl Tape {
 
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.borrow().nodes.len()
+        self.inner.borrow().values.len()
     }
 
     /// Returns `true` if no operations have been recorded.
@@ -321,12 +330,10 @@ impl Tape {
 
     fn push(&self, value: Tensor, op: Op) -> Var {
         let mut inner = self.inner.borrow_mut();
-        let id = inner.nodes.len();
-        inner.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-        });
+        let id = inner.values.len();
+        inner.values.push(value);
+        inner.grads.push(None);
+        inner.ops.push(op);
         Var {
             tape: self.clone(),
             id,
@@ -353,6 +360,8 @@ impl Tape {
 ///
 /// All arithmetic methods record a new node and return its handle. `Var` is
 /// cheap to clone (it is an index plus a reference-counted tape handle).
+/// Operations read their operands in place on the tape; only the result is
+/// stored.
 #[derive(Clone)]
 pub struct Var {
     tape: Tape,
@@ -361,26 +370,25 @@ pub struct Var {
 
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Var(id={}, shape={:?})", self.id, self.value().shape())
+        write!(f, "Var(id={}, shape={:?})", self.id, self.shape())
     }
 }
 
 impl Var {
     /// Returns a copy of this node's value.
     pub fn value(&self) -> Tensor {
-        self.tape.inner.borrow().nodes[self.id].value.clone()
+        self.tape.inner.borrow().values[self.id].clone()
     }
 
     /// Shape of this node's value.
     pub fn shape(&self) -> (usize, usize) {
-        let inner = self.tape.inner.borrow();
-        inner.nodes[self.id].value.shape()
+        self.tape.inner.borrow().values[self.id].shape()
     }
 
     /// Returns the gradient computed for this node by the last
     /// [`Var::backward`] call, if any.
     pub fn grad(&self) -> Option<Tensor> {
-        self.tape.inner.borrow().nodes[self.id].grad.clone()
+        self.tape.inner.borrow().grads[self.id].clone()
     }
 
     fn same_tape(&self, other: &Var) {
@@ -390,7 +398,19 @@ impl Var {
         );
     }
 
-    fn unary(&self, value: Tensor, op: Op) -> Var {
+    /// Records `op` with the value `f` computes from this node's value.
+    fn unary(&self, op: Op, f: impl FnOnce(&Tensor) -> Tensor) -> Var {
+        let value = f(&self.tape.inner.borrow().values[self.id]);
+        self.tape.push(value, op)
+    }
+
+    /// Records `op` with the value `f` computes from both operands' values.
+    fn binary(&self, other: &Var, op: Op, f: impl FnOnce(&Tensor, &Tensor) -> Tensor) -> Var {
+        self.same_tape(other);
+        let value = {
+            let inner = self.tape.inner.borrow();
+            f(&inner.values[self.id], &inner.values[other.id])
+        };
         self.tape.push(value, op)
     }
 
@@ -398,104 +418,117 @@ impl Var {
 
     /// Matrix product `self × other`.
     pub fn matmul(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let value = self.value().matmul(&other.value());
-        self.tape.push(value, Op::MatMul(self.id, other.id))
+        self.binary(other, Op::MatMul(self.id, other.id), Tensor::matmul)
+    }
+
+    /// Fully connected layer `self × weight + bias`, with `bias` a
+    /// `1 × cols` row broadcast over every row.
+    ///
+    /// One node: the forward product reads both parameters under their
+    /// read locks (the value is bit-exact with
+    /// `self.matmul(w).add(broadcast b)`), and the backward pass sends
+    /// `selfᵀ·G` and the column sums of `G` straight to the gradient sink.
+    /// The backward pass reads `weight` again, so parameters must not be
+    /// stepped between a tape's forward and backward passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn linear(&self, weight: &Parameter, bias: &Parameter) -> Var {
+        let value = {
+            let inner = self.tape.inner.borrow();
+            let (w, b) = (weight.0.read(), bias.0.read());
+            let mut out = Tensor::default();
+            kernels::matmul_bias_into(&inner.values[self.id], &w.value, &b.value, &mut out);
+            out
+        };
+        let op = Op::Linear {
+            input: self.id,
+            weight: weight.clone(),
+            bias: bias.clone(),
+        };
+        self.tape.push(value, op)
     }
 
     /// Elementwise addition.
     pub fn add(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let value = self.value().add(&other.value());
-        self.tape.push(value, Op::Add(self.id, other.id))
-    }
-
-    /// Adds a `1 × cols` bias row vector to every row of `self`.
-    pub fn add_row(&self, bias: &Var) -> Var {
-        self.same_tape(bias);
-        let value = self.value().add_row_broadcast(&bias.value());
-        self.tape.push(value, Op::AddRow(self.id, bias.id))
+        self.binary(other, Op::Add(self.id, other.id), Tensor::add)
     }
 
     /// Elementwise subtraction.
     pub fn sub(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let value = self.value().sub(&other.value());
-        self.tape.push(value, Op::Sub(self.id, other.id))
+        self.binary(other, Op::Sub(self.id, other.id), Tensor::sub)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let value = self.value().mul(&other.value());
-        self.tape.push(value, Op::Mul(self.id, other.id))
+        self.binary(other, Op::Mul(self.id, other.id), Tensor::mul)
     }
 
     // -- unary ops ----------------------------------------------------------
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
-        self.unary(self.value().neg(), Op::Neg(self.id))
+        self.unary(Op::Neg(self.id), Tensor::neg)
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        self.unary(self.value().exp(), Op::Exp(self.id))
+        self.unary(Op::Exp(self.id), Tensor::exp)
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
-        self.unary(self.value().ln(), Op::Ln(self.id))
+        self.unary(Op::Ln(self.id), Tensor::ln)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        self.unary(self.value().tanh(), Op::Tanh(self.id))
+        self.unary(Op::Tanh(self.id), Tensor::tanh)
     }
 
     /// Elementwise rectified linear unit.
     pub fn relu(&self) -> Var {
-        self.unary(self.value().relu(), Op::Relu(self.id))
+        self.unary(Op::Relu(self.id), Tensor::relu)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        self.unary(self.value().sigmoid(), Op::Sigmoid(self.id))
+        self.unary(Op::Sigmoid(self.id), Tensor::sigmoid)
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        self.unary(self.value().square(), Op::Square(self.id))
+        self.unary(Op::Square(self.id), Tensor::square)
     }
 
     /// Multiplies every element by a scalar constant.
     pub fn scale(&self, factor: f32) -> Var {
-        self.unary(self.value().scale(factor), Op::Scale(self.id, factor))
+        self.unary(Op::Scale(self.id, factor), |x| x.scale(factor))
     }
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&self, value: f32) -> Var {
-        self.unary(self.value().add_scalar(value), Op::AddScalar(self.id))
+        self.unary(Op::AddScalar(self.id), |x| x.add_scalar(value))
     }
 
     /// Elementwise product with a constant tensor (e.g. a binary mask).
     ///
     /// The constant is not differentiated through.
     pub fn mul_const(&self, constant: &Tensor) -> Var {
-        let value = self.value().mul(constant);
-        self.unary(value, Op::MulConst(self.id, constant.clone()))
+        self.unary(Op::MulConst(self.id, constant.clone()), |x| x.mul(constant))
     }
 
     // -- reductions ---------------------------------------------------------
 
     /// Sum of all elements (produces a `1 × 1` node).
     pub fn sum(&self) -> Var {
-        self.unary(Tensor::scalar(self.value().sum()), Op::Sum(self.id))
+        self.unary(Op::Sum(self.id), |x| Tensor::scalar(x.sum()))
     }
 
     /// Mean of all elements (produces a `1 × 1` node).
     pub fn mean(&self) -> Var {
-        self.unary(Tensor::scalar(self.value().mean()), Op::Mean(self.id))
+        self.unary(Op::Mean(self.id), |x| Tensor::scalar(x.mean()))
     }
 
     // -- backward -----------------------------------------------------------
@@ -511,7 +544,7 @@ impl Var {
     /// Panics if any intermediate gradient has an unexpected shape, which
     /// indicates a bug in an operation's gradient rule.
     pub fn backward(&self) {
-        self.backprop(|parameter, grad| parameter.accumulate_grad(grad));
+        self.backprop(|parameter, grad| parameter.accumulate_grad(&grad));
     }
 
     /// Runs reverse-mode differentiation from this node, collecting the
@@ -524,105 +557,183 @@ impl Var {
     /// of thread scheduling and worker count.
     pub fn backward_grads(&self) -> GradBatch {
         let mut batch = GradBatch::new();
-        self.backprop(|parameter, grad| batch.accumulate(parameter, grad));
+        self.backprop(|parameter, grad| batch.add(parameter, Cow::Owned(grad)));
         batch
     }
 
     /// The shared reverse traversal behind [`backward`](Self::backward) and
     /// [`backward_grads`](Self::backward_grads); `sink` receives every
-    /// parameter-leaf gradient.
-    fn backprop(&self, mut sink: impl FnMut(&Parameter, &Tensor)) {
+    /// parameter gradient.
+    ///
+    /// Each node's contributions are routed into its parents' gradient
+    /// slots in a fixed order; a slot stores its first contribution as
+    /// computed and adds later ones elementwise (`existing + contribution`).
+    /// Every rule reads the node's gradient and the operand values by
+    /// reference, and the transposed products pack into one reused buffer.
+    fn backprop(&self, mut sink: impl FnMut(&Parameter, Tensor)) {
         let mut inner = self.tape.inner.borrow_mut();
-        let n = inner.nodes.len();
+        let TapeInner { values, grads, ops } = &mut *inner;
         // Reset gradients from any previous backward pass on this tape.
-        for node in inner.nodes.iter_mut() {
-            node.grad = None;
-        }
-        let (r, c) = inner.nodes[self.id].value.shape();
-        inner.nodes[self.id].grad = Some(Tensor::ones(r, c));
+        grads.fill(None);
+        let (r, c) = values[self.id].shape();
+        grads[self.id] = Some(Tensor::ones(r, c));
 
-        for id in (0..n).rev() {
-            let grad = match inner.nodes[id].grad.clone() {
-                Some(g) => g,
-                None => continue,
+        let mut pack = Tensor::default();
+        let mut scratch = Tensor::default();
+        // Parents are always recorded before their children, so every
+        // parent slot lies below `id`.
+        for id in (0..=self.id).rev() {
+            let (parents, rest) = grads.split_at_mut(id);
+            let Some(grad) = rest[0].as_ref() else {
+                continue;
             };
-            // Collect the (parent, contribution) pairs for this node.
-            let mut contributions: Vec<(usize, Tensor)> = Vec::new();
-            match &inner.nodes[id].op {
+            match &ops[id] {
                 Op::Constant => {}
-                Op::Param(p) => sink(p, &grad),
+                Op::Param(p) => sink(p, grad.clone()),
+                Op::Linear {
+                    input,
+                    weight,
+                    bias,
+                } => {
+                    accumulate_product(&mut parents[*input], &mut scratch, |out| {
+                        let w = weight.0.read();
+                        kernels::matmul_nt_into(grad, &w.value, &mut pack, out);
+                    });
+                    let mut dw = Tensor::default();
+                    kernels::matmul_tn_into(&values[*input], grad, &mut pack, &mut dw);
+                    sink(weight, dw);
+                    sink(bias, grad.sum_cols());
+                }
                 Op::MatMul(a, b) => {
-                    let a_val = inner.nodes[*a].value.clone();
-                    let b_val = inner.nodes[*b].value.clone();
-                    contributions.push((*a, grad.matmul(&b_val.transpose())));
-                    contributions.push((*b, a_val.transpose().matmul(&grad)));
+                    accumulate_product(&mut parents[*a], &mut scratch, |out| {
+                        kernels::matmul_nt_into(grad, &values[*b], &mut pack, out);
+                    });
+                    accumulate_product(&mut parents[*b], &mut scratch, |out| {
+                        kernels::matmul_tn_into(&values[*a], grad, &mut pack, out);
+                    });
                 }
                 Op::Add(a, b) => {
-                    contributions.push((*a, grad.clone()));
-                    contributions.push((*b, grad));
-                }
-                Op::AddRow(a, b) => {
-                    contributions.push((*a, grad.clone()));
-                    contributions.push((*b, grad.sum_cols()));
+                    accumulate_map(&mut parents[*a], grad, |g| g);
+                    accumulate_map(&mut parents[*b], grad, |g| g);
                 }
                 Op::Sub(a, b) => {
-                    contributions.push((*a, grad.clone()));
-                    contributions.push((*b, grad.neg()));
+                    accumulate_map(&mut parents[*a], grad, |g| g);
+                    accumulate_map(&mut parents[*b], grad, |g| -g);
                 }
                 Op::Mul(a, b) => {
-                    let a_val = inner.nodes[*a].value.clone();
-                    let b_val = inner.nodes[*b].value.clone();
-                    contributions.push((*a, grad.mul(&b_val)));
-                    contributions.push((*b, grad.mul(&a_val)));
+                    accumulate_zip(&mut parents[*a], grad, &values[*b], |g, y| g * y);
+                    accumulate_zip(&mut parents[*b], grad, &values[*a], |g, x| g * x);
                 }
-                Op::Neg(a) => contributions.push((*a, grad.neg())),
-                Op::Exp(a) => {
-                    let out = inner.nodes[id].value.clone();
-                    contributions.push((*a, grad.mul(&out)));
-                }
-                Op::Ln(a) => {
-                    let x = inner.nodes[*a].value.clone();
-                    contributions.push((*a, grad.div(&x)));
-                }
+                Op::Neg(a) => accumulate_map(&mut parents[*a], grad, |g| -g),
+                Op::Exp(a) => accumulate_zip(&mut parents[*a], grad, &values[id], |g, e| g * e),
+                Op::Ln(a) => accumulate_zip(&mut parents[*a], grad, &values[*a], |g, x| g / x),
                 Op::Tanh(a) => {
-                    let out = inner.nodes[id].value.clone();
-                    let one_minus = out.square().neg().add_scalar(1.0);
-                    contributions.push((*a, grad.mul(&one_minus)));
+                    accumulate_zip(&mut parents[*a], grad, &values[id], |g, t| {
+                        g * (-(t * t) + 1.0)
+                    });
                 }
                 Op::Relu(a) => {
-                    let x = inner.nodes[*a].value.clone();
-                    let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    contributions.push((*a, grad.mul(&mask)));
+                    accumulate_zip(&mut parents[*a], grad, &values[*a], |g, x| {
+                        g * if x > 0.0 { 1.0 } else { 0.0 }
+                    });
                 }
                 Op::Sigmoid(a) => {
-                    let out = inner.nodes[id].value.clone();
-                    let d = out.mul(&out.neg().add_scalar(1.0));
-                    contributions.push((*a, grad.mul(&d)));
+                    accumulate_zip(&mut parents[*a], grad, &values[id], |g, s| {
+                        g * (s * (-s + 1.0))
+                    });
                 }
                 Op::Square(a) => {
-                    let x = inner.nodes[*a].value.clone();
-                    contributions.push((*a, grad.mul(&x.scale(2.0))));
+                    accumulate_zip(&mut parents[*a], grad, &values[*a], |g, x| g * (x * 2.0));
                 }
-                Op::Scale(a, f) => contributions.push((*a, grad.scale(*f))),
-                Op::AddScalar(a) => contributions.push((*a, grad)),
-                Op::MulConst(a, constant) => contributions.push((*a, grad.mul(constant))),
+                Op::Scale(a, f) => accumulate_map(&mut parents[*a], grad, |g| g * f),
+                Op::AddScalar(a) => accumulate_map(&mut parents[*a], grad, |g| g),
+                Op::MulConst(a, constant) => {
+                    accumulate_zip(&mut parents[*a], grad, constant, |g, k| g * k);
+                }
                 Op::Sum(a) => {
-                    let (r, c) = inner.nodes[*a].value.shape();
                     let g = grad.get(0, 0);
-                    contributions.push((*a, Tensor::full(r, c, g)));
+                    accumulate_fill(&mut parents[*a], values[*a].shape(), g);
                 }
                 Op::Mean(a) => {
-                    let (r, c) = inner.nodes[*a].value.shape();
+                    let (r, c) = values[*a].shape();
                     let g = grad.get(0, 0) / (r * c) as f32;
-                    contributions.push((*a, Tensor::full(r, c, g)));
+                    accumulate_fill(&mut parents[*a], (r, c), g);
                 }
             }
-            for (parent, contribution) in contributions {
-                match &mut inner.nodes[parent].grad {
-                    Some(existing) => existing.add_assign(&contribution),
-                    slot @ None => *slot = Some(contribution),
-                }
+        }
+    }
+}
+
+/// Routes the contribution `h(g, aux)` (elementwise over `grad` and `aux`)
+/// into a gradient slot.
+fn accumulate_zip(
+    slot: &mut Option<Tensor>,
+    grad: &Tensor,
+    aux: &Tensor,
+    h: impl Fn(f32, f32) -> f32,
+) {
+    assert_eq!(grad.shape(), aux.shape(), "gradient rule shape mismatch");
+    match slot {
+        Some(existing) => {
+            assert_eq!(existing.shape(), grad.shape(), "add_assign shape mismatch");
+            for ((e, &g), &x) in existing
+                .as_mut_slice()
+                .iter_mut()
+                .zip(grad.as_slice())
+                .zip(aux.as_slice())
+            {
+                *e += h(g, x);
             }
+        }
+        None => *slot = Some(grad.zip_with(aux, "gradient rule", h)),
+    }
+}
+
+/// Routes the contribution `h(g)` (elementwise over `grad`) into a gradient
+/// slot.
+fn accumulate_map(slot: &mut Option<Tensor>, grad: &Tensor, h: impl Fn(f32) -> f32) {
+    match slot {
+        Some(existing) => {
+            assert_eq!(existing.shape(), grad.shape(), "add_assign shape mismatch");
+            for (e, &g) in existing.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *e += h(g);
+            }
+        }
+        None => *slot = Some(grad.map(h)),
+    }
+}
+
+/// Routes a contribution of `value` in every element of a `shape` tensor
+/// into a gradient slot.
+fn accumulate_fill(slot: &mut Option<Tensor>, shape: (usize, usize), value: f32) {
+    match slot {
+        Some(existing) => {
+            assert_eq!(existing.shape(), shape, "add_assign shape mismatch");
+            for e in existing.as_mut_slice() {
+                *e += value;
+            }
+        }
+        None => *slot = Some(Tensor::full(shape.0, shape.1, value)),
+    }
+}
+
+/// Routes a matrix-product contribution into a gradient slot: `product`
+/// writes straight into a fresh slot, or into `scratch` that is then added
+/// to an occupied one.
+fn accumulate_product(
+    slot: &mut Option<Tensor>,
+    scratch: &mut Tensor,
+    product: impl FnOnce(&mut Tensor),
+) {
+    match slot {
+        Some(existing) => {
+            product(scratch);
+            existing.add_assign(scratch);
+        }
+        None => {
+            let mut fresh = Tensor::default();
+            product(&mut fresh);
+            *slot = Some(fresh);
         }
     }
 }
@@ -786,14 +897,108 @@ mod tests {
     }
 
     #[test]
-    fn add_row_broadcast_gradient_sums_over_batch() {
+    fn linear_bias_gradient_sums_over_batch() {
+        let weight = Parameter::new(Tensor::zeros(2, 2), "w");
         let bias = Parameter::new(Tensor::row(&[0.0, 0.0]), "b");
         let tape = Tape::new();
         let x = tape.constant(Tensor::ones(4, 2));
-        let b = tape.param(&bias);
-        x.add_row(&b).sum().backward();
+        x.linear(&weight, &bias).sum().backward();
         // Each bias element receives a gradient contribution from all 4 rows.
         assert_eq!(bias.grad().as_slice(), &[4.0, 4.0]);
+    }
+
+    #[test]
+    fn linear_forward_matches_matmul_plus_bias_bitwise() {
+        let mut r = rng();
+        let w = Parameter::new(Tensor::randn(5, 7, &mut r), "w");
+        let b = Parameter::new(Tensor::randn(1, 7, &mut r), "b");
+        let x = Tensor::randn(6, 5, &mut r);
+        let tape = Tape::new();
+        let out = tape.constant(x.clone()).linear(&w, &b).value();
+        let reference = x.matmul(&w.value()).add_row_broadcast(&b.value());
+        assert_eq!(out.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn linear_gradcheck_for_input_weight_and_bias() {
+        let mut r = rng();
+        let x = Parameter::new(Tensor::randn(5, 3, &mut r), "x");
+        let w = Parameter::new(Tensor::randn(3, 2, &mut r), "w");
+        let b = Parameter::new(Tensor::randn(1, 2, &mut r), "b");
+        let loss = |tape: &Tape| tape.param(&x).linear(&w, &b).tanh().square().sum();
+
+        for p in [&x, &w, &b] {
+            p.zero_grad();
+        }
+        loss(&Tape::new()).backward();
+        let loss_fn = || loss(&Tape::new()).value().get(0, 0);
+        for p in [&x, &w, &b] {
+            let analytic = p.grad();
+            let (rows, cols) = analytic.shape();
+            for row in 0..rows {
+                for col in 0..cols {
+                    let numeric = finite_diff(p, &loss_fn, row, col, 1e-2);
+                    let a = analytic.get(row, col);
+                    assert!(
+                        (a - numeric).abs() < 2e-2 * (1.0 + numeric.abs()),
+                        "{} grad mismatch at ({row},{col}): analytic={a}, numeric={numeric}",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_backward_grads_matches_backward_bitwise() {
+        let mut r = rng();
+        let w1 = Parameter::new(Tensor::randn(6, 17, &mut r), "w1");
+        let b1 = Parameter::new(Tensor::randn(1, 17, &mut r), "b1");
+        let w2 = Parameter::new(Tensor::randn(17, 6, &mut r), "w2");
+        let b2 = Parameter::new(Tensor::randn(1, 6, &mut r), "b2");
+        let x = Tensor::randn(9, 6, &mut r);
+        // A residual two-layer stack: the input receives two contributions.
+        let loss = |tape: &Tape| {
+            let input = tape.constant(x.clone());
+            let hidden = input.linear(&w1, &b1).relu();
+            input.add(&hidden.linear(&w2, &b2)).square().sum()
+        };
+        let params = [&w1, &b1, &w2, &b2];
+
+        loss(&Tape::new()).backward();
+        let reference: Vec<Tensor> = params.iter().map(|p| p.grad()).collect();
+        for p in params {
+            p.zero_grad();
+        }
+        let batch = loss(&Tape::new()).backward_grads();
+        assert_eq!(batch.len(), params.len());
+        for (p, expected) in params.iter().zip(&reference) {
+            assert_eq!(p.grad().sum(), 0.0, "backward_grads touched {}", p.name());
+            let collected = batch.get(p).expect("gradient for every parameter");
+            assert_eq!(collected.as_slice(), expected.as_slice(), "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn intermediate_gradients_survive_backward() {
+        let w = Parameter::new(Tensor::from_rows(&[vec![1.0, -2.0], vec![0.5, 3.0]]), "w");
+        let b = Parameter::new(Tensor::row(&[0.25, -0.5]), "b");
+        let tape = Tape::new();
+        let x = tape.constant(Tensor::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.0]]));
+        let hidden = x.linear(&w, &b);
+        let activated = hidden.relu();
+        activated.sum().backward();
+        // d sum / d activated = 1; through relu the gradient keeps only the
+        // positive pre-activations; the linear input gets G·Wᵀ.
+        assert_eq!(activated.grad().unwrap(), Tensor::ones(2, 2));
+        let h = hidden.value();
+        let mask = h.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+        assert_eq!(hidden.grad().unwrap(), mask);
+        assert_eq!(
+            x.grad().unwrap(),
+            mask.matmul(&w.value().transpose()),
+            "input gradient"
+        );
     }
 
     #[test]

@@ -16,12 +16,19 @@
 //! shared dimension, with 8/4/1-wide column tails and single-row tails for
 //! ragged shapes. Register blocking re-tiles the *independent* i/j loops
 //! only, and the per-lane `mul_add` keeps exact FMA semantics, so
-//! vectorization never reassociates the `p` accumulation order. (A
-//! pre-transposed B operand was evaluated for the Linear path and rejected:
-//! a dot-product inner loop can only vectorize by reassociating the
-//! reduction, which breaks bit-exactness. The snapshot instead stores B
-//! contiguous and row-major, which the i-k-j kernel streams with unit
-//! stride.)
+//! vectorization never reassociates the `p` accumulation order. Weights stay
+//! row-major `k × n`, which the i-k-j kernel streams with unit stride; a
+//! dot-product inner loop over a transposed operand could only vectorize by
+//! reassociating the reduction, which would break bit-exactness.
+//!
+//! The training backward pass needs the two transposed products of a linear
+//! layer, `G·Wᵀ` and `Xᵀ·G`. [`matmul_nt_into`] (`a·bᵀ`) and
+//! [`matmul_tn_into`] (`aᵀ·b`) serve them on the same driver and tiles:
+//! each copies the transposed operand into a caller-owned pack buffer that
+//! is reused across calls, then runs the ordinary product. The pack moves
+//! values without arithmetic and the product accumulates `p` ascending from
+//! `0.0`, so both are 0-ULP equal to `matmul_into` on a materialised
+//! `transpose()` — only the per-call allocation is gone.
 
 use crate::pool::ThreadPool;
 use crate::tensor::Tensor;
@@ -445,6 +452,28 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// blocks across threads. Bit-exact with the single-threaded call at any
 /// thread count (see the GEMM driver's invariance argument).
 pub fn matmul_into_with(a: &Tensor, b: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+    product(a, b, out, Tiles::Driver(pool));
+}
+
+/// [`matmul_into`] forced onto the scalar inner tile (no explicit SIMD,
+/// single-threaded) — the conformance oracle the SIMD tile and the threaded
+/// driver are tested against. Production code never needs this.
+pub fn matmul_into_scalar_tile(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    product(a, b, out, Tiles::Scalar);
+}
+
+/// Which tiles a plain product runs on.
+#[derive(Clone, Copy)]
+enum Tiles<'p> {
+    /// The dispatching driver: the SIMD tile when available, output rows
+    /// split across the pool when one is given.
+    Driver(Option<&'p ThreadPool>),
+    /// The scalar tile alone, single-threaded (the conformance oracle).
+    Scalar,
+}
+
+/// `out = a × b` (resized as needed) on the chosen tiles.
+fn product(a: &Tensor, b: &Tensor, out: &mut Tensor, tiles: Tiles<'_>) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -456,35 +485,79 @@ pub fn matmul_into_with(a: &Tensor, b: &Tensor, out: &mut Tensor, pool: Option<&
     );
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     out.resize(m, n);
-    gemm(
-        a.as_slice(),
-        m,
-        k,
-        b.as_slice(),
-        n,
-        out.as_mut_slice(),
-        Epilogue::Store,
-        pool,
-    );
+    let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    match tiles {
+        Tiles::Driver(pool) => gemm(a, m, k, b, n, out, Epilogue::Store, pool),
+        Tiles::Scalar => gemm_rows(a, m, k, b, n, out, Epilogue::Store, false),
+    }
 }
 
-/// [`matmul_into`] forced onto the scalar inner tile (no explicit SIMD,
-/// single-threaded) — the conformance oracle the SIMD tile and the threaded
-/// driver are tested against. Production code never needs this.
-pub fn matmul_into_scalar_tile(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    out.resize(m, n);
-    gemm_rows(
-        a.as_slice(),
-        m,
-        k,
-        b.as_slice(),
-        n,
-        out.as_mut_slice(),
-        Epilogue::Store,
-        false,
-    );
+/// Writes `src`ᵀ into `out`, resizing it (the allocation is reused once it
+/// has grown to fit).
+pub fn transpose_into(src: &Tensor, out: &mut Tensor) {
+    let (rows, cols) = src.shape();
+    out.resize(cols, rows);
+    let dst = out.as_mut_slice();
+    for (i, row) in src.as_slice().chunks_exact(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
+}
+
+/// Which operand of a transposed product is read transposed.
+#[derive(Clone, Copy)]
+enum Transposed {
+    /// `aᵀ · b`.
+    A,
+    /// `a · bᵀ`.
+    B,
+}
+
+/// Packs the transposed operand into `pack`, then runs the plain product.
+fn transposed_product(
+    which: Transposed,
+    a: &Tensor,
+    b: &Tensor,
+    pack: &mut Tensor,
+    out: &mut Tensor,
+    tiles: Tiles<'_>,
+) {
+    match which {
+        Transposed::A => {
+            transpose_into(a, pack);
+            product(pack, b, out, tiles);
+        }
+        Transposed::B => {
+            transpose_into(b, pack);
+            product(a, pack, out, tiles);
+        }
+    }
+}
+
+/// `out = a × bᵀ` for `a: m×k`, `b: n×k`, written into `out` (resized as
+/// needed). `bᵀ` is packed into `pack`, a scratch buffer callers keep
+/// across calls so steady-state products allocate nothing.
+///
+/// 0-ULP equal to `matmul_into(a, &b.transpose(), out)`.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.cols()`.
+pub fn matmul_nt_into(a: &Tensor, b: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
+    transposed_product(Transposed::B, a, b, pack, out, Tiles::Driver(None));
+}
+
+/// `out = aᵀ × b` for `a: k×m`, `b: k×n`, written into `out` (resized as
+/// needed). `aᵀ` is packed into `pack`, as in [`matmul_nt_into`].
+///
+/// 0-ULP equal to `matmul_into(&a.transpose(), b, out)`.
+///
+/// # Panics
+///
+/// Panics if `a.rows() != b.rows()`.
+pub fn matmul_tn_into(a: &Tensor, b: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
+    transposed_product(Transposed::A, a, b, pack, out, Tiles::Driver(None));
 }
 
 /// Fused linear layer: `out = input × weight + bias` (bias broadcast across
@@ -847,6 +920,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn transposed_products_are_bit_exact_on_every_tile_and_thread_count() {
+        let mut r = rng();
+        let pool = ThreadPool::new(2);
+        let runs = [
+            ("scalar tile", Tiles::Scalar),
+            ("dispatch", Tiles::Driver(None)),
+            ("2-thread pool", Tiles::Driver(Some(&pool))),
+        ];
+        // Output columns 61 = 3×16 + 8 + 4 + 1 and 10 = 8 + 1 + 1 walk
+        // every column tile; rows 67 = 16 four-row blocks + a 3-row tail;
+        // k = 10 and 64 are the flow's widths. 67×64×61 crosses the pool's
+        // parallel cut-off.
+        let mut pack = Tensor::default();
+        let mut got = Tensor::default();
+        let mut reference = Tensor::default();
+        for (m, k, n) in [
+            (67, 64, 61),
+            (67, 10, 64),
+            (64, 64, 10),
+            (3, 10, 16),
+            (4, 64, 4),
+            (1, 10, 1),
+            (10, 67, 64),
+        ] {
+            let a = Tensor::randn(m, k, &mut r);
+            let b_t = Tensor::randn(n, k, &mut r);
+            matmul_into(&a, &b_t.transpose(), &mut reference);
+            for (name, tiles) in runs {
+                transposed_product(Transposed::B, &a, &b_t, &mut pack, &mut got, tiles);
+                assert_eq!(
+                    got.as_slice(),
+                    reference.as_slice(),
+                    "NT {m}x{k}x{n} {name}"
+                );
+            }
+
+            let a_t = Tensor::randn(k, m, &mut r);
+            let b = Tensor::randn(k, n, &mut r);
+            matmul_into(&a_t.transpose(), &b, &mut reference);
+            for (name, tiles) in runs {
+                transposed_product(Transposed::A, &a_t, &b, &mut pack, &mut got, tiles);
+                assert_eq!(
+                    got.as_slice(),
+                    reference.as_slice(),
+                    "TN {m}x{k}x{n} {name}"
+                );
+            }
+        }
+        matmul_nt_into(
+            &Tensor::ones(2, 3),
+            &Tensor::ones(5, 3),
+            &mut pack,
+            &mut got,
+        );
+        assert_eq!(got, Tensor::full(2, 5, 3.0));
+        matmul_tn_into(
+            &Tensor::ones(3, 2),
+            &Tensor::ones(3, 5),
+            &mut pack,
+            &mut got,
+        );
+        assert_eq!(got, Tensor::full(2, 5, 3.0));
     }
 
     #[test]

@@ -152,10 +152,8 @@ impl Linear {
 }
 
 impl Module for Linear {
-    fn forward(&self, tape: &Tape, input: &Var) -> Var {
-        let w = tape.param(&self.weight);
-        let b = tape.param(&self.bias);
-        input.matmul(&w).add_row(&b)
+    fn forward(&self, _tape: &Tape, input: &Var) -> Var {
+        input.linear(&self.weight, &self.bias)
     }
 
     fn forward_tensor(&self, input: &Tensor) -> Tensor {

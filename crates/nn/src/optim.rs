@@ -103,18 +103,25 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// One fused in-place loop per parameter: `v ← v·μ + g`, `w ← w − v·lr`
+    /// (or `w ← w − g·lr` without momentum).
     fn step(&mut self, parameters: &[Parameter]) {
+        let (lr, momentum) = (self.lr, self.momentum);
         for p in parameters {
-            let grad = p.grad();
-            if self.momentum > 0.0 {
-                let idx = self.velocity.index_or_insert(p, grad.rows(), grad.cols());
-                let v = self.velocity.entries[idx].1.scale(self.momentum).add(&grad);
-                self.velocity.entries[idx].1 = v.clone();
-                p.update_value(|value, _| value.sub(&v.scale(self.lr)));
-            } else {
-                p.update_value(|value, g| value.sub(&g.scale(self.lr)));
-            }
-            p.zero_grad();
+            p.update(|value, grad| {
+                if momentum > 0.0 {
+                    let idx = self.velocity.index_or_insert(p, grad.rows(), grad.cols());
+                    let velocity = self.velocity.entries[idx].1.as_mut_slice();
+                    for ((w, v), &g) in value.iter_mut().zip(velocity).zip(grad.as_slice()) {
+                        *v = *v * momentum + g;
+                        *w -= *v * lr;
+                    }
+                } else {
+                    for (w, &g) in value.iter_mut().zip(grad.as_slice()) {
+                        *w -= g * lr;
+                    }
+                }
+            });
         }
     }
 
@@ -263,38 +270,42 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    /// One fused in-place loop per parameter. Per element, with `g` the
+    /// (clipped) gradient:
+    /// `m ← m·β₁ + g·(1−β₁)`, `v ← v·β₂ + g²·(1−β₂)`,
+    /// `w ← w − (m·(1/b₁) / (√(v·(1/b₂)) + ε))·lr`, where `b₁`, `b₂` are
+    /// the bias corrections. Clipping scales `g` by `max_norm / ‖g‖` when
+    /// the norm exceeds `max_norm`.
     fn step(&mut self, parameters: &[Parameter]) {
         self.step_count += 1;
         let t = self.step_count as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
+        let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (keep1, keep2) = (1.0 - beta1, 1.0 - beta2);
+        let inv_bias1 = 1.0 / (1.0 - beta1.powf(t));
+        let inv_bias2 = 1.0 / (1.0 - beta2.powf(t));
 
         for p in parameters {
-            let mut grad = p.grad();
-            if let Some(max_norm) = self.clip_norm {
-                let norm = grad.norm();
-                if norm > max_norm {
-                    grad = grad.scale(max_norm / norm);
+            p.update(|value, grad| {
+                let clip = self.clip_norm.and_then(|max_norm| {
+                    let norm = grad.norm();
+                    (norm > max_norm).then(|| max_norm / norm)
+                });
+                let idx = self.moments.index_or_insert(p, grad.rows(), grad.cols());
+                let (_, m, v) = &mut self.moments.entries[idx];
+                for (((w, m), v), &g) in value
+                    .iter_mut()
+                    .zip(m.as_mut_slice())
+                    .zip(v.as_mut_slice())
+                    .zip(grad.as_slice())
+                {
+                    let g = clip.map_or(g, |factor| g * factor);
+                    *m = *m * beta1 + g * keep1;
+                    *v = *v * beta2 + (g * g) * keep2;
+                    let m_hat = *m * inv_bias1;
+                    let v_hat = *v * inv_bias2;
+                    *w -= (m_hat / (v_hat.sqrt() + eps)) * lr;
                 }
-            }
-            let idx = self.moments.index_or_insert(p, grad.rows(), grad.cols());
-            let m = self.moments.entries[idx]
-                .1
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1));
-            let v = self.moments.entries[idx]
-                .2
-                .scale(self.beta2)
-                .add(&grad.square().scale(1.0 - self.beta2));
-            self.moments.entries[idx].1 = m.clone();
-            self.moments.entries[idx].2 = v.clone();
-
-            let m_hat = m.scale(1.0 / bias1);
-            let v_hat = v.scale(1.0 / bias2);
-            let denom = v_hat.sqrt().add_scalar(self.eps);
-            let update = m_hat.div(&denom).scale(self.lr);
-            p.update_value(|value, _| value.sub(&update));
-            p.zero_grad();
+            });
         }
     }
 

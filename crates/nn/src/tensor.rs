@@ -337,12 +337,8 @@ impl Tensor {
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
+        let mut out = Tensor::default();
+        crate::kernels::transpose_into(self, &mut out);
         out
     }
 
@@ -350,7 +346,12 @@ impl Tensor {
     // Elementwise binary operations
     // ------------------------------------------------------------------
 
-    fn zip_with(&self, other: &Tensor, op: &'static str, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    pub(crate) fn zip_with(
+        &self,
+        other: &Tensor,
+        op: &'static str,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Tensor {
         assert_eq!(
             self.shape(),
             other.shape(),
@@ -518,16 +519,7 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        // Kahan summation keeps reductions stable for large batches.
-        let mut sum = 0.0f32;
-        let mut c = 0.0f32;
-        for &v in &self.data {
-            let y = v - c;
-            let t = sum + y;
-            c = (t - sum) - y;
-            sum = t;
-        }
-        sum
+        kahan_sum(self.data.iter().copied())
     }
 
     /// Mean of all elements.
@@ -604,7 +596,7 @@ impl Tensor {
 
     /// Frobenius norm (square root of the sum of squares).
     pub fn norm(&self) -> f32 {
-        self.square().sum().sqrt()
+        kahan_sum(self.data.iter().map(|v| v * v)).sqrt()
     }
 
     /// Squared Euclidean distance to another tensor of the same shape.
@@ -626,6 +618,20 @@ impl Tensor {
                 .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tolerance)
     }
+}
+
+/// Kahan-compensated sum, in iteration order (keeps reductions stable for
+/// large batches).
+fn kahan_sum(values: impl Iterator<Item = f32>) -> f32 {
+    let mut sum = 0.0f32;
+    let mut c = 0.0f32;
+    for v in values {
+        let y = v - c;
+        let t = sum + y;
+        c = (t - sum) - y;
+        sum = t;
+    }
+    sum
 }
 
 impl fmt::Debug for Tensor {
