@@ -578,7 +578,7 @@ impl Var {
         let (r, c) = values[self.id].shape();
         grads[self.id] = Some(Tensor::ones(r, c));
 
-        let mut pack = Tensor::default();
+        let mut pack = kernels::TransposePack::default();
         let mut scratch = Tensor::default();
         // Parents are always recorded before their children, so every
         // parent slot lies below `id`.

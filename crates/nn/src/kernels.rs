@@ -505,6 +505,16 @@ pub fn transpose_into(src: &Tensor, out: &mut Tensor) {
     }
 }
 
+/// Reusable scratch for [`matmul_nt_into`] and [`matmul_tn_into`]: the
+/// packed transposed operand and, for narrow outputs, the product computed
+/// in the flipped orientation. Keep one across calls so steady-state
+/// products allocate nothing.
+#[derive(Debug, Default)]
+pub struct TransposePack {
+    operand: Tensor,
+    flipped: Tensor,
+}
+
 /// Which operand of a transposed product is read transposed.
 #[derive(Clone, Copy)]
 enum Transposed {
@@ -514,49 +524,77 @@ enum Transposed {
     B,
 }
 
-/// Packs the transposed operand into `pack`, then runs the plain product.
+/// `out = aᵀ·b` or `a·bᵀ`. The transposed operand is packed, then the plain
+/// product runs. An output narrower than one 16-wide tile (`n < 16`) with
+/// more rows than columns is computed flipped, as `(bᵀ·a)ᵀ` or `(b·aᵀ)ᵀ`,
+/// so the wide side fills the SIMD tiles: each element is the same
+/// `Σ_p fma(x_p, y_p, ·)` with its multiplicands swapped, and `fma` is
+/// commutative in them, so both orientations give the same bits.
 fn transposed_product(
     which: Transposed,
     a: &Tensor,
     b: &Tensor,
-    pack: &mut Tensor,
+    pack: &mut TransposePack,
+    out: &mut Tensor,
+    tiles: Tiles<'_>,
+) {
+    let (m, n) = match which {
+        Transposed::A => (a.cols(), b.cols()),
+        Transposed::B => (a.rows(), b.rows()),
+    };
+    if n < 16 && m > n {
+        let mut flipped = std::mem::take(&mut pack.flipped);
+        product_packed(which, b, a, &mut pack.operand, &mut flipped, tiles);
+        transpose_into(&flipped, out);
+        pack.flipped = flipped;
+    } else {
+        product_packed(which, a, b, &mut pack.operand, out, tiles);
+    }
+}
+
+/// Packs the transposed operand into `operand`, then runs the plain
+/// product.
+fn product_packed(
+    which: Transposed,
+    a: &Tensor,
+    b: &Tensor,
+    operand: &mut Tensor,
     out: &mut Tensor,
     tiles: Tiles<'_>,
 ) {
     match which {
         Transposed::A => {
-            transpose_into(a, pack);
-            product(pack, b, out, tiles);
+            transpose_into(a, operand);
+            product(operand, b, out, tiles);
         }
         Transposed::B => {
-            transpose_into(b, pack);
-            product(a, pack, out, tiles);
+            transpose_into(b, operand);
+            product(a, operand, out, tiles);
         }
     }
 }
 
 /// `out = a × bᵀ` for `a: m×k`, `b: n×k`, written into `out` (resized as
-/// needed). `bᵀ` is packed into `pack`, a scratch buffer callers keep
-/// across calls so steady-state products allocate nothing.
+/// needed), with [`TransposePack`] scratch.
 ///
 /// 0-ULP equal to `matmul_into(a, &b.transpose(), out)`.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.cols()`.
-pub fn matmul_nt_into(a: &Tensor, b: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
+pub fn matmul_nt_into(a: &Tensor, b: &Tensor, pack: &mut TransposePack, out: &mut Tensor) {
     transposed_product(Transposed::B, a, b, pack, out, Tiles::Driver(None));
 }
 
 /// `out = aᵀ × b` for `a: k×m`, `b: k×n`, written into `out` (resized as
-/// needed). `aᵀ` is packed into `pack`, as in [`matmul_nt_into`].
+/// needed), with [`TransposePack`] scratch.
 ///
 /// 0-ULP equal to `matmul_into(&a.transpose(), b, out)`.
 ///
 /// # Panics
 ///
 /// Panics if `a.rows() != b.rows()`.
-pub fn matmul_tn_into(a: &Tensor, b: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
+pub fn matmul_tn_into(a: &Tensor, b: &Tensor, pack: &mut TransposePack, out: &mut Tensor) {
     transposed_product(Transposed::A, a, b, pack, out, Tiles::Driver(None));
 }
 
@@ -934,14 +972,17 @@ mod tests {
         // Output columns 61 = 3×16 + 8 + 4 + 1 and 10 = 8 + 1 + 1 walk
         // every column tile; rows 67 = 16 four-row blocks + a 3-row tail;
         // k = 10 and 64 are the flow's widths. 67×64×61 crosses the pool's
-        // parallel cut-off.
-        let mut pack = Tensor::default();
+        // parallel cut-off. Outputs narrower than 16 columns with more rows
+        // (64×64×10, 67×64×8, 67×10×1) take the flipped orientation.
+        let mut pack = TransposePack::default();
         let mut got = Tensor::default();
         let mut reference = Tensor::default();
         for (m, k, n) in [
             (67, 64, 61),
             (67, 10, 64),
             (64, 64, 10),
+            (67, 64, 8),
+            (67, 10, 1),
             (3, 10, 16),
             (4, 64, 4),
             (1, 10, 1),

@@ -580,9 +580,9 @@ impl Tensor {
     /// Sums each column, producing a `1 × cols` row tensor.
     pub fn sum_cols(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j] += self.data[i * self.cols + j];
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (acc, &v) in out.data.iter_mut().zip(row) {
+                *acc += v;
             }
         }
         out
