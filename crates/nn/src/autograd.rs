@@ -281,11 +281,13 @@ enum Op {
 
 /// The recorded graph, one entry per node in each column. Values and ops
 /// are write-once; gradients live apart so the backward pass can borrow
-/// every value while it writes parent gradients.
+/// every value while it writes parent gradients. A gradient is shared when
+/// a parent's gradient equals its child's (addition) and copied only when
+/// a second contribution is added to it.
 #[derive(Default)]
 struct TapeInner {
     values: Vec<Tensor>,
-    grads: Vec<Option<Tensor>>,
+    grads: Vec<Option<Rc<Tensor>>>,
     ops: Vec<Op>,
 }
 
@@ -388,7 +390,7 @@ impl Var {
     /// Returns the gradient computed for this node by the last
     /// [`Var::backward`] call, if any.
     pub fn grad(&self) -> Option<Tensor> {
-        self.tape.inner.borrow().grads[self.id].clone()
+        self.tape.inner.borrow().grads[self.id].as_deref().cloned()
     }
 
     fn same_tape(&self, other: &Var) {
@@ -576,7 +578,7 @@ impl Var {
         // Reset gradients from any previous backward pass on this tape.
         grads.fill(None);
         let (r, c) = values[self.id].shape();
-        grads[self.id] = Some(Tensor::ones(r, c));
+        grads[self.id] = Some(Rc::new(Tensor::ones(r, c)));
 
         let mut pack = kernels::TransposePack::default();
         let mut scratch = Tensor::default();
@@ -589,7 +591,7 @@ impl Var {
             };
             match &ops[id] {
                 Op::Constant => {}
-                Op::Param(p) => sink(p, grad.clone()),
+                Op::Param(p) => sink(p, Tensor::clone(grad)),
                 Op::Linear {
                     input,
                     weight,
@@ -613,11 +615,11 @@ impl Var {
                     });
                 }
                 Op::Add(a, b) => {
-                    accumulate_map(&mut parents[*a], grad, |g| g);
-                    accumulate_map(&mut parents[*b], grad, |g| g);
+                    accumulate_shared(&mut parents[*a], grad);
+                    accumulate_shared(&mut parents[*b], grad);
                 }
                 Op::Sub(a, b) => {
-                    accumulate_map(&mut parents[*a], grad, |g| g);
+                    accumulate_shared(&mut parents[*a], grad);
                     accumulate_map(&mut parents[*b], grad, |g| -g);
                 }
                 Op::Mul(a, b) => {
@@ -646,7 +648,7 @@ impl Var {
                     accumulate_zip(&mut parents[*a], grad, &values[*a], |g, x| g * (x * 2.0));
                 }
                 Op::Scale(a, f) => accumulate_map(&mut parents[*a], grad, |g| g * f),
-                Op::AddScalar(a) => accumulate_map(&mut parents[*a], grad, |g| g),
+                Op::AddScalar(a) => accumulate_shared(&mut parents[*a], grad),
                 Op::MulConst(a, constant) => {
                     accumulate_zip(&mut parents[*a], grad, constant, |g, k| g * k);
                 }
@@ -664,10 +666,19 @@ impl Var {
     }
 }
 
+/// Routes the contribution `grad` itself into a gradient slot, sharing it
+/// when the slot is empty.
+fn accumulate_shared(slot: &mut Option<Rc<Tensor>>, grad: &Rc<Tensor>) {
+    match slot {
+        Some(existing) => Rc::make_mut(existing).add_assign(grad),
+        None => *slot = Some(Rc::clone(grad)),
+    }
+}
+
 /// Routes the contribution `h(g, aux)` (elementwise over `grad` and `aux`)
 /// into a gradient slot.
 fn accumulate_zip(
-    slot: &mut Option<Tensor>,
+    slot: &mut Option<Rc<Tensor>>,
     grad: &Tensor,
     aux: &Tensor,
     h: impl Fn(f32, f32) -> f32,
@@ -675,6 +686,7 @@ fn accumulate_zip(
     assert_eq!(grad.shape(), aux.shape(), "gradient rule shape mismatch");
     match slot {
         Some(existing) => {
+            let existing = Rc::make_mut(existing);
             assert_eq!(existing.shape(), grad.shape(), "add_assign shape mismatch");
             for ((e, &g), &x) in existing
                 .as_mut_slice()
@@ -685,35 +697,37 @@ fn accumulate_zip(
                 *e += h(g, x);
             }
         }
-        None => *slot = Some(grad.zip_with(aux, "gradient rule", h)),
+        None => *slot = Some(Rc::new(grad.zip_with(aux, "gradient rule", h))),
     }
 }
 
 /// Routes the contribution `h(g)` (elementwise over `grad`) into a gradient
 /// slot.
-fn accumulate_map(slot: &mut Option<Tensor>, grad: &Tensor, h: impl Fn(f32) -> f32) {
+fn accumulate_map(slot: &mut Option<Rc<Tensor>>, grad: &Tensor, h: impl Fn(f32) -> f32) {
     match slot {
         Some(existing) => {
+            let existing = Rc::make_mut(existing);
             assert_eq!(existing.shape(), grad.shape(), "add_assign shape mismatch");
             for (e, &g) in existing.as_mut_slice().iter_mut().zip(grad.as_slice()) {
                 *e += h(g);
             }
         }
-        None => *slot = Some(grad.map(h)),
+        None => *slot = Some(Rc::new(grad.map(h))),
     }
 }
 
 /// Routes a contribution of `value` in every element of a `shape` tensor
 /// into a gradient slot.
-fn accumulate_fill(slot: &mut Option<Tensor>, shape: (usize, usize), value: f32) {
+fn accumulate_fill(slot: &mut Option<Rc<Tensor>>, shape: (usize, usize), value: f32) {
     match slot {
         Some(existing) => {
+            let existing = Rc::make_mut(existing);
             assert_eq!(existing.shape(), shape, "add_assign shape mismatch");
             for e in existing.as_mut_slice() {
                 *e += value;
             }
         }
-        None => *slot = Some(Tensor::full(shape.0, shape.1, value)),
+        None => *slot = Some(Rc::new(Tensor::full(shape.0, shape.1, value))),
     }
 }
 
@@ -721,19 +735,19 @@ fn accumulate_fill(slot: &mut Option<Tensor>, shape: (usize, usize), value: f32)
 /// writes straight into a fresh slot, or into `scratch` that is then added
 /// to an occupied one.
 fn accumulate_product(
-    slot: &mut Option<Tensor>,
+    slot: &mut Option<Rc<Tensor>>,
     scratch: &mut Tensor,
     product: impl FnOnce(&mut Tensor),
 ) {
     match slot {
         Some(existing) => {
             product(scratch);
-            existing.add_assign(scratch);
+            Rc::make_mut(existing).add_assign(scratch);
         }
         None => {
             let mut fresh = Tensor::default();
             product(&mut fresh);
-            *slot = Some(fresh);
+            *slot = Some(Rc::new(fresh));
         }
     }
 }
