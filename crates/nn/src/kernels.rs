@@ -24,11 +24,14 @@
 //! The training backward pass needs the two transposed products of a linear
 //! layer, `G·Wᵀ` and `Xᵀ·G`. [`matmul_nt_into`] (`a·bᵀ`) and
 //! [`matmul_tn_into`] (`aᵀ·b`) serve them on the same driver and tiles:
-//! each copies the transposed operand into a caller-owned pack buffer that
-//! is reused across calls, then runs the ordinary product. The pack moves
-//! values without arithmetic and the product accumulates `p` ascending from
-//! `0.0`, so both are 0-ULP equal to `matmul_into` on a materialised
-//! `transpose()` — only the per-call allocation is gone.
+//! each copies the transposed operand into a caller-owned
+//! [`TransposePack`] that is reused across calls, then runs the ordinary
+//! product. The pack moves values without arithmetic and the product
+//! accumulates `p` ascending from `0.0`, so both are 0-ULP equal to
+//! `matmul_into` on a materialised `transpose()` — only the per-call
+//! allocation is gone. An output narrower than one 16-wide tile is computed
+//! in the flipped orientation and transposed back; `fma(x, y, acc)` equals
+//! `fma(y, x, acc)`, so that changes no bit either.
 
 use crate::pool::ThreadPool;
 use crate::tensor::Tensor;
@@ -542,13 +545,12 @@ fn transposed_product(
         Transposed::A => (a.cols(), b.cols()),
         Transposed::B => (a.rows(), b.rows()),
     };
+    let TransposePack { operand, flipped } = pack;
     if n < 16 && m > n {
-        let mut flipped = std::mem::take(&mut pack.flipped);
-        product_packed(which, b, a, &mut pack.operand, &mut flipped, tiles);
-        transpose_into(&flipped, out);
-        pack.flipped = flipped;
+        product_packed(which, b, a, operand, flipped, tiles);
+        transpose_into(flipped, out);
     } else {
-        product_packed(which, a, b, &mut pack.operand, out, tiles);
+        product_packed(which, a, b, operand, out, tiles);
     }
 }
 
