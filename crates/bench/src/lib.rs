@@ -1,16 +1,19 @@
 //! # passflow-bench
 //!
-//! The benchmark harness of the PassFlow reproduction. Two kinds of targets
-//! live in this crate:
+//! The experiment binaries and serving load generator of the PassFlow
+//! reproduction:
 //!
 //! * **Experiment binaries** (`src/bin/table1.rs` … `src/bin/figure5.rs`,
-//!   plus `all_experiments`): each regenerates one table or figure of the
-//!   paper and writes both the rendered table and a CSV file under
-//!   `target/experiments/`. Run them with
+//!   plus `all_experiments` and `strength_report`): each regenerates one
+//!   table or figure of the paper and writes both the rendered table and a
+//!   CSV file under `target/experiments/`. Run them with
 //!   `cargo run --release -p passflow-bench --bin table2 -- --scale default`.
-//! * **Criterion benches** (`benches/`): micro- and macro-benchmarks of the
-//!   flow's forward/inverse passes, the guessing loop and the ablation
-//!   configurations, run with `cargo bench`.
+//! * **`loadgen`**: the serving load generator and the `PFTRACE`
+//!   synth/record/replay tools.
+//!
+//! Performance is measured by the `perfbench` package at the repository
+//! root, not by this crate:
+//! `cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload <w>`.
 //!
 //! This library provides the small amount of shared plumbing: command-line
 //! scale selection and result emission.

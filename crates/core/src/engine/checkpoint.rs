@@ -348,7 +348,7 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     file_bytes.extend_from_slice(&payload);
     file_bytes.extend_from_slice(&fnv1a(FNV_SEED, &payload).to_le_bytes());
 
-    crate::persist::write_atomic(path, &file_bytes)
+    passflow_store::write_atomic(path, &file_bytes)
         .map_err(|e| persist_err(format!("writing checkpoint {path:?}: {e}")))
 }
 

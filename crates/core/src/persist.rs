@@ -153,7 +153,7 @@ pub fn save_flow(flow: &PassFlow, path: impl AsRef<Path>) -> Result<()> {
     let path = path.as_ref();
     let mut bytes = Vec::new();
     save_flow_to_writer(flow, &mut bytes)?;
-    write_atomic(path, &bytes)
+    passflow_store::write_atomic(path, &bytes)
         .map_err(|e| FlowError::IncompatibleWeights(format!("cannot write weights {path:?}: {e}")))
 }
 
@@ -260,29 +260,9 @@ pub fn save_checkpoint(
     let path = path.as_ref();
     let mut bytes = Vec::new();
     save_checkpoint_to_writer(flow, state, &mut bytes)?;
-    write_atomic(path, &bytes).map_err(|e| {
+    passflow_store::write_atomic(path, &bytes).map_err(|e| {
         FlowError::IncompatibleWeights(format!("cannot write checkpoint {path:?}: {e}"))
     })
-}
-
-/// Replaces `path` with `bytes` atomically: the bytes go to a `<path>.tmp`
-/// sibling, which is synced to disk and then renamed over `path`. On any
-/// error the tmp file is removed and the previous file at `path` is left
-/// as it was.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = fs::File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(bytes)?;
-            file.sync_all()
-        })
-        .and_then(|()| fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
 }
 
 // ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ impl SampleTable {
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         let mut buf = Vec::new();
         self.save_to_writer(&mut buf)?;
-        crate::persist::write_atomic(path.as_ref(), &buf)
+        passflow_store::write_atomic(path.as_ref(), &buf)
             .map_err(|e| FlowError::IncompatibleWeights(format!("write failed: {e}")))
     }
 

@@ -941,10 +941,11 @@ mod tests {
     #[test]
     fn threaded_gemm_is_bit_exact_at_every_thread_count() {
         let mut r = rng();
-        // Shapes chosen to cross the parallel cut-off (the big one) and sit
+        // Shapes chosen to cross the parallel cut-off (the big ones) and sit
         // under it (the small ones, which must still answer correctly
-        // through the pooled entry point).
-        for (m, k, n) in [(128, 64, 48), (37, 5, 9), (256, 33, 17)] {
+        // through the pooled entry point). 256×256×256 is the square shape
+        // CI checks in an optimised build.
+        for (m, k, n) in [(128, 64, 48), (37, 5, 9), (256, 33, 17), (256, 256, 256)] {
             let a = Tensor::randn(m, k, &mut r);
             let b = Tensor::randn(k, n, &mut r);
             let mut serial = Tensor::zeros(0, 0);

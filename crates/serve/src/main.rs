@@ -4,7 +4,7 @@
 //! passflow-serve [--addr 127.0.0.1:8077] [--checkpoint model.pf]
 //!                [--table table.pfs] [--table-samples 2000]
 //!                [--digest breach.pfd]
-//!                [--max-batch 64] [--max-wait-ms 2] [--allow-shutdown]
+//!                [--max-batch 64] [--max-wait-ms 2]
 //!                [--deadline-ms 10000] [--breaker-failures 5]
 //!                [--breaker-cooldown-ms 5000]
 //!                [--lanes N] [--handlers N] [--threads N] [--quantized]
@@ -138,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--quantized" => args.quantized = true,
-            "--allow-shutdown" => {} // accepted for compatibility; always on
             "--until-stdin-eof" => args.until_stdin_eof = true,
             other => return Err(format!("unknown flag {other:?}")),
         }

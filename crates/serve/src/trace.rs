@@ -36,7 +36,7 @@
 //! bodies, and checksum mismatches — a corrupt benchmark input fails
 //! loudly instead of silently measuring the wrong workload.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -294,15 +294,14 @@ impl Trace {
         Ok(Trace { seed, records })
     }
 
-    /// Writes the trace to `path`.
+    /// Writes the trace to `path` atomically: a failed write leaves the
+    /// previous file at `path` intact.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&self.to_bytes())?;
-        file.flush()
+        passflow_store::write_atomic(path, &self.to_bytes())
     }
 
     /// Loads a trace from `path`.

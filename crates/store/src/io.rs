@@ -21,6 +21,9 @@
 //! Fault decisions are a pure function of `(seed, read index)` via a
 //! SplitMix64 stream, so a single-threaded request sequence sees the exact
 //! same faults on every run — the chaos suite's determinism rests on this.
+//!
+//! Small artifacts that are written whole ([`write_atomic`]) replace the
+//! previous file through a synced tmp sibling and a rename.
 
 use std::fmt;
 use std::fs::File;
@@ -171,6 +174,31 @@ pub fn read_exact_at(
         }
     }
     Ok(())
+}
+
+/// Replaces `path` with `bytes` atomically: the bytes go to a `<path>.tmp`
+/// sibling, which is synced to disk and then renamed over `path`. On any
+/// error the tmp file is removed and the previous file at `path` is left
+/// as it was.
+///
+/// # Errors
+///
+/// Propagates the first I/O error from creating, writing, syncing or
+/// renaming the tmp file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let result = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 // ---------------------------------------------------------------------------

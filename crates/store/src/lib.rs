@@ -64,5 +64,7 @@ pub use guess::{
     merge_archives, GuessArchive, GuessArchiveBuilder, GuessArchiveWriter, GuessConfig,
     GuessCursor, GuessStats, GuessStreamReader, GuessStreamWriter, MAX_GUESS_LEN,
 };
-pub use io::{FaultInjector, FaultPlan, FaultyIo, FaultyWrite, FileIo, RetryPolicy, StoreIo};
+pub use io::{
+    write_atomic, FaultInjector, FaultPlan, FaultyIo, FaultyWrite, FileIo, RetryPolicy, StoreIo,
+};
 pub use merge::merge_artifacts;

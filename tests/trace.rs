@@ -48,6 +48,38 @@ fn pftrace_round_trips_byte_identically_through_a_file() {
 }
 
 #[test]
+fn overwriting_a_trace_replaces_the_file_instead_of_rewriting_it() {
+    let dir = std::env::temp_dir();
+    let stem = format!("pftrace-overwrite-{}", std::process::id());
+    let path = dir.join(format!("{stem}.pftrace"));
+    let link = dir.join(format!("{stem}.link"));
+    let tmp = dir.join(format!("{stem}.pftrace.tmp"));
+    let _ = std::fs::remove_file(&link);
+    let old = Trace::synth(1, 300, &TraceSynthProfile::default());
+    let new = Trace::synth(2, 120, &TraceSynthProfile::default());
+    old.write(&path).expect("write first trace");
+    // A second name for the first file: an in-place rewrite would change
+    // what it reads, a replacement through rename leaves it alone.
+    std::fs::hard_link(&path, &link).expect("hard-link the first trace");
+
+    new.write(&path).expect("overwrite trace");
+    assert_eq!(
+        std::fs::read(&path).expect("read overwritten trace"),
+        new.to_bytes(),
+        "the overwritten trace must load back byte-identical"
+    );
+    assert_eq!(Trace::load(&path).expect("load overwritten trace"), new);
+    assert_eq!(
+        std::fs::read(&link).expect("read the first trace's other name"),
+        old.to_bytes(),
+        "the previous file must be replaced, not rewritten in place"
+    );
+    assert!(!tmp.exists(), "no .tmp sibling may be left behind");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&link);
+}
+
+#[test]
 fn seeded_synth_is_reproducible_and_covers_the_endpoint_mix() {
     let profile = TraceSynthProfile::default();
     let a = Trace::synth(2026, 1_000, &profile);
