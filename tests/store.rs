@@ -507,3 +507,96 @@ fn counts_disabled_stores_serve_presence_only() {
     assert_eq!(store.contains_password("hello").unwrap(), Some(1));
     assert_eq!(store.contains_password("absent").unwrap(), None);
 }
+
+/// FNV-1a-64 of a whole file — kept local so the pin does not depend on the
+/// store's own hashing code.
+fn file_fnv(path: &std::path::Path) -> u64 {
+    std::fs::read(path)
+        .unwrap()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Fixed input with repeats (so counts exceed 1) and shared prefixes.
+fn pin_words() -> Vec<String> {
+    (0..40u32)
+        .map(|i| format!("pin{}-{}", i % 17, "x".repeat((i % 5) as usize)))
+        .collect()
+}
+
+#[test]
+fn on_disk_bytes_are_pinned() {
+    let scratch = Scratch::new("pin");
+    let mut digests = Vec::new();
+    for counts in [true, false] {
+        for digest_bytes in [4, 16, 20] {
+            let path = scratch.path(&format!("pin-{digest_bytes}-{counts}.pfd"));
+            let mut builder = DigestStoreBuilder::new(DigestConfig {
+                digest_bytes,
+                counts,
+                records_per_block: 3,
+            })
+            .with_memory_records(7)
+            .with_scratch_dir(&scratch.0);
+            for w in pin_words() {
+                builder.add_password(&w).unwrap();
+            }
+            let stats = builder.finish(&path).unwrap();
+            assert!(stats.block_count > 1, "several blocks");
+            digests.push(file_fnv(&path));
+        }
+    }
+    assert_eq!(
+        digests,
+        [
+            0xe5cc_f56d_f16d_ae6c,
+            0x58f7_9482_1de4_499a,
+            0xf3ef_434b_74cf_58af,
+            0xd0ff_0b8c_1aca_8cd9,
+            0x309b_eddf_0c46_2643,
+            0xac2f_4a3d_3a91_b95a
+        ],
+        "PFDIGEST bytes drifted"
+    );
+
+    let mut guesses = Vec::new();
+    for counts in [true, false] {
+        let path = scratch.path(&format!("pin-{counts}.pfg"));
+        let mut builder = GuessArchiveBuilder::new(GuessConfig {
+            counts,
+            records_per_block: 3,
+        })
+        .with_memory_records(7)
+        .with_scratch_dir(&scratch.0);
+        for (i, w) in pin_words().iter().enumerate() {
+            builder.add_guess(w, i as u64 % 4).unwrap();
+        }
+        let stats = builder.finish(&path).unwrap();
+        assert!(stats.block_count > 1, "several blocks");
+        guesses.push(file_fnv(&path));
+    }
+    assert_eq!(
+        guesses,
+        [0x1939_3d4b_5f8e_b625, 0x380d_2cff_5ce1_1d76],
+        "PFGUESS bytes drifted"
+    );
+
+    let mut words = pin_words();
+    words.sort();
+    words.dedup();
+    let path = scratch.path("pin.stream");
+    let mut stream =
+        passflow::store::GuessStreamWriter::new(std::fs::File::create(&path).unwrap(), true);
+    for (i, w) in words.iter().enumerate() {
+        stream.push(w.as_bytes(), i as u64 * 300).unwrap();
+    }
+    stream.flush().unwrap();
+    drop(stream);
+    assert_eq!(
+        file_fnv(&path),
+        0x56d5_f3d1_92d3_37aa,
+        "guess stream bytes drifted"
+    );
+}
