@@ -2,13 +2,15 @@
 //!
 //! A guess archive is the on-disk form of an attack run's dedup set: every
 //! distinct guess the engine emitted, sorted in byte order, with the number
-//! of times it was produced. Where `PFDIGEST v1` keys records by fixed-width
-//! truncated SHA-1 digests, `PFGUESS v1` keys them by the raw guess bytes —
-//! variable-length, prefix-compressed within blocks, with a trailing index
-//! for seek-free range extraction (the `twobit.rs` idiom: jump to the block
-//! that could hold a prefix, decode forward, stop at the successor key).
+//! of times it was produced. It is the sorted-block container shared with
+//! `PFDIGEST v1` (layout: `sorted.rs`; field spec: DESIGN.md, "Artifact
+//! schemas"), keyed by the raw guess bytes instead of truncated digests:
+//! variable-length keys, prefix-compressed within blocks, with a trailing
+//! index for seek-free range extraction (the `twobit.rs` idiom: jump to the
+//! block that could hold a prefix, decode forward, stop at the successor
+//! key).
 //!
-//! The format shares the `PFDIGEST` discipline exactly:
+//! The container gives the archive the digest store's discipline:
 //!
 //! * records are **strictly ascending**; building is a bounded-memory
 //!   external merge sort ([`GuessArchiveBuilder`]);
@@ -19,27 +21,21 @@
 //! * writes land via a `.tmp` sibling and an atomic rename; a crashed build
 //!   leaves nothing behind.
 //!
-//! The block codec is also exposed as a headerless stream
-//! ([`GuessStreamWriter`] / [`GuessStreamReader`]): spill runs use it, and
-//! `passflow-core` embeds the same stream inside `PFATTACK v1` checkpoints
-//! to persist the engine's dedup-set state compactly.
+//! This module holds what is the archive's own: [`GuessConfig`], which is
+//! also its key codec, guess lookups, prefix extraction, and the headerless
+//! record stream ([`GuessStreamWriter`] / [`GuessStreamReader`]). Builder
+//! spill runs use that stream, and `passflow-core` embeds it inside
+//! `PFATTACK v1` checkpoints to persist the engine's dedup-set state.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, Write};
+use std::path::Path;
 
-use crate::builder::DEFAULT_MEMORY_RECORDS;
-use crate::format::{fnv1a, format_err, read_varint, write_varint, FNV_SEED};
-use crate::format::{Result, StoreError, VerifyReport};
-use crate::io::{read_exact_at, FaultyWrite, FileIo, RetryPolicy, ScratchFile, StoreIo};
-use crate::merge::{merge_keyed, KeyedSource};
+use crate::format::{decode_varint, fnv1a, format_err, read_varint, write_varint, FNV_SEED};
+use crate::format::{Result, StoreError};
+use crate::sorted::{
+    self, KeyCodec, SortedBuilder, SortedCursor, SortedStore, SortedWriter, Stats,
+};
 
-/// Artifact magic: `PFGUESS` + NUL.
-const MAGIC: &[u8; 8] = b"PFGUESS\0";
-/// Format version the code reads and writes.
-const VERSION: u32 = 1;
-/// Fixed header size; blocks start right after it.
-const HEADER_LEN: u64 = 64;
 /// Corruption guard: no sane guess is longer than this.
 pub const MAX_GUESS_LEN: usize = 1 << 16;
 
@@ -77,15 +73,40 @@ impl GuessConfig {
     }
 }
 
-/// Summary of a finished guess archive.
-#[derive(Clone, Copy, Debug)]
-pub struct GuessStats {
-    /// Unique guesses written.
-    pub record_count: u64,
-    /// Blocks written.
-    pub block_count: u64,
-    /// Total artifact size in bytes.
-    pub bytes: u64,
+/// Rejects guesses longer than [`MAX_GUESS_LEN`].
+fn check_guess_len(guess: &[u8]) -> Result<()> {
+    if guess.len() > MAX_GUESS_LEN {
+        return format_err(format!(
+            "guess is {} bytes, limit is {MAX_GUESS_LEN}",
+            guess.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Appends one guess key: `varint(shared)` with `prev` (absent for a
+/// block's first record) · `varint(suffix_len)` · suffix.
+fn encode_guess(prev: Option<&[u8]>, guess: &[u8], out: &mut Vec<u8>) {
+    let shared = prev.map_or(0, |prev| {
+        let shared = prev.iter().zip(guess).take_while(|(a, b)| a == b).count();
+        write_varint(out, shared as u64);
+        shared
+    });
+    write_varint(out, (guess.len() - shared) as u64);
+    out.extend_from_slice(&guess[shared..]);
+}
+
+/// Rejects a record whose shared prefix and suffix do not fit.
+fn check_record_shape(shared: usize, prev_len: usize, suffix_len: u64) -> Result<usize> {
+    if shared > prev_len {
+        return format_err("shared prefix longer than the previous guess");
+    }
+    match usize::try_from(suffix_len) {
+        Ok(len) if len <= MAX_GUESS_LEN - shared => Ok(len),
+        _ => format_err(format!(
+            "guess longer than the {MAX_GUESS_LEN}-byte limit (corrupted?)"
+        )),
+    }
 }
 
 /// Folds one served record into the running checksum. The length is hashed
@@ -96,11 +117,6 @@ fn checksum_guess(hash: u64, guess: &[u8], count: u64) -> u64 {
     fnv1a(fnv1a(h, guess), &count.to_le_bytes())
 }
 
-/// Shared prefix length of two byte strings.
-fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
-}
-
 // ---------------------------------------------------------------------------
 // Headerless record stream (spill runs, PFATTACK embedding)
 // ---------------------------------------------------------------------------
@@ -108,13 +124,12 @@ fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
 /// Writes the `PFGUESS` record codec as a headerless continuous stream:
 /// every record is `varint(shared) · varint(suffix_len) · suffix`
 /// (`· varint(count)` when counts are on), prefix-compressed against its
-/// predecessor. Spill runs and the dedup-set section of `PFATTACK v1`
-/// checkpoints are exactly this stream.
+/// predecessor. Builder spill runs and the dedup-set section of
+/// `PFATTACK v1` checkpoints are exactly this stream.
 pub struct GuessStreamWriter<W: Write> {
     out: W,
     counts: bool,
     prev: Vec<u8>,
-    started: bool,
     records: u64,
     checksum: u64,
     scratch: Vec<u8>,
@@ -127,7 +142,6 @@ impl<W: Write> GuessStreamWriter<W> {
             out,
             counts,
             prev: Vec::new(),
-            started: false,
             records: 0,
             checksum: FNV_SEED,
             scratch: Vec::new(),
@@ -141,28 +155,17 @@ impl<W: Write> GuessStreamWriter<W> {
     /// Rejects records not strictly greater than their predecessor,
     /// over-long guesses, and I/O failures.
     pub fn push(&mut self, guess: &[u8], count: u64) -> Result<()> {
-        if guess.len() > MAX_GUESS_LEN {
-            return format_err(format!(
-                "guess is {} bytes, limit is {MAX_GUESS_LEN}",
-                guess.len()
-            ));
-        }
-        if self.started && guess <= self.prev.as_slice() {
+        check_guess_len(guess)?;
+        if self.records > 0 && guess <= self.prev.as_slice() {
             return format_err(format!(
                 "records must be strictly ascending ({guess:?} after {:?})",
                 self.prev
             ));
         }
-        let shared = if self.started {
-            shared_prefix(guess, &self.prev)
-        } else {
-            0
-        };
         let served = if self.counts { count.max(1) } else { 1 };
         self.scratch.clear();
-        write_varint(&mut self.scratch, shared as u64);
-        write_varint(&mut self.scratch, (guess.len() - shared) as u64);
-        self.scratch.extend_from_slice(&guess[shared..]);
+        // Every stream record carries its shared length, the first one 0.
+        encode_guess(Some(&self.prev), guess, &mut self.scratch);
         if self.counts {
             write_varint(&mut self.scratch, served);
         }
@@ -170,7 +173,6 @@ impl<W: Write> GuessStreamWriter<W> {
         self.checksum = checksum_guess(self.checksum, guess, served);
         self.prev.clear();
         self.prev.extend_from_slice(guess);
-        self.started = true;
         self.records += 1;
         Ok(())
     }
@@ -233,33 +235,10 @@ impl<R: BufRead> GuessStreamReader<R> {
         }
     }
 
-    /// A varint whose *first* byte may hit EOF (record boundary).
-    fn read_varint_opt(&mut self) -> Result<Option<u64>> {
-        let Some(first) = self.read_byte()? else {
-            return Ok(None);
-        };
-        let mut v = u64::from(first & 0x7f);
-        if first & 0x80 == 0 {
-            return Ok(Some(v));
-        }
-        for shift in (7..64).step_by(7) {
-            let Some(byte) = self.read_byte()? else {
-                return format_err("truncated varint in guess stream");
-            };
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(Some(v));
-            }
-        }
-        format_err("varint longer than 64 bits in guess stream")
-    }
-
-    /// A varint that must be present.
+    /// A varint inside a record, where EOF is corruption.
     fn read_varint(&mut self) -> Result<u64> {
-        match self.read_varint_opt()? {
-            Some(v) => Ok(v),
-            None => format_err("unexpected EOF inside a guess record"),
-        }
+        decode_varint(|| self.read_byte())?
+            .ok_or_else(|| StoreError::Format("unexpected EOF inside a guess record".to_string()))
     }
 
     /// The next record, or `None` at a clean end of stream.
@@ -269,19 +248,13 @@ impl<R: BufRead> GuessStreamReader<R> {
     /// I/O failures and structural corruption (truncated records, shared
     /// prefixes longer than the predecessor, over-long guesses).
     pub fn next_guess(&mut self) -> Result<Option<(Vec<u8>, u64)>> {
-        let Some(shared) = self.read_varint_opt()? else {
+        // Only the first varint of a record may meet a clean EOF.
+        let Some(shared) = decode_varint(|| self.read_byte())? else {
             return Ok(None);
         };
-        let shared = shared as usize;
-        let suffix_len = self.read_varint()? as usize;
-        if shared > self.prev.len() {
-            return format_err("shared prefix longer than the previous guess");
-        }
-        if shared + suffix_len > MAX_GUESS_LEN {
-            return format_err(format!(
-                "guess longer than the {MAX_GUESS_LEN}-byte limit (corrupted stream?)"
-            ));
-        }
+        let shared = usize::try_from(shared).unwrap_or(usize::MAX);
+        let suffix_len = self.read_varint()?;
+        let suffix_len = check_record_shape(shared, self.prev.len(), suffix_len)?;
         self.prev.truncate(shared);
         self.prev.resize(shared + suffix_len, 0);
         let mut done = 0usize;
@@ -311,170 +284,125 @@ impl<R: BufRead> GuessStreamReader<R> {
 }
 
 // ---------------------------------------------------------------------------
-// Header + index
+// The guess key codec
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
-struct Header {
-    config: GuessConfig,
-    record_count: u64,
-    block_count: u64,
-    index_offset: u64,
-    checksum: u64,
-}
+impl KeyCodec for GuessConfig {
+    type Key = Vec<u8>;
+    const MAGIC: &'static [u8; 8] = b"PFGUESS\0";
+    const NAME: &'static str = "PFGUESS";
+    const RUN_PREFIX: &'static str = "pfguess";
 
-impl Header {
-    fn encode(&self) -> [u8; HEADER_LEN as usize] {
-        let mut out = [0u8; HEADER_LEN as usize];
-        out[..8].copy_from_slice(MAGIC);
-        out[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        out[12] = u8::from(self.config.counts);
-        out[16..20].copy_from_slice(&(self.config.records_per_block as u32).to_le_bytes());
-        out[24..32].copy_from_slice(&self.record_count.to_le_bytes());
-        out[32..40].copy_from_slice(&self.block_count.to_le_bytes());
-        out[40..48].copy_from_slice(&self.index_offset.to_le_bytes());
-        out[48..56].copy_from_slice(&self.checksum.to_le_bytes());
-        out
+    fn counts(&self) -> bool {
+        self.counts
     }
 
-    fn decode(raw: &[u8]) -> Result<Header> {
-        if raw.len() < HEADER_LEN as usize {
-            return format_err("file shorter than the PFGUESS header");
-        }
-        if &raw[..8] != MAGIC {
-            return format_err("bad magic (not a PFGUESS archive)");
-        }
-        let version = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return format_err(format!("unsupported PFGUESS version {version}"));
-        }
+    fn records_per_block(&self) -> usize {
+        self.records_per_block
+    }
+
+    fn check(&self) -> Result<()> {
+        self.validate()
+    }
+
+    fn flags(&self) -> [u8; 4] {
+        [u8::from(self.counts), 0, 0, 0]
+    }
+
+    fn from_header(flags: [u8; 4], records_per_block: usize) -> Result<Self> {
         let config = GuessConfig {
-            counts: match raw[12] {
+            counts: match flags[0] {
                 0 => false,
                 1 => true,
                 other => return format_err(format!("bad counts flag {other}")),
             },
-            records_per_block: u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"))
-                as usize,
+            records_per_block,
         };
         config.validate()?;
-        Ok(Header {
-            config,
-            record_count: u64::from_le_bytes(raw[24..32].try_into().expect("8 bytes")),
-            block_count: u64::from_le_bytes(raw[32..40].try_into().expect("8 bytes")),
-            index_offset: u64::from_le_bytes(raw[40..48].try_into().expect("8 bytes")),
-            checksum: u64::from_le_bytes(raw[48..56].try_into().expect("8 bytes")),
-        })
-    }
-}
-
-/// One block's entry in the in-memory index. Unlike `PFDIGEST` entries the
-/// first key is variable-length, so entries are decoded sequentially.
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    /// First guess in the block.
-    first: Vec<u8>,
-    /// Absolute file offset of the encoded block.
-    offset: u64,
-    /// Encoded byte length of the block.
-    len: u32,
-    /// Records in the block.
-    records: u32,
-}
-
-impl IndexEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.first.len() as u64);
-        out.extend_from_slice(&self.first);
-        out.extend_from_slice(&self.offset.to_le_bytes());
-        out.extend_from_slice(&self.len.to_le_bytes());
-        out.extend_from_slice(&self.records.to_le_bytes());
+        Ok(config)
     }
 
-    fn decode(raw: &[u8], pos: &mut usize) -> Result<IndexEntry> {
-        let first_len = read_varint(raw, pos)? as usize;
-        if first_len > MAX_GUESS_LEN {
-            return format_err("index first-key longer than the guess limit");
-        }
-        let Some(first) = raw.get(*pos..*pos + first_len) else {
+    fn key_bytes<'k>(&self, key: &'k Vec<u8>) -> &'k [u8] {
+        key
+    }
+
+    fn key_from_vec(&self, bytes: Vec<u8>) -> Vec<u8> {
+        bytes
+    }
+
+    fn word_key(&self, word: &str) -> Result<Vec<u8>> {
+        check_guess_len(word.as_bytes())?;
+        Ok(word.as_bytes().to_vec())
+    }
+
+    fn encode_key(&self, prev: Option<&[u8]>, key: &[u8], out: &mut Vec<u8>) {
+        encode_guess(prev, key, out);
+    }
+
+    fn decode_key(
+        &self,
+        raw: &[u8],
+        pos: &mut usize,
+        first: bool,
+        key: &mut Vec<u8>,
+    ) -> Result<()> {
+        let shared = if first {
+            0
+        } else {
+            usize::try_from(read_varint(raw, pos)?).unwrap_or(usize::MAX)
+        };
+        let suffix_len = read_varint(raw, pos)?;
+        let suffix_len = check_record_shape(shared, key.len(), suffix_len)?;
+        let Some(suffix) = raw.get(*pos..*pos + suffix_len) else {
+            return format_err("truncated record suffix in block");
+        };
+        key.truncate(shared);
+        key.extend_from_slice(suffix);
+        *pos += suffix_len;
+        Ok(())
+    }
+
+    fn encode_index_key(&self, key: &[u8], out: &mut Vec<u8>) {
+        write_varint(out, key.len() as u64);
+        out.extend_from_slice(key);
+    }
+
+    fn decode_index_key(&self, raw: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
+        let len = check_record_shape(0, 0, read_varint(raw, pos)?)?;
+        let Some(first) = raw.get(*pos..*pos + len) else {
             return format_err("truncated index first-key");
         };
-        let first = first.to_vec();
-        *pos += first_len;
-        let Some(fixed) = raw.get(*pos..*pos + 16) else {
-            return format_err("truncated index entry");
-        };
-        let entry = IndexEntry {
-            first,
-            offset: u64::from_le_bytes(fixed[..8].try_into().expect("8 bytes")),
-            len: u32::from_le_bytes(fixed[8..12].try_into().expect("4 bytes")),
-            records: u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes")),
-        };
-        *pos += 16;
-        Ok(entry)
+        *pos += len;
+        Ok(first.to_vec())
+    }
+
+    fn checksum(hash: u64, key: &[u8], count: u64) -> u64 {
+        checksum_guess(hash, key, count)
+    }
+
+    fn show(key: &[u8]) -> String {
+        format!("{:?}", String::from_utf8_lossy(key))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
+/// Summary of a finished guess archive.
+pub type GuessStats = Stats;
 
-/// Streams a **strictly ascending** guess sequence into an archive.
-///
-/// Mirrors [`crate::format::ArtifactWriter`]: blocks are encoded as records
-/// arrive, the index accumulates in memory, and [`finish`](Self::finish)
-/// appends the index, patches the header and atomically renames a `.tmp`
-/// sibling over the target path.
-pub struct GuessArchiveWriter {
-    file: BufWriter<File>,
-    config: GuessConfig,
-    block: Vec<u8>,
-    block_first: Vec<u8>,
-    block_records: u32,
-    prev: Vec<u8>,
-    started: bool,
-    index: Vec<IndexEntry>,
-    offset: u64,
-    record_count: u64,
-    checksum: u64,
-    tmp_path: PathBuf,
-    final_path: PathBuf,
-    finished: bool,
-}
+/// Streams a **strictly ascending** guess sequence into a `PFGUESS v1`
+/// archive, committed atomically by `finish`.
+pub type GuessArchiveWriter = SortedWriter<GuessConfig>;
+
+/// An open, random-access `PFGUESS v1` archive.
+pub type GuessArchive = SortedStore<GuessConfig>;
+
+/// Streaming, block-at-a-time iteration over a guess archive.
+pub type GuessCursor<'a> = SortedCursor<'a, GuessConfig>;
+
+/// Bounded-memory streaming construction of `PFGUESS v1` archives (the
+/// digest store's external merge sort over guess keys).
+pub type GuessArchiveBuilder = SortedBuilder<GuessConfig>;
 
 impl GuessArchiveWriter {
-    /// Opens a writer targeting `path` (written via a `.tmp` sibling).
-    ///
-    /// # Errors
-    ///
-    /// Invalid config or file-creation failures.
-    pub fn create(path: impl AsRef<Path>, config: GuessConfig) -> Result<GuessArchiveWriter> {
-        config.validate()?;
-        let final_path = path.as_ref().to_path_buf();
-        let mut tmp_os = final_path.clone().into_os_string();
-        tmp_os.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_os);
-        let mut file = BufWriter::new(File::create(&tmp_path)?);
-        // Placeholder header; patched in finish() once totals are known.
-        file.write_all(&[0u8; HEADER_LEN as usize])?;
-        Ok(GuessArchiveWriter {
-            file,
-            config,
-            block: Vec::new(),
-            block_first: Vec::new(),
-            block_records: 0,
-            prev: Vec::new(),
-            started: false,
-            index: Vec::new(),
-            offset: HEADER_LEN,
-            record_count: 0,
-            checksum: FNV_SEED,
-            tmp_path,
-            final_path,
-            finished: false,
-        })
-    }
-
     /// Appends one guess. A zero `count` is stored as 1.
     ///
     /// # Errors
@@ -485,336 +413,18 @@ impl GuessArchiveWriter {
         self.push_bytes(guess.as_bytes(), count)
     }
 
-    /// Appends one record keyed by raw bytes (the merge-path entry point).
+    /// Appends one record keyed by raw bytes.
     ///
     /// # Errors
     ///
     /// As [`push`](Self::push).
     pub fn push_bytes(&mut self, guess: &[u8], count: u64) -> Result<()> {
-        if guess.len() > MAX_GUESS_LEN {
-            return format_err(format!(
-                "guess is {} bytes, limit is {MAX_GUESS_LEN}",
-                guess.len()
-            ));
-        }
-        if self.started && guess <= self.prev.as_slice() {
-            return format_err(format!(
-                "records must be strictly ascending ({guess:?} after {:?})",
-                self.prev
-            ));
-        }
-        let served = if self.config.counts { count.max(1) } else { 1 };
-
-        if self.block_records == 0 {
-            self.block_first.clear();
-            self.block_first.extend_from_slice(guess);
-            write_varint(&mut self.block, guess.len() as u64);
-            self.block.extend_from_slice(guess);
-        } else {
-            let shared = shared_prefix(guess, &self.prev);
-            write_varint(&mut self.block, shared as u64);
-            write_varint(&mut self.block, (guess.len() - shared) as u64);
-            self.block.extend_from_slice(&guess[shared..]);
-        }
-        if self.config.counts {
-            write_varint(&mut self.block, served);
-        }
-        self.checksum = checksum_guess(self.checksum, guess, served);
-        self.prev.clear();
-        self.prev.extend_from_slice(guess);
-        self.started = true;
-        self.block_records += 1;
-        self.record_count += 1;
-        if self.block_records as usize == self.config.records_per_block {
-            self.flush_block()?;
-        }
-        Ok(())
-    }
-
-    fn flush_block(&mut self) -> Result<()> {
-        if self.block_records == 0 {
-            return Ok(());
-        }
-        self.index.push(IndexEntry {
-            first: self.block_first.clone(),
-            offset: self.offset,
-            len: self.block.len() as u32,
-            records: self.block_records,
-        });
-        self.file.write_all(&self.block)?;
-        self.offset += self.block.len() as u64;
-        self.block.clear();
-        self.block_records = 0;
-        Ok(())
-    }
-
-    /// Flushes the final block, writes the index, patches the header and
-    /// renames the archive into place.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures; the `.tmp` file is removed on drop if this fails.
-    pub fn finish(mut self) -> Result<GuessStats> {
-        self.flush_block()?;
-        let index_offset = self.offset;
-        let mut encoded = Vec::new();
-        for entry in &self.index {
-            entry.encode(&mut encoded);
-        }
-        self.file.write_all(&encoded)?;
-
-        let header = Header {
-            config: self.config,
-            record_count: self.record_count,
-            block_count: self.index.len() as u64,
-            index_offset,
-            checksum: self.checksum,
-        };
-        self.file.flush()?;
-        let file = self.file.get_mut();
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header.encode())?;
-        file.sync_all()?;
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
-        self.finished = true;
-        Ok(GuessStats {
-            record_count: header.record_count,
-            block_count: header.block_count,
-            bytes: index_offset + encoded.len() as u64,
-        })
-    }
-}
-
-impl Drop for GuessArchiveWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = std::fs::remove_file(&self.tmp_path);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-/// An open, random-access `PFGUESS v1` archive.
-///
-/// The block index lives in memory; record data is read positionally per
-/// query through the same pluggable [`StoreIo`] / bounded-retry discipline
-/// as [`crate::DigestStore`].
-pub struct GuessArchive {
-    io: Box<dyn StoreIo>,
-    retry: RetryPolicy,
-    config: GuessConfig,
-    record_count: u64,
-    checksum: u64,
-    index: Vec<IndexEntry>,
-    file_len: u64,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for GuessArchive {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GuessArchive")
-            .field("path", &self.path)
-            .field("records", &self.record_count)
-            .field("blocks", &self.index.len())
-            .field("config", &self.config)
-            .finish()
+        check_guess_len(guess)?;
+        self.push_key(guess, count)
     }
 }
 
 impl GuessArchive {
-    /// Opens an archive, validating the header and loading the index.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or [`StoreError::Format`] for anything structurally
-    /// wrong: bad magic/version/config, truncated file, index out of
-    /// bounds or out of order, record counts that do not add up.
-    pub fn open(path: impl AsRef<Path>) -> Result<GuessArchive> {
-        let io = FileIo::open(path.as_ref())?;
-        GuessArchive::open_with_io(path, Box::new(io))
-    }
-
-    /// Opens an archive through a caller-supplied [`StoreIo`] — the chaos
-    /// seam, exactly as [`crate::DigestStore::open_with_io`].
-    ///
-    /// # Errors
-    ///
-    /// As [`GuessArchive::open`], plus [`StoreError::Unavailable`] when the
-    /// supplied io cannot complete the header/index reads.
-    pub fn open_with_io(path: impl AsRef<Path>, io: Box<dyn StoreIo>) -> Result<GuessArchive> {
-        let path = path.as_ref().to_path_buf();
-        let retry = RetryPolicy::default();
-        let file_len = io.byte_len().map_err(|error| StoreError::Unavailable {
-            context: "reading archive length".to_string(),
-            error,
-        })?;
-        if file_len < HEADER_LEN {
-            return format_err("file shorter than the PFGUESS header");
-        }
-        let mut raw_header = [0u8; HEADER_LEN as usize];
-        read_exact_at(io.as_ref(), &mut raw_header, 0, &retry).map_err(|error| {
-            StoreError::Unavailable {
-                context: "reading the PFGUESS header".to_string(),
-                error,
-            }
-        })?;
-        let header = Header::decode(&raw_header)?;
-
-        if header.index_offset < HEADER_LEN || header.index_offset > file_len {
-            return format_err("index offset outside the file (truncated?)");
-        }
-        let index_len = file_len - header.index_offset;
-        let mut raw_index = vec![0u8; index_len as usize];
-        read_exact_at(io.as_ref(), &mut raw_index, header.index_offset, &retry).map_err(
-            |error| StoreError::Unavailable {
-                context: "reading the block index".to_string(),
-                error,
-            },
-        )?;
-
-        let mut index = Vec::with_capacity(header.block_count as usize);
-        let mut total_records = 0u64;
-        let mut end_of_prev = HEADER_LEN;
-        let mut pos = 0usize;
-        for _ in 0..header.block_count {
-            let entry = IndexEntry::decode(&raw_index, &mut pos)?;
-            if entry.offset != end_of_prev {
-                return format_err("block offsets are not contiguous");
-            }
-            end_of_prev = entry.offset + u64::from(entry.len);
-            if end_of_prev > header.index_offset {
-                return format_err("block extends past the index");
-            }
-            if entry.records == 0 || entry.records as usize > header.config.records_per_block {
-                return format_err("block record count out of range");
-            }
-            if let Some(last) = index.last() {
-                let last: &IndexEntry = last;
-                if entry.first <= last.first {
-                    return format_err("index first-guesses are not ascending");
-                }
-            }
-            total_records += u64::from(entry.records);
-            index.push(entry);
-        }
-        if pos != raw_index.len() {
-            return format_err("trailing bytes after the last index entry");
-        }
-        if end_of_prev != header.index_offset {
-            return format_err("gap between the last block and the index");
-        }
-        if total_records != header.record_count {
-            return format_err("index record counts disagree with the header");
-        }
-
-        Ok(GuessArchive {
-            io,
-            retry,
-            config: header.config,
-            record_count: header.record_count,
-            checksum: header.checksum,
-            index,
-            file_len,
-            path,
-        })
-    }
-
-    /// The archive's configuration.
-    pub fn config(&self) -> GuessConfig {
-        self.config
-    }
-
-    /// Unique guesses stored.
-    pub fn record_count(&self) -> u64 {
-        self.record_count
-    }
-
-    /// Number of compressed blocks.
-    pub fn block_count(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Total archive size in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.file_len
-    }
-
-    /// The path the archive was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Positioned read with bounded retry; failures surface as
-    /// [`StoreError::Unavailable`].
-    fn read_at(&self, buf: &mut [u8], offset: u64, context: &str) -> Result<()> {
-        read_exact_at(self.io.as_ref(), buf, offset, &self.retry).map_err(|error| {
-            StoreError::Unavailable {
-                context: context.to_string(),
-                error,
-            }
-        })
-    }
-
-    /// Reads and decodes block `i` into `out` (cleared first).
-    fn decode_block_into(&self, i: usize, out: &mut Vec<(Vec<u8>, u64)>) -> Result<()> {
-        let entry = &self.index[i];
-        let mut raw = vec![0u8; entry.len as usize];
-        self.read_at(&mut raw, entry.offset, "reading a guess block")?;
-        out.clear();
-        let mut prev: Vec<u8> = Vec::new();
-        let mut pos = 0usize;
-        for r in 0..entry.records {
-            if r == 0 {
-                let len = read_varint(&raw, &mut pos)? as usize;
-                if len > MAX_GUESS_LEN {
-                    return format_err("first record longer than the guess limit");
-                }
-                let Some(bytes) = raw.get(pos..pos + len) else {
-                    return format_err("block too short for its first record");
-                };
-                prev = bytes.to_vec();
-                pos += len;
-            } else {
-                let shared = read_varint(&raw, &mut pos)? as usize;
-                let suffix_len = read_varint(&raw, &mut pos)? as usize;
-                if shared > prev.len() {
-                    return format_err("shared prefix longer than the previous guess");
-                }
-                if shared + suffix_len > MAX_GUESS_LEN {
-                    return format_err("record longer than the guess limit");
-                }
-                let Some(suffix) = raw.get(pos..pos + suffix_len) else {
-                    return format_err("truncated record suffix in block");
-                };
-                prev.truncate(shared);
-                prev.extend_from_slice(suffix);
-                pos += suffix_len;
-            }
-            let count = if self.config.counts {
-                read_varint(&raw, &mut pos)?
-            } else {
-                1
-            };
-            out.push((prev.clone(), count));
-        }
-        if pos != raw.len() {
-            return format_err("trailing bytes after the last record in a block");
-        }
-        if out.first().map(|(g, _)| g.as_slice()) != Some(entry.first.as_slice()) {
-            return format_err("block's first record disagrees with the index");
-        }
-        Ok(())
-    }
-
-    /// Index of the block that could contain `key`, if any.
-    fn block_for(&self, key: &[u8]) -> Option<usize> {
-        let n = self.index.partition_point(|e| e.first.as_slice() <= key);
-        n.checked_sub(1)
-    }
-
     /// Looks up one guess; returns its emission count, or `None` if absent.
     /// Counts are 1 for membership-only archives.
     ///
@@ -822,16 +432,7 @@ impl GuessArchive {
     ///
     /// I/O or block-decoding failures.
     pub fn contains(&self, guess: &str) -> Result<Option<u64>> {
-        let key = guess.as_bytes();
-        let Some(block) = self.block_for(key) else {
-            return Ok(None);
-        };
-        let mut records = Vec::with_capacity(self.config.records_per_block);
-        self.decode_block_into(block, &mut records)?;
-        Ok(records
-            .binary_search_by(|(g, _)| g.as_slice().cmp(key))
-            .ok()
-            .map(|i| records[i].1))
+        self.lookup(&guess.as_bytes().to_vec())
     }
 
     /// Range extraction: every stored guess starting with `prefix`, in
@@ -845,79 +446,20 @@ impl GuessArchive {
     /// I/O or block-decoding failures, or non-UTF-8 record bytes
     /// (corruption: the writer only accepts strings).
     pub fn extract_prefix(&self, prefix: &str) -> Result<Vec<(String, u64)>> {
-        let lo = prefix.as_bytes();
-        let hi = prefix_successor(lo);
+        let lo = prefix.as_bytes().to_vec();
+        let hi = prefix_successor(&lo);
         let mut out = Vec::new();
-        let start = self.block_for(lo).unwrap_or(0);
-        let mut records = Vec::with_capacity(self.config.records_per_block);
-        for i in start..self.index.len() {
-            if let Some(hi) = &hi {
-                if self.index[i].first.as_slice() >= hi.as_slice() {
-                    break;
-                }
-            }
-            self.decode_block_into(i, &mut records)?;
-            for (guess, count) in &records {
-                if guess.as_slice() < lo {
-                    continue;
-                }
-                if !guess.starts_with(lo) {
-                    break;
-                }
+        self.scan(
+            &lo,
+            |guess| hi.as_ref().is_some_and(|hi| guess >= hi),
+            |guess, count| {
                 let guess = String::from_utf8(guess.clone())
                     .map_err(|_| StoreError::Format("non-UTF-8 guess record".to_string()))?;
-                out.push((guess, *count));
-            }
-        }
+                out.push((guess, count));
+                Ok(())
+            },
+        )?;
         Ok(out)
-    }
-
-    /// A streaming cursor over every record in ascending order.
-    pub fn records(&self) -> GuessCursor<'_> {
-        GuessCursor {
-            archive: self,
-            block: 0,
-            pos: 0,
-            records: Vec::new(),
-        }
-    }
-
-    /// Fully decodes the archive, checking sort order, per-block structure
-    /// and the header checksum — the deep integrity pass behind
-    /// `guess_archive verify`.
-    ///
-    /// # Errors
-    ///
-    /// The first structural violation found.
-    pub fn verify(&self) -> Result<VerifyReport> {
-        let mut cursor = self.records();
-        let mut checksum = FNV_SEED;
-        let mut count = 0u64;
-        let mut prev: Option<Vec<u8>> = None;
-        while let Some((guess, record_count)) = cursor.next_record()? {
-            if let Some(p) = &prev {
-                if guess.as_slice() <= p.as_slice() {
-                    return format_err("records are not strictly ascending across blocks");
-                }
-            }
-            checksum = checksum_guess(checksum, &guess, record_count);
-            prev = Some(guess);
-            count += 1;
-        }
-        if count != self.record_count {
-            return format_err(format!(
-                "decoded {count} records, header claims {}",
-                self.record_count
-            ));
-        }
-        if checksum != self.checksum {
-            return format_err("record checksum mismatch (archive corrupted)");
-        }
-        Ok(VerifyReport {
-            record_count: count,
-            block_count: self.index.len() as u64,
-            checksum,
-        })
     }
 }
 
@@ -936,248 +478,17 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     None
 }
 
-/// Streaming, block-at-a-time record iteration (used by merge and verify).
-pub struct GuessCursor<'a> {
-    archive: &'a GuessArchive,
-    block: usize,
-    pos: usize,
-    records: Vec<(Vec<u8>, u64)>,
-}
-
-impl GuessCursor<'_> {
-    /// The next record in ascending byte order, or `None` at the end.
-    ///
-    /// # Errors
-    ///
-    /// I/O or block-decoding failures.
-    pub fn next_record(&mut self) -> Result<Option<(Vec<u8>, u64)>> {
-        loop {
-            if self.pos < self.records.len() {
-                let record = self.records[self.pos].clone();
-                self.pos += 1;
-                return Ok(Some(record));
-            }
-            if self.block >= self.archive.block_count() {
-                return Ok(None);
-            }
-            self.archive
-                .decode_block_into(self.block, &mut self.records)?;
-            self.block += 1;
-            self.pos = 0;
-        }
-    }
-}
-
-impl KeyedSource<Vec<u8>> for GuessCursor<'_> {
-    fn next_record(&mut self) -> Result<Option<(Vec<u8>, u64)>> {
-        GuessCursor::next_record(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Builder (external merge sort, shared skeleton with DigestStoreBuilder)
-// ---------------------------------------------------------------------------
-
-/// Bounded-memory streaming construction of `PFGUESS v1` archives: the
-/// [`crate::DigestStoreBuilder`] external-merge-sort skeleton over
-/// variable-length guess keys. Spill runs are [`GuessStreamWriter`] streams
-/// behind `ScratchFile` drop-guards, so scratch state never outlives the
-/// builder — even when a spill or the final k-way merge fails.
-pub struct GuessArchiveBuilder {
-    config: GuessConfig,
-    memory_records: usize,
-    scratch_dir: PathBuf,
-    buffer: Vec<(Vec<u8>, u64)>,
-    runs: Vec<ScratchFile>,
-    ingested: u64,
-    /// Chaos seam: `(nth_spill, byte_budget)`, as
-    /// [`crate::DigestStoreBuilder::with_injected_spill_fault`].
-    spill_fault: Option<(u64, u64)>,
-    spills: u64,
-}
-
 impl GuessArchiveBuilder {
-    /// Creates a builder; scratch runs default to [`std::env::temp_dir`].
-    pub fn new(config: GuessConfig) -> GuessArchiveBuilder {
-        GuessArchiveBuilder {
-            config,
-            memory_records: DEFAULT_MEMORY_RECORDS,
-            scratch_dir: std::env::temp_dir(),
-            buffer: Vec::new(),
-            runs: Vec::new(),
-            ingested: 0,
-            spill_fault: None,
-            spills: 0,
-        }
-    }
-
-    /// Caps in-memory buffered records before a sorted run is spilled.
-    #[must_use]
-    pub fn with_memory_records(mut self, n: usize) -> GuessArchiveBuilder {
-        self.memory_records = n.max(1);
-        self
-    }
-
-    /// Directory for spilled sorted runs (must exist and be writable).
-    #[must_use]
-    pub fn with_scratch_dir(mut self, dir: impl Into<PathBuf>) -> GuessArchiveBuilder {
-        self.scratch_dir = dir.into();
-        self
-    }
-
-    /// Chaos seam: make the `nth` spill (0-based) fail after `byte_budget`
-    /// bytes.
-    #[must_use]
-    pub fn with_injected_spill_fault(mut self, nth: u64, byte_budget: u64) -> GuessArchiveBuilder {
-        self.spill_fault = Some((nth, byte_budget));
-        self
-    }
-
-    /// Records ingested so far (pre-dedup).
-    pub fn ingested(&self) -> u64 {
-        self.ingested
-    }
-
     /// Ingests one guess with an emission count; duplicates accumulate.
     ///
     /// # Errors
     ///
     /// Spill I/O failures, or an over-long guess.
     pub fn add_guess(&mut self, guess: &str, count: u64) -> Result<()> {
-        if guess.len() > MAX_GUESS_LEN {
-            return format_err(format!(
-                "guess is {} bytes, limit is {MAX_GUESS_LEN}",
-                guess.len()
-            ));
-        }
-        self.buffer.push((guess.as_bytes().to_vec(), count.max(1)));
-        self.ingested += 1;
-        if self.buffer.len() >= self.memory_records {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    /// Ingests every non-empty line of a wordlist reader (count 1 each).
-    ///
-    /// # Errors
-    ///
-    /// Read or spill failures.
-    pub fn add_wordlist(&mut self, reader: impl BufRead) -> Result<u64> {
-        let mut added = 0u64;
-        for line in reader.lines() {
-            let line = line?;
-            if !line.is_empty() {
-                self.add_guess(&line, 1)?;
-                added += 1;
-            }
-        }
-        Ok(added)
-    }
-
-    /// Sorts and dedups `buffer` in place (counts summed, saturating).
-    fn compact(buffer: &mut Vec<(Vec<u8>, u64)>) {
-        buffer.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        buffer.dedup_by(|next, kept| {
-            if next.0 == kept.0 {
-                kept.1 = kept.1.saturating_add(next.1);
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    /// Spills the compacted buffer as one sorted run file (a counted
-    /// [`GuessStreamWriter`] stream, regardless of the archive's counts
-    /// flag — the final writer decides what is served).
-    fn spill(&mut self) -> Result<()> {
-        Self::compact(&mut self.buffer);
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        let seq = crate::builder::next_run_seq();
-        let path = self
-            .scratch_dir
-            .join(format!("pfguess-run-{}-{seq}.tmp", std::process::id()));
-        // Guard before create: a write failure below unlinks the partial run.
-        let guard = ScratchFile::new(path);
-        let file = File::create(guard.path())?;
-        let fault = self.spill_fault.filter(|&(nth, _)| nth == self.spills);
-        self.spills += 1;
-        let buffer = &self.buffer;
-        let write_records = |out: &mut dyn Write| -> Result<()> {
-            let mut stream = GuessStreamWriter::new(out, true);
-            for (guess, count) in buffer {
-                stream.push(guess, *count)?;
-            }
-            stream.flush()
-        };
-        match fault {
-            Some((_, budget)) => {
-                write_records(&mut BufWriter::new(FaultyWrite::new(file, budget)))?;
-            }
-            None => write_records(&mut BufWriter::new(file))?,
-        }
-        self.buffer.clear();
-        self.runs.push(guard);
-        Ok(())
-    }
-
-    /// Merges all spilled runs plus the live buffer into the archive at
-    /// `path`, returning its stats. Consumes the builder; scratch runs are
-    /// deleted afterwards (drop-guards).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures at any stage; the target path is written atomically.
-    pub fn finish(mut self, path: impl AsRef<Path>) -> Result<GuessStats> {
-        Self::compact(&mut self.buffer);
-        let buffer = std::mem::take(&mut self.buffer);
-
-        let mut sources: Vec<Box<dyn KeyedSource<Vec<u8>>>> =
-            Vec::with_capacity(self.runs.len() + 1);
-        for run in &self.runs {
-            sources.push(Box::new(RunGuessReader {
-                stream: GuessStreamReader::new(BufReader::new(File::open(run.path())?), true),
-            }));
-        }
-        sources.push(Box::new(VecGuessSource {
-            iter: buffer.into_iter(),
-        }));
-
-        let mut writer = GuessArchiveWriter::create(path, self.config)?;
-        merge_keyed(sources, |guess, count| writer.push_bytes(&guess, count))?;
-        writer.finish()
-        // `self` drops here; the ScratchFile guards remove the run files.
+        let key = self.config().word_key(guess)?;
+        self.add_key(key, count)
     }
 }
-
-/// A spilled sorted run: a counted guess stream, EOF-terminated.
-struct RunGuessReader {
-    stream: GuessStreamReader<BufReader<File>>,
-}
-
-impl KeyedSource<Vec<u8>> for RunGuessReader {
-    fn next_record(&mut self) -> Result<Option<(Vec<u8>, u64)>> {
-        self.stream.next_guess()
-    }
-}
-
-/// The final in-memory buffer as a merge source.
-struct VecGuessSource {
-    iter: std::vec::IntoIter<(Vec<u8>, u64)>,
-}
-
-impl KeyedSource<Vec<u8>> for VecGuessSource {
-    fn next_record(&mut self) -> Result<Option<(Vec<u8>, u64)>> {
-        Ok(self.iter.next())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// N-way archive merge
-// ---------------------------------------------------------------------------
 
 /// Unions N shard archives into one at `out`: guesses deduplicated, counts
 /// summed (saturating). All inputs must share the same [`GuessConfig`] —
@@ -1188,36 +499,14 @@ impl KeyedSource<Vec<u8>> for VecGuessSource {
 ///
 /// No inputs, mismatched configs, unreadable inputs, or write failures.
 pub fn merge_archives<P: AsRef<Path>>(inputs: &[P], out: impl AsRef<Path>) -> Result<GuessStats> {
-    if inputs.is_empty() {
-        return format_err("merge needs at least one input archive");
-    }
-    let archives: Vec<GuessArchive> = inputs
-        .iter()
-        .map(GuessArchive::open)
-        .collect::<Result<_>>()?;
-    let config = archives[0].config();
-    for archive in &archives[1..] {
-        if archive.config() != config {
-            return format_err(format!(
-                "mismatched shard configs: {:?} vs {:?} ({})",
-                config,
-                archive.config(),
-                archive.path().display()
-            ));
-        }
-    }
-    let sources: Vec<Box<dyn KeyedSource<Vec<u8>> + '_>> = archives
-        .iter()
-        .map(|a| Box::new(a.records()) as Box<dyn KeyedSource<Vec<u8>> + '_>)
-        .collect();
-    let mut writer = GuessArchiveWriter::create(out, config)?;
-    merge_keyed(sources, |guess, count| writer.push_bytes(&guess, count))?;
-    writer.finish()
+    sorted::merge::<GuessConfig, P>(inputs, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sorted::HEADER_LEN;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pfguess-unit-{}-{tag}.pfg", std::process::id()))

@@ -22,12 +22,15 @@
 //! SplitMix64 stream, so a single-threaded request sequence sees the exact
 //! same faults on every run — the chaos suite's determinism rests on this.
 //!
-//! Small artifacts that are written whole ([`write_atomic`]) replace the
-//! previous file through a synced tmp sibling and a rename.
+//! Every artifact the workspace persists is committed the same way: bytes
+//! go to a `<path>.tmp` sibling, which is synced, renamed over `path`, and
+//! the parent directory is synced so the rename itself is durable. Small
+//! artifacts written whole use [`write_atomic`]; the `PFDIGEST`/`PFGUESS`
+//! writers stream through the same commit.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, BufWriter, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,28 +180,96 @@ pub fn read_exact_at(
 }
 
 /// Replaces `path` with `bytes` atomically: the bytes go to a `<path>.tmp`
-/// sibling, which is synced to disk and then renamed over `path`. On any
-/// error the tmp file is removed and the previous file at `path` is left
-/// as it was.
+/// sibling, which is synced to disk, renamed over `path`, and the parent
+/// directory synced. On any error the tmp file is removed and the previous
+/// file at `path` is left as it was.
 ///
 /// # Errors
 ///
 /// Propagates the first I/O error from creating, writing, syncing or
-/// renaming the tmp file.
+/// renaming the tmp file, or from syncing the directory.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let result = File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(bytes)?;
-            file.sync_all()
+    let mut file = AtomicFile::create(path)?;
+    file.write_all(bytes)?;
+    file.commit()
+}
+
+/// A file under construction at a `<path>.tmp` sibling.
+/// [`commit`](Self::commit) makes it appear at `path` whole; dropping it
+/// uncommitted removes the tmp file and leaves `path` untouched.
+#[derive(Debug)]
+pub(crate) struct AtomicFile {
+    file: BufWriter<File>,
+    tmp: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl AtomicFile {
+    /// Creates (truncating) the tmp sibling of `path`.
+    pub(crate) fn create(path: &Path) -> io::Result<AtomicFile> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let file = BufWriter::new(File::create(&tmp)?);
+        Ok(AtomicFile {
+            file,
+            tmp,
+            path: path.to_path_buf(),
+            committed: false,
         })
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
     }
-    result
+
+    /// Flushes and syncs the tmp file, renames it over the target and syncs
+    /// the target's directory.
+    pub(crate) fn commit(mut self) -> io::Result<()> {
+        self.file.flush()?;
+        self.file.get_ref().sync_all()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.committed = true;
+        sync_parent_dir(&self.path)
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Seek for AtomicFile {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.file.seek(pos)
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Syncs the directory holding `path`, so a rename into it survives a
+/// crash. A bare relative file name lives in `.`.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(parent)?.sync_all()
+}
+
+/// Directory handles cannot be synced portably off unix.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -584,6 +655,19 @@ mod tests {
         assert_eq!(sink.write(b"89abcdef").unwrap(), 3, "clipped to budget");
         let err = sink.write(b"x").unwrap_err();
         assert!(err.to_string().contains("injected write fault"));
+    }
+
+    #[test]
+    fn write_atomic_accepts_a_bare_relative_file_name() {
+        let name = format!("pf-write-atomic-{}.bin", std::process::id());
+        let path = Path::new(&name);
+        assert_eq!(path.parent(), Some(Path::new("")), "no directory part");
+        write_atomic(path, b"first").unwrap();
+        write_atomic(path, b"second").unwrap();
+        let written = std::fs::read(path);
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(written.unwrap(), b"second");
+        assert!(!Path::new(&format!("{name}.tmp")).exists(), "tmp removed");
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! # passflow-store
 //!
-//! The packed sorted digest store of the PassFlow reproduction: a std-only
-//! `PFDIGEST v1` binary artifact holding sorted, prefix-compressed,
-//! truncated SHA-1 digests with optional breach counts, indexed for O(1)
-//! seeks to any digest-prefix range.
+//! Std-only sorted storage for the PassFlow reproduction: one sorted-block
+//! container — sorted, deduplicated keys with optional counts, packed into
+//! prefix-compressed blocks behind a trailing index — written once and
+//! instantiated with two key codecs (DESIGN.md, "Breach screening"):
 //!
-//! The same artifact serves two workloads (DESIGN.md, "Breach screening
-//! store"):
+//! * **`PFDIGEST v1` breach screening** keys records by truncated SHA-1
+//!   digests. `passflow-serve` answers `GET /v1/range/{prefix5}`
+//!   (k-anonymity: the client reveals 20 bits of `SHA1(password)` and
+//!   matches the suffix locally) and `POST /v1/screen` (model strength +
+//!   breach membership in one response) straight off an open
+//!   [`DigestStore`];
+//! * **`PFGUESS v1` mergeable guess archives** key records by raw guess
+//!   bytes. Attack shards persist their dedup'd guess streams as archives
+//!   ([`GuessArchiveBuilder`]) and later union shard outputs with
+//!   [`merge_archives`], dedup'ing guesses and summing emission counts
+//!   across runs. The headerless form of the guess codec
+//!   ([`GuessStreamWriter`]) carries the dedup-set state inside
+//!   `PFATTACK v1` attack checkpoints.
 //!
-//! * **HIBP-style breach/blocklist screening** — `passflow-serve` answers
-//!   `GET /v1/range/{prefix5}` (k-anonymity: the client reveals 20 bits of
-//!   `SHA1(password)` and matches the suffix locally) and
-//!   `POST /v1/screen` (model strength + breach membership in one
-//!   response) straight off an open [`DigestStore`];
-//! * **mergeable guess archives** — attack shards persist their dedup'd
-//!   guess streams as `PFGUESS v1` sorted archives ([`GuessArchiveBuilder`],
-//!   same external-merge-sort skeleton, keyed by raw guess bytes instead of
-//!   digests) and later union shard outputs with [`merge_archives`],
-//!   dedup'ing guesses and summing emission counts across runs. The
-//!   headerless form of the same codec ([`GuessStreamWriter`]) carries the
-//!   dedup-set state inside `PFATTACK v1` attack checkpoints.
+//! Both formats share the builder, the atomic writer, the reader and its
+//! integrity checks, so their public types ([`DigestStore`],
+//! [`GuessArchive`], …) are aliases of one generic container.
 //!
 //! Everything is deterministic at the byte level: building in one pass and
 //! merging N shard builds of the same records produce identical files, so
@@ -48,17 +50,15 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod builder;
 pub mod format;
 pub mod guess;
 pub mod io;
-pub mod merge;
 pub mod sha1;
+mod sorted;
 
-pub use builder::{DigestStoreBuilder, DEFAULT_MEMORY_RECORDS};
 pub use format::{
-    DigestConfig, DigestStats, DigestStore, RangeEntry, RawDigest, RecordCursor, Result,
-    StoreError, VerifyReport,
+    merge_artifacts, DigestConfig, DigestStats, DigestStore, DigestStoreBuilder, RangeEntry,
+    RawDigest, RecordCursor, Result, StoreError,
 };
 pub use guess::{
     merge_archives, GuessArchive, GuessArchiveBuilder, GuessArchiveWriter, GuessConfig,
@@ -67,4 +67,4 @@ pub use guess::{
 pub use io::{
     write_atomic, FaultInjector, FaultPlan, FaultyIo, FaultyWrite, FileIo, RetryPolicy, StoreIo,
 };
-pub use merge::merge_artifacts;
+pub use sorted::{VerifyReport, DEFAULT_MEMORY_RECORDS};

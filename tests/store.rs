@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use passflow::store::sha1;
+use passflow::store::{sha1, StoreError};
 use passflow::{
     merge_archives, merge_artifacts, DigestConfig, DigestStore, DigestStoreBuilder, GuessArchive,
     GuessArchiveBuilder, GuessConfig,
@@ -231,6 +231,38 @@ fn corrupted_and_truncated_artifacts_fail_to_open_or_verify() {
         Ok(store) => {
             assert!(store.verify().is_err(), "checksum must catch a bit flip");
         }
+    }
+
+    // Header fields no checksum covers, patched in both formats: a huge
+    // block count must not reserve memory before the index is read, and a
+    // huge block size must not let lookups size buffers from it (the writer
+    // fills every block but the last, so the index contradicts it).
+    let guess_path = scratch.path("victim.pfg");
+    let mut builder = GuessArchiveBuilder::new(GuessConfig::default());
+    for w in corpus(2_000) {
+        builder.add_guess(&w, 1).unwrap();
+    }
+    builder.finish(&guess_path).unwrap();
+    let guess_pristine = std::fs::read(&guess_path).unwrap();
+    let patches: [(usize, &[u8]); 2] = [
+        (32, &(1u64 << 58).to_le_bytes()),
+        (16, &u32::MAX.to_le_bytes()),
+    ];
+    for (at, patch) in patches {
+        let mut bytes = pristine.clone();
+        bytes[at..at + patch.len()].copy_from_slice(patch);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = DigestStore::open(&path).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Format(_)),
+            "PFDIGEST @{at}: {err}"
+        );
+
+        let mut bytes = guess_pristine.clone();
+        bytes[at..at + patch.len()].copy_from_slice(patch);
+        std::fs::write(&guess_path, &bytes).unwrap();
+        let err = GuessArchive::open(&guess_path).unwrap_err();
+        assert!(matches!(err, StoreError::Format(_)), "PFGUESS @{at}: {err}");
     }
 }
 
