@@ -29,7 +29,7 @@
 //!   with precise 4xx statuses (`tests/serve.rs` is the conformance suite);
 //! * the **trace-replay loadgen** ([`trace`]) — versioned `PFTRACE v1`
 //!   request traces (inter-arrival gaps, heavy-tailed batch sizes,
-//!   endpoint mix) that the bench loadgen records, synthesizes from a
+//!   endpoint mix) that `passflow loadgen` records, synthesizes from a
 //!   seed, and replays deterministically against a live server;
 //! * an explicit **failure model** (DESIGN.md, "Failure model &
 //!   degradation") — per-request deadlines (server default, shortenable
@@ -55,7 +55,10 @@
 //! | `POST /admin/shutdown` | graceful stop (opt-in, for CI smoke tests) |
 //!
 //! The breach endpoints answer 503 until a [`passflow_store::DigestStore`]
-//! is attached via [`ServerConfig::digest`] (the binary's `--digest` flag).
+//! is attached via [`ServerConfig::digest`] (`passflow serve --digest`).
+//!
+//! Run the service from the shell with `cargo run --release -- serve`;
+//! its flags are documented in the root crate's `src/cli/serve.rs`.
 //!
 //! The request/response wire schema is specified in DESIGN.md ("Artifact
 //! schemas").

@@ -82,8 +82,8 @@ pub struct ServerConfig {
     /// Circuit-breaker tuning for the digest store (failure threshold and
     /// cooldown before half-open probes).
     pub breaker: BreakerConfig,
-    /// Whether `POST /admin/shutdown` is honored (off by default; the
-    /// serve binary enables it so CI can assert a clean shutdown remotely).
+    /// Whether `POST /admin/shutdown` is honored (off by default;
+    /// `passflow serve` enables it so CI can assert a clean shutdown remotely).
     pub allow_shutdown: bool,
     /// Breach digest store backing `GET /v1/range/{prefix}` and
     /// `POST /v1/screen`; when `None` those endpoints answer 503 so a

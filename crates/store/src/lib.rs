@@ -6,7 +6,7 @@
 //! instantiated with two key codecs (DESIGN.md, "Breach screening"):
 //!
 //! * **`PFDIGEST v1` breach screening** keys records by truncated SHA-1
-//!   digests. `passflow-serve` answers `GET /v1/range/{prefix5}`
+//!   digests. `passflow serve` answers `GET /v1/range/{prefix5}`
 //!   (k-anonymity: the client reveals 20 bits of `SHA1(password)` and
 //!   matches the suffix locally) and `POST /v1/screen` (model strength +
 //!   breach membership in one response) straight off an open
@@ -22,6 +22,10 @@
 //! Both formats share the builder, the atomic writer, the reader and its
 //! integrity checks, so their public types ([`DigestStore`],
 //! [`GuessArchive`], …) are aliases of one generic container.
+//!
+//! From the shell, the root crate's `passflow digest` and
+//! `passflow archive` subcommands build, merge, query and verify both
+//! formats, e.g. `cargo run --release -- digest build --out breach.pfd dump.txt`.
 //!
 //! Everything is deterministic at the byte level: building in one pass and
 //! merging N shard builds of the same records produce identical files, so

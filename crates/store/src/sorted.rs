@@ -595,7 +595,7 @@ impl<C: KeyCodec> SortedStore<C> {
 
     /// Fully decodes the artifact, checking sort order, per-block structure
     /// and the header checksum — the deep integrity pass behind
-    /// `digest_tool verify` and `guess_archive verify`.
+    /// `passflow digest verify` and `passflow archive verify`.
     ///
     /// # Errors
     ///

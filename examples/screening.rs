@@ -1,7 +1,7 @@
 //! End-to-end breach screening: train a flow, attack a test set, archive
 //! the cracked passwords into a `PFDIGEST v1` digest store, then screen a
 //! wordlist against the archive — the full defender pipeline behind
-//! `passflow-serve --digest`.
+//! `passflow serve --digest` (`cargo run --release -- serve --digest breach.pfd`).
 //!
 //! Self-checking: every assertion is a hard invariant (membership agrees
 //! with the archive's input, counts sum across shards, the one-pass and

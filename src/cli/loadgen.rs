@@ -1,14 +1,14 @@
-//! Loopback load generator for the serving subsystem.
+//! `passflow loadgen`: loopback load generator for the serving subsystem.
 //!
-//! Starts a `passflow-serve` server in-process on an ephemeral loopback
-//! port and drives it in one of five modes:
+//! Starts a server in-process on an ephemeral loopback port and drives it
+//! in one of five modes:
 //!
 //! * **hammer** (default) — many keep-alive clients send single-password
 //!   `POST /v1/score` requests back-to-back, measured twice: batching
 //!   disabled (`max_batch = 1`) and the adaptive batcher at
 //!   `max_batch = 64`. Both runs carry identical HTTP/JSON/syscall
-//!   overhead, so the ratio isolates what batching buys. Emits
-//!   `BENCH_PR5.json`; the acceptance bar is batched ≥ 3× serial.
+//!   overhead, so the ratio isolates what batching buys. Asserts batched
+//!   ≥ 3× serial (≥ 2× with `--quick`).
 //! * **synth** — synthesizes a seeded `PFTRACE v1` workload trace
 //!   (heavy-tailed batch sizes, bursty arrivals, score/logprob/screen
 //!   endpoint mix) and writes it to `--trace`.
@@ -19,20 +19,18 @@
 //!   it against an in-process server at `--lanes`, honoring recorded
 //!   inter-arrival gaps, and prints throughput plus a digest of every
 //!   response's exact score bits.
-//! * **sweep** — the PR 9 benchmark: a lanes × clients throughput grid,
-//!   a cross-lane-count trace replay asserting **bit-identical** outcomes
-//!   at lanes 1/2/4, and the idle keep-alive figure (threads + VmRSS
-//!   delta for ~1k parked connections). Emits `BENCH_PR9.json`.
+//! * **sweep** — a lanes × clients throughput grid, a cross-lane-count
+//!   trace replay asserting **bit-identical** outcomes at lanes 1/2/4, and
+//!   the idle keep-alive figure (threads + VmRSS delta for ~1k parked
+//!   connections, asserted to cost fewer than 8 threads).
+//!
+//! `hammer` and `sweep` print one row per measurement to stdout.
 //!
 //! ```text
-//! cargo run --release -p passflow-bench --bin loadgen -- \
-//!     [--mode hammer|synth|record|replay|sweep] [--quick] [--out PATH] \
-//!     [--trace PATH] [--seed N] [--count N] [--clients N] [--lanes N]
+//! passflow loadgen [--mode hammer|synth|record|replay|sweep] [--quick]
+//!                  [--trace PATH] [--seed N] [--count N] [--clients N] [--lanes N]
 //! ```
-//!
-//! Emits `passflow-bench-v1` rows (schema: DESIGN.md, "Artifact schemas").
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +39,10 @@ use passflow_core::{FlowConfig, PassFlow, SampleTable};
 use passflow_serve::client::{request_with_retry, Connection, RetryPolicy};
 use passflow_serve::trace::{self, Trace, TraceRecord, TraceSynthProfile};
 use passflow_serve::{serve, BatcherConfig, ModelRegistry, ServedModel, ServerConfig};
+use passflow_store::format::{fnv1a, FNV_SEED};
 use passflow_store::{DigestConfig, DigestStore, DigestStoreBuilder};
+
+use super::args::Flags;
 
 /// Concurrent client threads for hammer cells. Each holds one keep-alive
 /// connection and sends single-password requests back-to-back, so up to
@@ -74,7 +75,11 @@ fn digest_fixture() -> Arc<DigestStore> {
         builder.add_password(pw).expect("digest fixture password");
     }
     builder.finish(&path).expect("digest fixture build");
-    Arc::new(DigestStore::open(&path).expect("digest fixture open"))
+    let store = DigestStore::open(&path).expect("digest fixture open");
+    // The open handle keeps the records readable; drop the name so runs
+    // leave no file behind.
+    let _ = std::fs::remove_file(&path);
+    Arc::new(store)
 }
 
 fn server_config(lanes: usize, max_batch: usize, digest: Option<Arc<DigestStore>>) -> ServerConfig {
@@ -187,29 +192,21 @@ fn proc_threads_and_rss() -> (u64, u64) {
 /// FNV-1a digest over every outcome's status and score bits — two replays
 /// agree on this iff they agreed on every response.
 fn outcome_digest(outcomes: &[trace::ReplayOutcome]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_SEED;
     for outcome in outcomes {
-        eat(&outcome.status.to_le_bytes());
+        hash = fnv1a(hash, &outcome.status.to_le_bytes());
         for bits in &outcome.bits {
-            eat(bits.as_bytes());
+            hash = fnv1a(hash, bits.as_bytes());
         }
         for verdict in &outcome.verdicts {
-            eat(verdict.as_bytes());
+            hash = fnv1a(hash, verdict.as_bytes());
         }
     }
     hash
 }
 
 struct Args {
-    mode: String,
     quick: bool,
-    out: Option<String>,
     trace: String,
     seed: u64,
     count: Option<usize>,
@@ -217,58 +214,53 @@ struct Args {
     lanes: usize,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let value = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
+/// Runs `passflow loadgen`.
+pub fn run(args: Vec<String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--mode",
+            "--trace",
+            "--seed",
+            "--count",
+            "--clients",
+            "--lanes",
+        ],
+        &["--quick"],
+    )?;
+    flags.no_positional()?;
+    let args = Args {
+        quick: flags.switch("--quick"),
+        trace: flags
+            .value("--trace")
+            .unwrap_or("trace.pftrace")
+            .to_string(),
+        seed: flags.parsed("--seed")?.unwrap_or(42),
+        count: flags.parsed("--count")?,
+        clients: flags.parsed("--clients")?.unwrap_or(16),
+        lanes: flags.parsed("--lanes")?.unwrap_or(1),
     };
-    Args {
-        mode: value("--mode").unwrap_or_else(|| "hammer".to_string()),
-        quick: argv.iter().any(|a| a == "--quick"),
-        out: value("--out"),
-        trace: value("--trace").unwrap_or_else(|| "trace.pftrace".to_string()),
-        seed: value("--seed").and_then(|v| v.parse().ok()).unwrap_or(42),
-        count: value("--count").and_then(|v| v.parse().ok()),
-        clients: value("--clients")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(16),
-        lanes: value("--lanes").and_then(|v| v.parse().ok()).unwrap_or(1),
+    match flags.value("--mode").unwrap_or("hammer") {
+        "hammer" => run_hammer(&args),
+        "synth" => run_synth(&args),
+        "record" => run_record(&args),
+        "replay" => run_replay(&args),
+        "sweep" => run_sweep(&args),
+        other => {
+            return Err(format!(
+                "--mode: invalid value {other:?} (hammer|synth|record|replay|sweep)"
+            ))
+        }
     }
+    Ok(())
 }
 
-/// Writes `passflow-bench-v1` JSON: (name, seconds_per_iter, rate) rows.
-fn write_bench_json(path: &str, rows: &[(String, f64, f64)]) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut json = format!(
-        "{{\n  \"schema\": \"passflow-bench-v1\",\n  \"host_cpus\": {host_cpus},\n  \"results\": {{\n"
-    );
-    for (i, (name, spi, rate)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    \"{name}\": {{ \"seconds_per_iter\": {spi:.9}, \"elements_per_second\": {rate:.2} }}{comma}"
-        );
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(path, &json).expect("writing benchmark JSON");
-    println!("{json}");
-    println!("wrote {path}");
-}
-
-/// The original PR 5 benchmark: serial vs batch64 under hammer load.
+/// `--mode hammer`: serial vs batch64 under hammer load.
 fn run_hammer(args: &Args) {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_PR5.json".to_string());
     let measure = Duration::from_secs(if args.quick { 2 } else { 6 });
     let warmup = Duration::from_millis(if args.quick { 200 } else { 1_000 });
     let (registry, flow) = build_registry(args.quick);
 
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
     let mut throughputs: Vec<f64> = Vec::new();
     for (label, max_batch) in [("serial", 1usize), ("batch64", 64usize)] {
         let server = serve(
@@ -287,20 +279,13 @@ fn run_hammer(args: &Args) {
         println!(
             "serve/score_loopback/{label}: {requests} requests in {seconds:.2}s = {throughput:.0} req/s"
         );
-        rows.push((
-            format!("serve/score_loopback/{label}"),
-            seconds / (requests as f64).max(1.0),
-            throughput,
-        ));
         throughputs.push(throughput);
     }
 
     let speedup = throughputs[1] / throughputs[0];
     println!("batched_over_serial: {speedup:.2}×");
-    rows.push(("serve/batched_over_serial".to_string(), 0.0, speedup));
-    write_bench_json(&out_path, &rows);
 
-    // The PR 5 acceptance bar; --quick CI runs still assert a clear win.
+    // The acceptance bar; --quick CI runs still assert a clear win.
     let bar = if args.quick { 2.0 } else { 3.0 };
     assert!(
         speedup >= bar,
@@ -308,14 +293,10 @@ fn run_hammer(args: &Args) {
     );
 }
 
-fn synth_profile() -> TraceSynthProfile {
-    TraceSynthProfile::default()
-}
-
 /// `--mode synth`: write a seeded synthetic trace.
 fn run_synth(args: &Args) {
     let count = args.count.unwrap_or(if args.quick { 200 } else { 2_000 });
-    let trace = Trace::synth(args.seed, count, &synth_profile());
+    let trace = Trace::synth(args.seed, count, &TraceSynthProfile::default());
     trace
         .write(std::path::Path::new(&args.trace))
         .expect("writing trace");
@@ -344,7 +325,7 @@ fn run_record(args: &Args) {
     // synth generator; the *timing* is measured off the wire. A recorded
     // trace therefore replays the workload the server actually saw, not
     // the workload the generator intended.
-    let planned = Trace::synth(args.seed, count, &synth_profile());
+    let planned = Trace::synth(args.seed, count, &TraceSynthProfile::default());
     let mut conn = Connection::open(addr, Duration::from_secs(30)).expect("connect");
     let mut records = Vec::with_capacity(count);
     let mut last = Instant::now();
@@ -394,7 +375,7 @@ fn run_replay(args: &Args) {
             "{} not found; synthesizing {count} records from seed {}",
             args.trace, args.seed
         );
-        Trace::synth(args.seed, count, &synth_profile())
+        Trace::synth(args.seed, count, &TraceSynthProfile::default())
     };
     let (registry, _flow) = build_registry(args.quick);
     let server = serve(
@@ -422,19 +403,15 @@ fn run_replay(args: &Args) {
     server.join();
 }
 
-/// `--mode sweep`: the PR 9 benchmark grid (`BENCH_PR9.json`).
+/// `--mode sweep`: the lanes × clients grid, the cross-lane replay and the
+/// idle keep-alive cost.
 fn run_sweep(args: &Args) {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_PR9.json".to_string());
     let measure = Duration::from_secs(if args.quick { 1 } else { 3 });
     let warmup = Duration::from_millis(if args.quick { 200 } else { 500 });
     let idle_conns = if args.quick { 200 } else { 1_000 };
     let trace_count = if args.quick { 150 } else { 600 };
     let (registry, flow) = build_registry(args.quick);
     let digest = digest_fixture();
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
 
     // -- Lane × clients hammer grid -------------------------------------
     for lanes in [1usize, 2, 4] {
@@ -455,16 +432,11 @@ fn run_sweep(args: &Args) {
                 "serve/lane_sweep/lanes{lanes}_clients{clients}: {requests} requests in \
                  {seconds:.2}s = {throughput:.0} req/s"
             );
-            rows.push((
-                format!("serve/lane_sweep/lanes{lanes}_clients{clients}"),
-                seconds / (requests as f64).max(1.0),
-                throughput,
-            ));
         }
     }
 
     // -- Cross-lane-count trace replay: bit-identical outcomes ----------
-    let trace = Trace::synth(args.seed, trace_count, &synth_profile());
+    let trace = Trace::synth(args.seed, trace_count, &TraceSynthProfile::default());
     let mut digests = Vec::new();
     for lanes in [1usize, 2, 4] {
         let server = serve(
@@ -488,11 +460,6 @@ fn run_sweep(args: &Args) {
             outcomes.len(),
             outcomes.len() as f64 / seconds
         );
-        rows.push((
-            format!("serve/trace_replay/lanes{lanes}"),
-            seconds / (outcomes.len() as f64).max(1.0),
-            outcomes.len() as f64 / seconds,
-        ));
         digests.push(digest_value);
     }
     assert!(
@@ -538,31 +505,4 @@ fn run_sweep(args: &Args) {
     drop(parked);
     server.shutdown();
     server.join();
-    rows.push((
-        format!("serve/idle_conns/threads_delta_per_{idle_conns}"),
-        0.0,
-        thread_delta as f64,
-    ));
-    rows.push((
-        format!("serve/idle_conns/vmrss_delta_kb_per_{idle_conns}"),
-        0.0,
-        rss_delta_kb as f64,
-    ));
-
-    write_bench_json(&out_path, &rows);
-}
-
-fn main() {
-    let args = parse_args();
-    match args.mode.as_str() {
-        "hammer" => run_hammer(&args),
-        "synth" => run_synth(&args),
-        "record" => run_record(&args),
-        "replay" => run_replay(&args),
-        "sweep" => run_sweep(&args),
-        other => {
-            eprintln!("loadgen: unknown --mode {other:?} (hammer|synth|record|replay|sweep)");
-            std::process::exit(2);
-        }
-    }
 }

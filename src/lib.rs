@@ -25,7 +25,10 @@
 //!   and k-anonymity range queries, plus the `PFGUESS v1` sorted guess
 //!   archives distributed attacks persist and merge.
 //!
-//! See the `examples/` directory for runnable end-to-end programs and
+//! The package's `passflow` binary regenerates the paper's tables and
+//! figures (`passflow report`) and drives the serving, screening and
+//! archive tools (`serve`, `digest`, `archive`, `loadgen`). See the
+//! `examples/` directory for runnable end-to-end programs and
 //! `DESIGN.md` / `EXPERIMENTS.md` for the reproduction notes.
 //!
 //! ```rust
