@@ -110,6 +110,19 @@ impl EvalScale {
         }
     }
 
+    /// The names [`EvalScale::from_name`] accepts, cheapest first.
+    pub const NAMES: [&'static str; 3] = ["smoke", "default", "paper"];
+
+    /// Looks a scale up by name: `smoke`, `default` or `paper`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "smoke" => Some(Self::smoke()),
+            "default" => Some(Self::default_scale()),
+            "paper" => Some(Self::paper()),
+            _ => None,
+        }
+    }
+
     /// Sets the master seed (builder style).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

@@ -83,4 +83,25 @@ mod tests {
         let _ = crate::FlowConfig::tiny();
         let _ = crate::EvalScale::smoke();
     }
+
+    #[test]
+    fn scale_parsing_recognizes_all_choices() {
+        for name in crate::EvalScale::NAMES {
+            assert!(crate::EvalScale::from_name(name).is_some(), "{name}");
+        }
+        assert_eq!(crate::EvalScale::from_name("bogus"), None);
+        assert_eq!(crate::EvalScale::from_name(""), None);
+        assert_eq!(crate::EvalScale::from_name("Smoke"), None);
+    }
+
+    #[test]
+    fn scale_choice_maps_to_eval_scale() {
+        use crate::EvalScale;
+        assert_eq!(EvalScale::from_name("smoke"), Some(EvalScale::smoke()));
+        assert_eq!(
+            EvalScale::from_name("default"),
+            Some(EvalScale::default_scale())
+        );
+        assert_eq!(EvalScale::from_name("paper"), Some(EvalScale::paper()));
+    }
 }
