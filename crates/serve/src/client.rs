@@ -141,92 +141,3 @@ pub fn request(
 ) -> std::io::Result<ClientResponse> {
     Connection::open(addr, Duration::from_secs(30))?.request(method, path, body)
 }
-
-/// Retry policy for [`request_with_retry`]: bounded attempts with jittered
-/// exponential backoff. The jitter is seeded, so a test run's retry
-/// schedule is reproducible; vary `seed` across client threads so a shed
-/// burst does not come back as a synchronized retry stampede.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). 1 disables retrying.
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Seed of the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered sleep before retry number `retry` (0-based): the
-    /// doubled-and-capped base, scaled by a factor in `[0.5, 1.5)` drawn
-    /// from a SplitMix64 stream over `(seed, retry)`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << retry.min(16))
-            .min(self.max_backoff);
-        let mut x = self
-            .seed
-            .wrapping_add(u64::from(retry).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        let jitter = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64; // [0.5, 1.5)
-        exp.mul_f64(jitter)
-    }
-}
-
-/// One-shot request with bounded, jittered-backoff retries on connect/send
-/// failures and on 503 (shed) responses — the polite way to talk to a
-/// server that sheds load instead of buffering it.
-///
-/// **Only use for idempotent requests.** A retried request may execute
-/// twice server-side; every endpoint this crate serves is read-only or
-/// idempotent except `/admin/shutdown` (which is idempotent too), but the
-/// caller owns that judgment for anything else.
-///
-/// # Errors
-///
-/// The last I/O error once attempts are exhausted. A final 503 after
-/// exhausting retries is returned as a normal response, not an error —
-/// the server answered; it just couldn't take the work.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> std::io::Result<ClientResponse> {
-    let attempts = policy.attempts.max(1);
-    let mut last_err: Option<std::io::Error> = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1));
-        }
-        // A fresh connection per attempt: a failed send may have poisoned
-        // the previous one, and a shedding server closed it anyway.
-        match request(addr, method, path, body) {
-            Ok(response) if response.status == 503 && attempt + 1 < attempts => {
-                last_err = None;
-                continue;
-            }
-            Ok(response) => return Ok(response),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err
-        .unwrap_or_else(|| std::io::Error::other("retries exhausted without a final error")))
-}

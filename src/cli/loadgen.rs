@@ -1,14 +1,8 @@
-//! `passflow loadgen`: loopback load generator for the serving subsystem.
+//! `passflow loadgen`: `PFTRACE` workload traces for the serving subsystem.
 //!
-//! Starts a server in-process on an ephemeral loopback port and drives it
-//! in one of five modes:
+//! Starts a server in-process on an ephemeral loopback port (except for
+//! `synth`, which only writes a file) and works in one of three modes:
 //!
-//! * **hammer** (default) — many keep-alive clients send single-password
-//!   `POST /v1/score` requests back-to-back, measured twice: batching
-//!   disabled (`max_batch = 1`) and the adaptive batcher at
-//!   `max_batch = 64`. Both runs carry identical HTTP/JSON/syscall
-//!   overhead, so the ratio isolates what batching buys. Asserts batched
-//!   ≥ 3× serial (≥ 2× with `--quick`).
 //! * **synth** — synthesizes a seeded `PFTRACE v1` workload trace
 //!   (heavy-tailed batch sizes, bursty arrivals, score/logprob/screen
 //!   endpoint mix) and writes it to `--trace`.
@@ -18,25 +12,22 @@
 //! * **replay** — loads `--trace` (or synthesizes from `--seed`), replays
 //!   it against an in-process server at `--lanes`, honoring recorded
 //!   inter-arrival gaps, and prints throughput plus a digest of every
-//!   response's exact score bits.
-//! * **sweep** — a lanes × clients throughput grid, a cross-lane-count
-//!   trace replay asserting **bit-identical** outcomes at lanes 1/2/4, and
-//!   the idle keep-alive figure (threads + VmRSS delta for ~1k parked
-//!   connections, asserted to cost fewer than 8 threads).
+//!   response's exact score bits. Two replays of one trace at different
+//!   lane counts print the same `outcome_digest=`.
 //!
-//! `hammer` and `sweep` print one row per measurement to stdout.
+//! The rule that batched serving is at least 3× serial is a release-build
+//! test, `batched_serving_is_at_least_3x_serial` in `tests/serve.rs`.
 //!
 //! ```text
-//! passflow loadgen [--mode hammer|synth|record|replay|sweep] [--quick]
+//! passflow loadgen --mode synth|record|replay
 //!                  [--trace PATH] [--seed N] [--count N] [--clients N] [--lanes N]
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use passflow_core::{FlowConfig, PassFlow, SampleTable};
-use passflow_serve::client::{request_with_retry, Connection, RetryPolicy};
+use passflow_serve::client::Connection;
 use passflow_serve::trace::{self, Trace, TraceRecord, TraceSynthProfile};
 use passflow_serve::{serve, BatcherConfig, ModelRegistry, ServedModel, ServerConfig};
 use passflow_store::format::{fnv1a, FNV_SEED};
@@ -44,26 +35,19 @@ use passflow_store::{DigestConfig, DigestStore, DigestStoreBuilder};
 
 use super::args::Flags;
 
-/// Concurrent client threads for hammer cells. Each holds one keep-alive
-/// connection and sends single-password requests back-to-back, so up to
-/// `CLIENTS` requests are in flight — enough to fill 64-row ticks.
-const CLIENTS: usize = 64;
-
-fn build_registry(quick: bool) -> (Arc<ModelRegistry>, PassFlow) {
+fn build_registry() -> Arc<ModelRegistry> {
     // A production-shaped architecture (18 coupling layers × hidden 128 —
     // the paper's depth at half its width): a model whose per-password
-    // scoring cost dominates HTTP/syscall overhead, which is exactly the
-    // regime the micro-batcher exists for. On this 1-row-vs-64-row GEMM
-    // the pure scoring ratio is ≈4.4×; smaller models (6×48) are so cheap
-    // that loopback HTTP overhead swallows the batching win. Untrained
-    // weights score exactly like trained ones.
+    // scoring cost dominates HTTP/syscall overhead, which is the regime
+    // the micro-batcher exists for. Untrained weights score exactly like
+    // trained ones.
     let mut rng = passflow_nn::rng::seeded(11);
     let flow =
         PassFlow::new(FlowConfig::paper().with_hidden_size(128), &mut rng).expect("valid config");
-    let table = SampleTable::build(&flow, if quick { 500 } else { 2_000 }, 7);
+    let table = SampleTable::build(&flow, 2_000, 7);
     let registry = Arc::new(ModelRegistry::new());
     registry.insert(ServedModel::from_flow("default", &flow, 1, Some(table)));
-    (registry, flow)
+    registry
 }
 
 /// A small digest store in a temp file, so traces that mix in
@@ -82,111 +66,21 @@ fn digest_fixture() -> Arc<DigestStore> {
     Arc::new(store)
 }
 
-fn server_config(lanes: usize, max_batch: usize, digest: Option<Arc<DigestStore>>) -> ServerConfig {
-    ServerConfig {
+/// Starts the in-process server: `lanes` batcher lanes of up to 64 rows
+/// per tick, with the digest fixture behind `/v1/screen`.
+fn start_server(lanes: usize) -> passflow_serve::ServerHandle {
+    let config = ServerConfig {
         batcher: BatcherConfig {
             lanes,
-            max_batch,
+            max_batch: 64,
             max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             ..BatcherConfig::default()
         },
-        max_connections: 4096,
-        digest,
+        digest: Some(digest_fixture()),
         ..ServerConfig::default()
-    }
-}
-
-/// Runs one measured load: `clients` threads for `duration`, returning
-/// (total requests completed, elapsed seconds).
-fn hammer(addr: std::net::SocketAddr, clients: usize, duration: Duration) -> (u64, f64) {
-    let completed = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicU64::new(0)); // 0 = run, 1 = stop
-    let start = Instant::now();
-    let threads: Vec<_> = (0..clients)
-        .map(|t| {
-            let completed = Arc::clone(&completed);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                // Per-thread jitter seed: a shed burst must not come back
-                // as a synchronized stampede.
-                let policy = RetryPolicy {
-                    seed: t as u64,
-                    ..RetryPolicy::default()
-                };
-                let mut conn =
-                    Connection::open(addr, Duration::from_secs(30)).expect("connect to loopback");
-                let body = format!("{{\"passwords\":[\"password{t}\"]}}");
-                while stop.load(Ordering::Relaxed) == 0 {
-                    // Transient sheds (503) and torn keep-alive connections
-                    // back off and retry instead of killing the run; only
-                    // genuine failures (or a 503 that outlives every
-                    // retry) abort.
-                    let response = match conn.request("POST", "/v1/score", Some(&body)) {
-                        Ok(r) if r.status != 503 => r,
-                        _ => {
-                            let r =
-                                request_with_retry(addr, "POST", "/v1/score", Some(&body), &policy)
-                                    .expect("score request after retries");
-                            conn = Connection::open(addr, Duration::from_secs(30))
-                                .expect("reconnect to loopback");
-                            r
-                        }
-                    };
-                    assert_eq!(response.status, 200, "{}", response.text());
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        })
-        .collect();
-    std::thread::sleep(duration);
-    stop.store(1, Ordering::Relaxed);
-    for thread in threads {
-        thread.join().expect("client thread");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (completed.load(Ordering::Relaxed), elapsed)
-}
-
-/// Bit-exactness probe: one served score must equal direct scoring.
-fn probe_bit_exact(addr: std::net::SocketAddr, flow: &PassFlow) {
-    let response = request_with_retry(
-        addr,
-        "POST",
-        "/v1/score",
-        Some("{\"passwords\":[\"jimmy91\"]}"),
-        &RetryPolicy::default(),
-    )
-    .expect("probe request");
-    let expected = passflow_core::ProbabilityModel::password_log_prob(flow, "jimmy91")
-        .expect("encodable probe");
-    let bits_text = response
-        .text()
-        .split("\"log_prob_bits\":\"")
-        .nth(1)
-        .map(|rest| rest[..16].to_string())
-        .expect("log_prob_bits in response");
-    assert_eq!(
-        u64::from_str_radix(&bits_text, 16).unwrap(),
-        expected.to_bits(),
-        "served score must equal direct scoring"
-    );
-}
-
-/// `/proc/self/status` Threads and VmRSS (kB); zeros off-Linux.
-fn proc_threads_and_rss() -> (u64, u64) {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return (0, 0);
     };
-    let field = |name: &str| {
-        status
-            .lines()
-            .find(|l| l.starts_with(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    (field("Threads:"), field("VmRSS:"))
+    serve(config, build_registry()).expect("bind loopback")
 }
 
 /// FNV-1a digest over every outcome's status and score bits — two replays
@@ -206,7 +100,6 @@ fn outcome_digest(outcomes: &[trace::ReplayOutcome]) -> u64 {
 }
 
 struct Args {
-    quick: bool,
     trace: String,
     seed: u64,
     count: Option<usize>,
@@ -226,11 +119,10 @@ pub fn run(args: Vec<String>) -> Result<(), String> {
             "--clients",
             "--lanes",
         ],
-        &["--quick"],
+        &[],
     )?;
     flags.no_positional()?;
     let args = Args {
-        quick: flags.switch("--quick"),
         trace: flags
             .value("--trace")
             .unwrap_or("trace.pftrace")
@@ -240,62 +132,23 @@ pub fn run(args: Vec<String>) -> Result<(), String> {
         clients: flags.parsed("--clients")?.unwrap_or(16),
         lanes: flags.parsed("--lanes")?.unwrap_or(1),
     };
-    match flags.value("--mode").unwrap_or("hammer") {
-        "hammer" => run_hammer(&args),
-        "synth" => run_synth(&args),
-        "record" => run_record(&args),
-        "replay" => run_replay(&args),
-        "sweep" => run_sweep(&args),
-        other => {
+    match flags.value("--mode") {
+        Some("synth") => run_synth(&args),
+        Some("record") => run_record(&args),
+        Some("replay") => run_replay(&args),
+        Some(other) => {
             return Err(format!(
-                "--mode: invalid value {other:?} (hammer|synth|record|replay|sweep)"
+                "--mode: invalid value {other:?} (synth|record|replay)"
             ))
         }
+        None => return Err("missing --mode (synth|record|replay)".to_string()),
     }
     Ok(())
 }
 
-/// `--mode hammer`: serial vs batch64 under hammer load.
-fn run_hammer(args: &Args) {
-    let measure = Duration::from_secs(if args.quick { 2 } else { 6 });
-    let warmup = Duration::from_millis(if args.quick { 200 } else { 1_000 });
-    let (registry, flow) = build_registry(args.quick);
-
-    let mut throughputs: Vec<f64> = Vec::new();
-    for (label, max_batch) in [("serial", 1usize), ("batch64", 64usize)] {
-        let server = serve(
-            server_config(args.lanes, max_batch, None),
-            Arc::clone(&registry),
-        )
-        .expect("bind loopback");
-        let addr = server.addr();
-        probe_bit_exact(addr, &flow);
-        let _ = hammer(addr, CLIENTS, warmup);
-        let (requests, seconds) = hammer(addr, CLIENTS, measure);
-        server.shutdown();
-        server.join();
-
-        let throughput = requests as f64 / seconds;
-        println!(
-            "serve/score_loopback/{label}: {requests} requests in {seconds:.2}s = {throughput:.0} req/s"
-        );
-        throughputs.push(throughput);
-    }
-
-    let speedup = throughputs[1] / throughputs[0];
-    println!("batched_over_serial: {speedup:.2}×");
-
-    // The acceptance bar; --quick CI runs still assert a clear win.
-    let bar = if args.quick { 2.0 } else { 3.0 };
-    assert!(
-        speedup >= bar,
-        "batched serving must be ≥ {bar}× serial (measured {speedup:.2}×)"
-    );
-}
-
 /// `--mode synth`: write a seeded synthetic trace.
 fn run_synth(args: &Args) {
-    let count = args.count.unwrap_or(if args.quick { 200 } else { 2_000 });
+    let count = args.count.unwrap_or(2_000);
     let trace = Trace::synth(args.seed, count, &TraceSynthProfile::default());
     trace
         .write(std::path::Path::new(&args.trace))
@@ -312,13 +165,8 @@ fn run_synth(args: &Args) {
 /// `--mode record`: run a live workload and record its *measured*
 /// arrival process (gaps, endpoints, password seeds) as a trace.
 fn run_record(args: &Args) {
-    let count = args.count.unwrap_or(if args.quick { 200 } else { 1_000 });
-    let (registry, _flow) = build_registry(args.quick);
-    let server = serve(
-        server_config(args.lanes, 64, Some(digest_fixture())),
-        registry,
-    )
-    .expect("bind loopback");
+    let count = args.count.unwrap_or(1_000);
+    let server = start_server(args.lanes);
     let addr = server.addr();
 
     // The shape (endpoint mix, batch sizes, password seeds) comes from the
@@ -370,19 +218,14 @@ fn run_replay(args: &Args) {
     let trace = if std::path::Path::new(&args.trace).exists() {
         Trace::load(std::path::Path::new(&args.trace)).expect("loading trace")
     } else {
-        let count = args.count.unwrap_or(if args.quick { 200 } else { 1_000 });
+        let count = args.count.unwrap_or(1_000);
         println!(
             "{} not found; synthesizing {count} records from seed {}",
             args.trace, args.seed
         );
         Trace::synth(args.seed, count, &TraceSynthProfile::default())
     };
-    let (registry, _flow) = build_registry(args.quick);
-    let server = serve(
-        server_config(args.lanes, 64, Some(digest_fixture())),
-        registry,
-    )
-    .expect("bind loopback");
+    let server = start_server(args.lanes);
 
     let start = Instant::now();
     let outcomes = trace::replay(server.addr(), &trace, args.clients).expect("replay");
@@ -399,110 +242,6 @@ fn run_replay(args: &Args) {
     );
     let steals = server.batcher().total_steals();
     println!("lane steals: {steals}");
-    server.shutdown();
-    server.join();
-}
-
-/// `--mode sweep`: the lanes × clients grid, the cross-lane replay and the
-/// idle keep-alive cost.
-fn run_sweep(args: &Args) {
-    let measure = Duration::from_secs(if args.quick { 1 } else { 3 });
-    let warmup = Duration::from_millis(if args.quick { 200 } else { 500 });
-    let idle_conns = if args.quick { 200 } else { 1_000 };
-    let trace_count = if args.quick { 150 } else { 600 };
-    let (registry, flow) = build_registry(args.quick);
-    let digest = digest_fixture();
-
-    // -- Lane × clients hammer grid -------------------------------------
-    for lanes in [1usize, 2, 4] {
-        for clients in [8usize, 64] {
-            let server = serve(
-                server_config(lanes, 64, Some(Arc::clone(&digest))),
-                Arc::clone(&registry),
-            )
-            .expect("bind loopback");
-            let addr = server.addr();
-            probe_bit_exact(addr, &flow);
-            let _ = hammer(addr, clients, warmup);
-            let (requests, seconds) = hammer(addr, clients, measure);
-            server.shutdown();
-            server.join();
-            let throughput = requests as f64 / seconds;
-            println!(
-                "serve/lane_sweep/lanes{lanes}_clients{clients}: {requests} requests in \
-                 {seconds:.2}s = {throughput:.0} req/s"
-            );
-        }
-    }
-
-    // -- Cross-lane-count trace replay: bit-identical outcomes ----------
-    let trace = Trace::synth(args.seed, trace_count, &TraceSynthProfile::default());
-    let mut digests = Vec::new();
-    for lanes in [1usize, 2, 4] {
-        let server = serve(
-            server_config(lanes, 64, Some(Arc::clone(&digest))),
-            Arc::clone(&registry),
-        )
-        .expect("bind loopback");
-        let start = Instant::now();
-        let outcomes = trace::replay(server.addr(), &trace, args.clients).expect("replay");
-        let seconds = start.elapsed().as_secs_f64();
-        server.shutdown();
-        server.join();
-        assert!(
-            outcomes.iter().all(|o| o.status == 200),
-            "every replayed request must succeed"
-        );
-        let digest_value = outcome_digest(&outcomes);
-        println!(
-            "serve/trace_replay/lanes{lanes}: {} records in {seconds:.2}s = {:.0} req/s, \
-             outcome digest {digest_value:016x}",
-            outcomes.len(),
-            outcomes.len() as f64 / seconds
-        );
-        digests.push(digest_value);
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "trace replay outcomes must be bit-identical across lane counts: {digests:x?}"
-    );
-    println!("cross-lane outcome digests identical: {:016x}", digests[0]);
-
-    // -- Idle keep-alive cost: ~1k parked connections --------------------
-    let server = serve(
-        server_config(4, 64, Some(Arc::clone(&digest))),
-        Arc::clone(&registry),
-    )
-    .expect("bind loopback");
-    let addr = server.addr();
-    probe_bit_exact(addr, &flow);
-    let (threads_before, rss_before) = proc_threads_and_rss();
-    let mut parked: Vec<Connection> = (0..idle_conns)
-        .map(|_| Connection::open(addr, Duration::from_secs(30)).expect("idle connection"))
-        .collect();
-    // Let the poller park them all, then measure.
-    std::thread::sleep(Duration::from_millis(500));
-    let (threads_after, rss_after) = proc_threads_and_rss();
-    let thread_delta = threads_after.saturating_sub(threads_before);
-    let rss_delta_kb = rss_after.saturating_sub(rss_before);
-    println!(
-        "serve/idle_conns: {idle_conns} idle keep-alive connections cost {thread_delta} \
-         threads, {rss_delta_kb} kB RSS"
-    );
-    // The whole point of the multiplexer: idle sockets must not spawn
-    // threads (allow a little scheduler slack, never O(connections)).
-    assert!(
-        thread_delta < 8,
-        "{idle_conns} idle connections must cost ~0 threads, measured +{thread_delta}"
-    );
-    // The parked sockets are still live connections: each still serves.
-    for conn in parked.iter_mut().take(5) {
-        let response = conn
-            .request("POST", "/v1/score", Some("{\"passwords\":[\"jimmy91\"]}"))
-            .expect("parked connection revival");
-        assert_eq!(response.status, 200);
-    }
-    drop(parked);
     server.shutdown();
     server.join();
 }

@@ -1,13 +1,13 @@
 //! The `passflow` command: one binary for the paper's experiments, the
 //! scoring service, the breach-digest and guess-archive tools, and the
-//! serving load generator.
+//! `PFTRACE` workload-trace tools.
 //!
 //! ```text
 //! passflow report  [--scale smoke|default|paper] [--threads N] [NAME…]
 //! passflow serve   [--addr ADDR] [--digest FILE] [--quantized] …
 //! passflow digest  build|merge|query|verify|hash …
 //! passflow archive build|merge|query|extract|verify …
-//! passflow loadgen [--mode hammer|synth|record|replay|sweep] [--quick] …
+//! passflow loadgen --mode synth|record|replay [--trace PATH] …
 //! ```
 //!
 //! Every subcommand rejects an unknown flag or a malformed value with a
@@ -29,7 +29,7 @@ const USAGE: &str = "usage: passflow <report|serve|digest|archive|loadgen> [opti
      \x20 serve   [--addr ADDR] [--checkpoint FILE] [--digest FILE] [--quantized] …\n\
      \x20 digest  build|merge|query|verify|hash …\n\
      \x20 archive build|merge|query|extract|verify …\n\
-     \x20 loadgen [--mode hammer|synth|record|replay|sweep] [--quick] …";
+     \x20 loadgen --mode synth|record|replay [--trace PATH] …";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);

@@ -115,6 +115,10 @@ fn malformed_arguments_fail_before_any_work() {
         ("loadgen --mode synth --seed abc", "--seed"),
         ("loadgen --count five", "--count"),
         ("loadgen --out x.json", "--out"),
+        ("loadgen", "--mode"),
+        ("loadgen --mode hammer", "--mode"),
+        ("loadgen --mode sweep", "--mode"),
+        ("loadgen --mode synth --quick", "--quick"),
         ("report strength --scale smoke --threads x", "--threads"),
         ("report --scale bogus", "--scale"),
         ("digest build --out a.pfd --bogus-flag", "--bogus-flag"),

@@ -132,7 +132,7 @@ fn seeded_synth_is_reproducible_and_covers_the_endpoint_mix() {
 #[test]
 fn replaying_one_trace_across_lane_counts_gives_identical_outcomes() {
     // Small but real: ~120 records across all three endpoints, replayed by
-    // 8 concurrent clients against lanes=1 and lanes=2 servers built from
+    // 8 concurrent clients against lanes=1, 2 and 4 servers built from
     // the same model seed. Every record's observable outcome — status,
     // exact score bits per password, breach verdicts via status/bits of
     // /v1/screen — must match index-for-index.
@@ -147,7 +147,7 @@ fn replaying_one_trace_across_lane_counts_gives_identical_outcomes() {
     let (digest, path) = digest_fixture("xlane");
 
     let mut runs = Vec::new();
-    for lanes in [1usize, 2] {
+    for lanes in [1usize, 2, 4] {
         let flow = tiny_flow(90);
         let registry = Arc::new(ModelRegistry::new());
         registry.insert(ServedModel::from_flow("default", &flow, 1, None));
@@ -179,20 +179,22 @@ fn replaying_one_trace_across_lane_counts_gives_identical_outcomes() {
         runs.push(outcomes);
     }
 
-    let (single, sharded) = (&runs[0], &runs[1]);
-    for (a, b) in single.iter().zip(sharded.iter()) {
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.status, b.status, "record {} status drifted", a.index);
-        assert_eq!(
-            a.bits, b.bits,
-            "record {}: score bits must be identical at any lane count",
-            a.index
-        );
-        assert_eq!(
-            a.verdicts, b.verdicts,
-            "record {}: breach verdicts must be identical at any lane count",
-            a.index
-        );
+    let single = &runs[0];
+    for sharded in &runs[1..] {
+        for (a, b) in single.iter().zip(sharded.iter()) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.status, b.status, "record {} status drifted", a.index);
+            assert_eq!(
+                a.bits, b.bits,
+                "record {}: score bits must be identical at any lane count",
+                a.index
+            );
+            assert_eq!(
+                a.verdicts, b.verdicts,
+                "record {}: breach verdicts must be identical at any lane count",
+                a.index
+            );
+        }
     }
     let _ = std::fs::remove_file(path);
 }
