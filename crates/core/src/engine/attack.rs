@@ -2,7 +2,6 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -542,7 +541,10 @@ impl AttackEngine {
                 (None, _) => None,
             };
 
-            let produce = pin_produce(|chunk: &Chunk, ctx| -> ChunkOutput {
+            // Chunks are claimed dynamically by `shards` workers and folded
+            // back in chunk order, so the schedule never shows in results.
+            let outputs = passflow_nn::fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
+                let chunk = &epoch[i];
                 let mut rng = nnrng::derived(attack.seed, chunk.index);
                 match (latent, prior.as_ref()) {
                     (Some(lg), Some(prior)) => {
@@ -577,14 +579,6 @@ impl AttackEngine {
                     }
                 }
             });
-
-            let workers = self.shards.min(epoch.len()).max(1);
-            let outputs: Vec<ChunkOutput> = if workers == 1 {
-                let ctx = &mut worker_ctxs[0];
-                epoch.iter().map(|chunk| produce(chunk, ctx)).collect()
-            } else {
-                run_parallel(epoch, &mut worker_ctxs[..workers], &produce)
-            };
 
             for output in outputs {
                 state.fold_chunk(output, &self.checkpoints, attack.observer.as_deref_mut());
@@ -825,58 +819,6 @@ fn write_guess_archive(generated: &ShardedSet, path: &Path) -> Result<()> {
     }
     writer.finish().map_err(archive_err)?;
     Ok(())
-}
-
-/// Pins the worker closure's signature so the session lifetime inside
-/// [`WorkerCtx`] is inferred from the surrounding guesser borrow instead of
-/// being over-generalized to a higher-ranked lifetime.
-fn pin_produce<'g, F>(f: F) -> F
-where
-    F: Fn(&Chunk, &mut WorkerCtx<'g>) -> ChunkOutput + Sync,
-{
-    f
-}
-
-/// Dynamic load balancing across worker threads: workers pull the next
-/// unclaimed chunk from a shared counter, so a slow chunk never stalls the
-/// others (cf. the dynamic load-balancing literature referenced in
-/// PAPERS.md). Outputs are re-assembled in chunk order, which is what makes
-/// the schedule irrelevant to the results.
-fn run_parallel<'g>(
-    epoch: &[Chunk],
-    ctxs: &mut [WorkerCtx<'g>],
-    produce: &(dyn Fn(&Chunk, &mut WorkerCtx<'g>) -> ChunkOutput + Sync),
-) -> Vec<ChunkOutput> {
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ChunkOutput>> = (0..epoch.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ctxs
-            .iter_mut()
-            .map(|ctx| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= epoch.len() {
-                            break;
-                        }
-                        produced.push((i, produce(&epoch[i], ctx)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, output) in handle.join().expect("attack worker panicked") {
-                slots[i] = Some(output);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk produced"))
-        .collect()
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into

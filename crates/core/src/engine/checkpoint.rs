@@ -433,6 +433,14 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointState> {
 
     let latent_dim = dec.u32()?;
     let n_points = dec.u64()? as usize;
+    // Each point is `latent_dim` floats plus its u32 usage count; bound
+    // them by the payload before reserving for any of them.
+    let point_bytes = n_points.checked_mul((latent_dim as usize + 1) * 4);
+    if point_bytes.is_none_or(|bytes| bytes > dec.buf.len() - dec.pos) {
+        return Err(persist_err(format!(
+            "{n_points} matched points of dimension {latent_dim} exceed the payload"
+        )));
+    }
     let mut matched_points = Vec::with_capacity(n_points.min(1 << 16));
     for _ in 0..n_points {
         let mut point = Vec::with_capacity(latent_dim as usize);
@@ -599,6 +607,44 @@ mod tests {
             load(&path),
             Err(FlowError::AttackPersistence(msg)) if msg.contains("magic")
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_latent_dim_is_rejected_before_reserving() {
+        let state = sample_state();
+        let path = scratch("latent-dim.pfa");
+        save(&state, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+
+        // Section 4 opens with latent_dim = 2, two points, then 0.5f32.
+        let mut section = Vec::new();
+        section.extend_from_slice(&2u32.to_le_bytes());
+        section.extend_from_slice(&2u64.to_le_bytes());
+        section.extend_from_slice(&0.5f32.to_bits().to_le_bytes());
+        let at = bytes
+            .windows(section.len())
+            .position(|w| w == section.as_slice())
+            .expect("matched-latent section present");
+
+        // (latent_dim, n_points): huge points, and countless empty ones.
+        for (latent_dim, n_points) in [(u32::MAX, 2u64), (0, 1 << 60)] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&latent_dim.to_le_bytes());
+            patched[at + 4..at + 12].copy_from_slice(&n_points.to_le_bytes());
+            // Re-seal the trailer so only the size check can object.
+            let end = patched.len() - 8;
+            let sealed = fnv1a(FNV_SEED, &patched[16..end]);
+            patched[end..].copy_from_slice(&sealed.to_le_bytes());
+            std::fs::write(&path, &patched).unwrap();
+            assert!(
+                matches!(
+                    load(&path),
+                    Err(FlowError::AttackPersistence(msg)) if msg.contains("exceed the payload")
+                ),
+                "latent_dim={latent_dim} n_points={n_points}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -67,17 +67,6 @@ impl FlowWorkspace {
         Self::default()
     }
 
-    /// Creates a workspace whose GEMMs run on a fresh [`ThreadPool`] of
-    /// `threads` threads (`threads <= 1` installs no pool — the serial
-    /// path). Results are bit-identical at any thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        let mut ws = Self::new();
-        if threads > 1 {
-            ws.set_thread_pool(Some(Arc::new(ThreadPool::new(threads))));
-        }
-        ws
-    }
-
     /// Installs (or removes, with `None`) the GEMM thread pool used by every
     /// forward/inverse/log-prob pass through this workspace.
     pub fn set_thread_pool(&mut self, pool: Option<Arc<ThreadPool>>) {
@@ -258,11 +247,6 @@ impl<L> FlowSnapshot<L> {
     /// Dimensionality of the data and latent spaces.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Number of coupling layers.
-    pub fn num_couplings(&self) -> usize {
-        self.couplings.len()
     }
 
     /// Returns `true` while no source parameter has been mutated since the

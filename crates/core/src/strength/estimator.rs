@@ -29,7 +29,7 @@ use passflow_nn::rng as nnrng;
 
 use crate::error::{FlowError, Result};
 
-use super::{run_chunks, ProbabilityModel};
+use super::ProbabilityModel;
 
 /// Magic line identifying a persisted sample table; the version suffix is
 /// bumped on any layout change so stale tables fail loudly.
@@ -173,14 +173,14 @@ impl SampleTable {
         shards: usize,
     ) -> SampleTable {
         let num_chunks = samples.div_ceil(BUILD_CHUNK);
-        let produce = |chunk: usize| -> Vec<Option<f64>> {
+        let mut workers = vec![(); passflow_nn::clamp_threads(shards)];
+        let chunk_scores = passflow_nn::fan_out(num_chunks, &mut workers, |chunk, _| {
             let len = BUILD_CHUNK.min(samples - chunk * BUILD_CHUNK);
             let mut rng = nnrng::derived(seed, chunk as u64);
             let rng: &mut dyn RngCore = &mut rng;
             let guesses = model.generate_batch(len, rng);
             model.password_log_probs(&guesses)
-        };
-        let chunk_scores = run_chunks(num_chunks, shards.max(1), &produce);
+        });
 
         let mut log_probs: Vec<f64> = Vec::with_capacity(samples);
         let mut dropped = 0usize;

@@ -45,52 +45,6 @@ pub use scorer::{probe_quantization, FlowScorer, QuantizationReport, QuantizedSc
 use crate::engine::Guesser;
 use crate::flow::PassFlow;
 
-/// Runs `num_chunks` chunk computations on up to `shards` worker threads
-/// pulling from a shared counter, re-assembling outputs in chunk order —
-/// the same dynamic-load-balancing scheme as the attack engine's
-/// `run_parallel`. Shared by the table builder and the wordlist scorer.
-pub(crate) fn run_chunks<T: Send>(
-    num_chunks: usize,
-    shards: usize,
-    produce: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    // Shard counts are throughput knobs with result invariance, so they go
-    // through the repo-wide clamp (see `passflow_nn::pool`).
-    let workers = passflow_nn::clamp_threads(shards).min(num_chunks).max(1);
-    if workers == 1 {
-        return (0..num_chunks).map(produce).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..num_chunks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= num_chunks {
-                            break;
-                        }
-                        produced.push((i, produce(i)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, output) in handle.join().expect("strength worker panicked") {
-                slots[i] = Some(output);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk produced"))
-        .collect()
-}
-
 /// A generative password model with an exact (or proxy) per-password
 /// log-probability, on top of its [`Guesser`] sampling interface.
 ///

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use crate::engine::{Attack, Guesser};
 use crate::error::Result;
 
-use super::{run_chunks, ProbabilityModel, SampleTable, StrengthEstimate};
+use super::{ProbabilityModel, SampleTable, StrengthEstimate};
 
 /// Passwords scored per work chunk. Fixed (independent of the shard count)
 /// so the chunk partition — and therefore every result — is shard-invariant.
@@ -44,7 +44,8 @@ pub fn score_wordlist(
 ) -> Vec<PasswordStrength> {
     assert!(!table.is_empty(), "cannot score against an empty table");
     let chunks: Vec<&[String]> = wordlist.chunks(SCORE_CHUNK).collect();
-    let produce = |i: usize| -> Vec<PasswordStrength> {
+    let mut workers = vec![(); passflow_nn::clamp_threads(shards)];
+    passflow_nn::fan_out(chunks.len(), &mut workers, |i, _| {
         let chunk = chunks[i];
         let scores = model.password_log_probs(chunk);
         chunk
@@ -55,12 +56,11 @@ pub fn score_wordlist(
                 log_prob,
                 estimate: log_prob.map(|lp| table.estimate(lp)),
             })
-            .collect()
-    };
-    run_chunks(chunks.len(), shards, &produce)
-        .into_iter()
-        .flatten()
-        .collect()
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Measures the **true** unique-guess rank of `target` under `guesser`

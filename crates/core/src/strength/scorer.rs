@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use passflow_nn::{LinearSnapshot, LinearWeights, QuantizedLinearSnapshot, Tensor, ThreadPool};
+use passflow_nn::{LinearSnapshot, LinearWeights, QuantizedLinearSnapshot, Tensor};
 use passflow_passwords::PasswordEncoder;
 
 use crate::fastpath::{FlowSnapshot, FlowWorkspace};
@@ -42,7 +42,6 @@ pub struct Scorer<L> {
     snapshot: Arc<FlowSnapshot<L>>,
     encoder: PasswordEncoder,
     log_cell_volume: f64,
-    pool: Option<Arc<ThreadPool>>,
 }
 
 /// The exact scoring handle: bit-identical to the flow it was exported from.
@@ -68,7 +67,6 @@ impl FlowScorer {
             snapshot: flow.snapshot(),
             encoder: flow.encoder().clone(),
             log_cell_volume: flow.log_cell_volume(),
-            pool: None,
         }
     }
 }
@@ -80,31 +78,17 @@ impl QuantizedScorer {
     }
 
     /// Quantizes the snapshot behind an existing exact scorer (inheriting
-    /// its encoder, cell volume and thread pool).
+    /// its encoder and cell volume).
     pub fn from_scorer(scorer: &FlowScorer) -> QuantizedScorer {
         Scorer {
             snapshot: Arc::new(scorer.snapshot.quantize()),
             encoder: scorer.encoder.clone(),
             log_cell_volume: scorer.log_cell_volume,
-            pool: scorer.pool.clone(),
         }
     }
 }
 
 impl<L> Scorer<L> {
-    /// Runs this scorer's GEMMs on a pool of `threads` threads (resolved
-    /// through [`passflow_nn::clamp_threads`] by callers; `threads <= 1`
-    /// keeps the serial path). Scores are bit-identical at any thread count
-    /// — this is purely a throughput knob.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = if threads > 1 {
-            Some(Arc::new(ThreadPool::new(threads)))
-        } else {
-            None
-        };
-        self
-    }
-
     /// The flow snapshot this scorer reads.
     pub fn snapshot(&self) -> &Arc<FlowSnapshot<L>> {
         &self.snapshot
@@ -163,18 +147,15 @@ impl<L: LinearWeights> Scorer<L> {
     /// `out` is cleared and refilled with one entry per input password, in
     /// input order; unencodable passwords score `None`. Results are
     /// bit-identical for any chunking of the same passwords (each output
-    /// row depends only on its own input row) and at any thread count. If
-    /// this scorer has a thread pool, it is installed into `ws` (a
-    /// caller-installed pool is left alone otherwise).
+    /// row depends only on its own input row) and at any thread count: the
+    /// GEMMs run on the pool installed in `ws`
+    /// ([`FlowWorkspace::set_thread_pool`]), serially if there is none.
     pub fn log_probs_with(
         &self,
         passwords: &[String],
         ws: &mut FlowWorkspace,
         out: &mut Vec<Option<f64>>,
     ) {
-        if let Some(pool) = &self.pool {
-            ws.set_thread_pool(Some(Arc::clone(pool)));
-        }
         out.clear();
         out.resize(passwords.len(), None);
 
@@ -349,14 +330,27 @@ mod tests {
         assert_send_sync::<QuantizedScorer>();
     }
 
+    /// Scores `passwords` through a workspace running its GEMMs on a pool
+    /// of `threads` threads.
+    fn log_probs_on_threads<L: LinearWeights>(
+        scorer: &Scorer<L>,
+        passwords: &[String],
+        threads: usize,
+    ) -> Vec<Option<f64>> {
+        let mut ws = FlowWorkspace::new();
+        ws.set_thread_pool(Some(Arc::new(passflow_nn::ThreadPool::new(threads))));
+        let mut out = Vec::new();
+        scorer.log_probs_with(passwords, &mut ws, &mut out);
+        out
+    }
+
     #[test]
     fn threaded_scorer_is_bit_identical_to_serial() {
         let flow = tiny_flow(74);
-        let serial = FlowScorer::new(&flow);
-        let threaded = FlowScorer::new(&flow).with_threads(3);
+        let scorer = FlowScorer::new(&flow);
         let passwords: Vec<String> = (0..40).map(|i| format!("secret{i}")).collect();
-        let a = serial.log_probs(&passwords);
-        let b = threaded.log_probs(&passwords);
+        let a = scorer.log_probs(&passwords);
+        let b = log_probs_on_threads(&scorer, &passwords, 3);
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
         }
@@ -395,9 +389,7 @@ mod tests {
         let passwords: Vec<String> = (0..30).map(|i| format!("hunter{i}")).collect();
         let once = quantized.log_probs(&passwords);
         let twice = quantized.log_probs(&passwords);
-        let threaded = QuantizedScorer::new(&flow)
-            .with_threads(4)
-            .log_probs(&passwords);
+        let threaded = log_probs_on_threads(&quantized, &passwords, 4);
         for ((a, b), c) in once.iter().zip(twice.iter()).zip(threaded.iter()) {
             assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
             assert_eq!(a.map(f64::to_bits), c.map(f64::to_bits));

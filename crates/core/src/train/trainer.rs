@@ -24,7 +24,6 @@
 //! from one that never stopped.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -464,48 +463,10 @@ fn compute_micro_grads(
     workers: usize,
 ) -> Vec<(f32, GradBatch)> {
     let ranges = micro_ranges(batch.rows(), micro_batch);
-    let workers = workers.min(ranges.len()).max(1);
-    if workers == 1 {
-        return ranges
-            .iter()
-            .map(|&(start, len)| grad_of_micro(flow, batch, start, len))
-            .collect();
-    }
-
-    // Dynamic load balancing as in the attack engine: workers pull the next
-    // unclaimed micro-batch from a shared counter; outputs are re-assembled
-    // by index so the schedule never shows in the results.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(f32, GradBatch)>> = ranges.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let ranges = &ranges;
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= ranges.len() {
-                            break;
-                        }
-                        let (start, len) = ranges[i];
-                        produced.push((i, grad_of_micro(flow, batch, start, len)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, output) in handle.join().expect("gradient worker panicked") {
-                slots[i] = Some(output);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every micro-batch produced"))
-        .collect()
+    passflow_nn::fan_out(ranges.len(), &mut vec![(); workers.max(1)], |i, _| {
+        let (start, len) = ranges[i];
+        grad_of_micro(flow, batch, start, len)
+    })
 }
 
 /// Partitions `rows` into `(start, len)` micro-batch ranges.

@@ -59,7 +59,9 @@ pub use autograd::{GradBatch, Parameter, Tape, Var};
 pub use error::{NnError, Result};
 pub use layers::{Activation, ActivationKind, Linear, Module, ResNet, ResidualBlock, Sequential};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
-pub use pool::{clamp_lane_threads, clamp_threads, host_threads, resolve_threads, ThreadPool};
+pub use pool::{
+    clamp_lane_threads, clamp_threads, fan_out, host_threads, resolve_threads, ThreadPool,
+};
 pub use quant::{QuantizedLinearSnapshot, QuantizedResNetSnapshot};
 pub use snapshot::{
     BlockSnapshot, LinearSnapshot, LinearWeights, NetWorkspace, ResNetSnapshot, WeightSnapshot,

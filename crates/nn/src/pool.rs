@@ -32,8 +32,16 @@
 //! Benchmarks that sweep thread counts construct [`ThreadPool`]s directly
 //! (the constructor never clamps) so the scaling curve can be recorded even
 //! where it degenerates to a tie.
+//!
+//! ## Ordered fan-out
+//!
+//! [`fan_out`] is the coarse-grained sibling of the pool: scoped threads,
+//! one per caller-supplied context, pulling item indices from a shared
+//! counter and returning outputs in index order. Attack chunks, gradient
+//! micro-batches, strength-table chunks and trace replay clients all run
+//! through it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -87,6 +95,81 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
         })
         .unwrap_or(1);
     clamp_threads(requested)
+}
+
+// ---------------------------------------------------------------------------
+// Ordered fan-out
+// ---------------------------------------------------------------------------
+
+/// Runs `produce(i, ctx)` for every `i in 0..n` and returns the outputs in
+/// index order.
+///
+/// Each context in `ctxs` backs one scoped worker thread (at most `n` of
+/// them; with one, the loop runs inline on the calling thread). Workers
+/// claim the next unclaimed index from a shared counter, so a slow item
+/// never stalls the others, and a context keeps its state across every
+/// index its worker claims. Outputs are re-assembled by index, so as long
+/// as each output depends only on its index, the result is identical for
+/// any number of contexts.
+///
+/// The worker count is `ctxs.len()` as given: callers whose count is a
+/// CPU-bound throughput knob clamp it through [`clamp_threads`] first;
+/// I/O-bound callers (one context per client connection) do not.
+///
+/// # Panics
+///
+/// Panics if `n > 0` and `ctxs` is empty. A panic inside `produce` is
+/// re-raised on the calling thread with its original payload.
+pub fn fan_out<C, T, F>(n: usize, ctxs: &mut [C], produce: F) -> Vec<T>
+where
+    C: Send,
+    T: Send,
+    F: Fn(usize, &mut C) -> T + Sync,
+{
+    let workers = ctxs.len().min(n);
+    if workers <= 1 {
+        return match ctxs.first_mut() {
+            Some(ctx) => (0..n).map(|i| produce(i, ctx)).collect(),
+            None if n == 0 => Vec::new(),
+            None => panic!("fan_out needs at least one context for {n} items"),
+        };
+    }
+    // Relaxed suffices: the counter only hands out indices; the outputs
+    // reach this thread through `join`, which synchronizes.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ctxs[..workers]
+            .iter_mut()
+            .map(|ctx| {
+                let (next, produce) = (&next, &produce);
+                scope.spawn(move || {
+                    let mut produced = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return produced;
+                        }
+                        produced.push((i, produce(i, ctx)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(produced) => {
+                    for (i, output) in produced {
+                        slots[i] = Some(output);
+                    }
+                }
+                Err(panic) => resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index produced"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +438,63 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn fan_out_returns_every_output_once_in_index_order() {
+        for n in [0usize, 1, 7, 100] {
+            for workers in 1..=4 {
+                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                // Every worker holds its first item until each has claimed
+                // one, so the claims interleave across workers.
+                let barrier = std::sync::Barrier::new(workers.min(n));
+                let mut waited = vec![false; workers];
+                let out = fan_out(n, &mut waited, |i, waited| {
+                    if !std::mem::replace(waited, true) {
+                        barrier.wait();
+                    }
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                assert_eq!(out, (0..n).map(|i| i * 3).collect::<Vec<_>>());
+                assert!(
+                    counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "n={n} workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_contexts_keep_state_across_their_claims() {
+        for workers in 1..=4 {
+            let mut ctxs: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            fan_out(50, &mut ctxs, |i, claimed| claimed.push(i));
+            // Claims come from one monotone counter, so each context saw
+            // its indices in ascending order, and together they saw each
+            // index once.
+            assert!(ctxs.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
+            let mut all: Vec<usize> = ctxs.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..50).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic() {
+        for workers in 1..=3 {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                fan_out(20, &mut vec![(); workers], |i, _| {
+                    assert_ne!(i, 13, "induced failure");
+                })
+            }));
+            let payload = result.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(message.contains("induced failure"), "{message:?}");
+        }
     }
 
     #[test]

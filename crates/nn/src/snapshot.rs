@@ -121,12 +121,6 @@ impl LinearSnapshot {
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         self.forward_into_with(input, out, None);
     }
-
-    /// Fused residual `out += input × W + b` (`out` must already be
-    /// `input.rows() × out_features`).
-    pub fn forward_add_into(&self, input: &Tensor, out: &mut Tensor) {
-        self.forward_add_into_with(input, out, None);
-    }
 }
 
 /// A linear layer's weights in one inference format: f32

@@ -257,11 +257,6 @@ impl Tensor {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of a single row as a slice.
     ///
     /// # Panics

@@ -319,7 +319,6 @@ pub(crate) fn lane_loop(
             continue;
         }
         let live_rows: usize = live.iter().map(|j| j.passwords.len()).sum();
-        metrics.record_batch(live_rows);
         metrics.record_lane_batch(idx, live_rows);
         score_tick(&live, &mut ws, &mut scores);
     }
@@ -334,7 +333,6 @@ pub(crate) fn lane_loop(
     let pending = expire_jobs(pending, metrics);
     if !pending.is_empty() {
         let rows: usize = pending.iter().map(|j| j.passwords.len()).sum();
-        metrics.record_batch(rows);
         metrics.record_lane_batch(idx, rows);
         score_tick(&pending, &mut ws, &mut scores);
     }

@@ -191,8 +191,14 @@ impl Batcher {
     /// Spawns the batcher lanes. All lanes share one GEMM [`ThreadPool`]
     /// sized by [`passflow_nn::clamp_lane_threads`] — `--lanes` and
     /// `--threads` compose without oversubscribing the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `metrics` tracks exactly the configured lane count:
+    /// each tick is recorded only in its lane's series.
     pub fn spawn(config: BatcherConfig, metrics: Arc<Metrics>) -> Batcher {
         let lanes = config.lanes.max(1);
+        assert_eq!(metrics.lane_count(), lanes, "one metrics series per lane");
         let set = Arc::new(LaneSet::new(
             lanes,
             config.queue_capacity.max(1),
@@ -364,7 +370,7 @@ mod tests {
     #[test]
     fn batched_scores_match_direct_scoring() {
         let (flow, model) = served(41);
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::with_lanes(1));
         let batcher = Batcher::spawn(BatcherConfig::default(), Arc::clone(&metrics));
         let handle = batcher.handle();
         let threads: Vec<_> = (0..8)
@@ -404,7 +410,7 @@ mod tests {
                 max_wait: Duration::from_millis(50),
                 ..BatcherConfig::default()
             },
-            Arc::new(Metrics::new()),
+            Arc::new(Metrics::with_lanes(1)),
         );
         let handle = batcher.handle();
         let ha = handle.clone();
@@ -435,7 +441,7 @@ mod tests {
                 queue_capacity: 1,
                 ..BatcherConfig::default()
             },
-            Arc::new(Metrics::new()),
+            Arc::new(Metrics::with_lanes(1)),
         );
         let handle = batcher.handle();
         let mut saw_overload = false;
@@ -467,7 +473,7 @@ mod tests {
     #[test]
     fn expired_jobs_are_dropped_not_scored() {
         let (_flow, model) = served(46);
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics::with_lanes(1));
         let batcher = Batcher::spawn(
             BatcherConfig {
                 // A long straggler wait gives the already-expired job time
@@ -504,7 +510,7 @@ mod tests {
     #[test]
     fn multi_password_jobs_keep_input_order() {
         let (flow, model) = served(45);
-        let batcher = Batcher::spawn(BatcherConfig::default(), Arc::new(Metrics::new()));
+        let batcher = Batcher::spawn(BatcherConfig::default(), Arc::new(Metrics::with_lanes(1)));
         let passwords: Vec<String> = (0..10).map(|i| format!("word{i}")).collect();
         let (reply, rx) = mpsc::sync_channel(1);
         batcher

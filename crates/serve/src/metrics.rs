@@ -6,13 +6,13 @@
 //! counts by endpoint and status class, the micro-batch size histogram, and
 //! request latency with p50/p99 estimated from a log-spaced histogram.
 //!
-//! A sink built with [`Metrics::with_lanes`] additionally tracks the
-//! sharded batcher per lane: queue depth gauges (`passflow_lane_depth`),
-//! steal counters (`passflow_lane_steals_total`) and per-lane batch-size
-//! histograms (`passflow_lane_batch_size_*`), all labelled `lane="i"`. The
-//! aggregate batch histogram keeps its meaning — every lane records into
-//! both. Lane methods on a sink built without lanes are bounds-checked
-//! no-ops, so unit tests that don't care about sharding stay unchanged.
+//! A sink tracks the sharded batcher per lane: queue depth gauges
+//! (`passflow_lane_depth`), steal counters (`passflow_lane_steals_total`)
+//! and per-lane batch-size histograms (`passflow_lane_batch_size_*`), all
+//! labelled `lane="i"`. Each tick is recorded once, in its lane's
+//! histogram; the aggregate `passflow_batch_size_*` series is rendered as
+//! the sum over lanes. Lane methods are bounds-checked: an out-of-range lane
+//! is a no-op.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -32,15 +32,11 @@ const ENDPOINTS: [&str; 8] = [
 ];
 
 /// Aggregated serving metrics. One instance is shared (behind an `Arc`) by
-/// every connection handler and the batcher thread.
-#[derive(Debug, Default)]
+/// every connection handler and the batcher lanes.
+#[derive(Debug)]
 pub struct Metrics {
     /// `requests[endpoint][status_class]` — status classes 2xx/4xx/5xx.
     requests: [[AtomicU64; 3]; 8],
-    /// Batch-size histogram buckets plus overflow, and sum/count for means.
-    batch_buckets: [AtomicU64; 10],
-    batch_sum: AtomicU64,
-    batch_ticks: AtomicU64,
     /// Latency histogram buckets plus overflow, and sum/count.
     latency_buckets: [AtomicU64; 15],
     latency_sum_us: AtomicU64,
@@ -55,7 +51,7 @@ pub struct Metrics {
     breaker_state: AtomicU64,
     /// Breaker state transitions since startup.
     breaker_transitions: AtomicU64,
-    /// Per-lane batcher metrics; empty unless built via [`Metrics::with_lanes`].
+    /// Per-lane batcher metrics (at least one lane).
     lanes: Vec<LaneMetric>,
 }
 
@@ -80,20 +76,24 @@ fn endpoint_index(endpoint: &str) -> usize {
 }
 
 impl Metrics {
-    /// Creates a zeroed metrics sink (no per-lane series).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a zeroed metrics sink tracking `lanes` batcher lanes.
+    /// Creates a zeroed metrics sink tracking `lanes` batcher lanes (at
+    /// least one).
     pub fn with_lanes(lanes: usize) -> Self {
         Metrics {
+            requests: Default::default(),
+            latency_buckets: Default::default(),
+            latency_sum_us: AtomicU64::new(0),
+            latency_count: AtomicU64::new(0),
+            store_faults: AtomicU64::new(0),
+            deadline_expired: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            breaker_state: AtomicU64::new(0),
+            breaker_transitions: AtomicU64::new(0),
             lanes: (0..lanes.max(1)).map(|_| LaneMetric::default()).collect(),
-            ..Self::default()
         }
     }
 
-    /// Number of lanes this sink tracks (0 for a sink without lane series).
+    /// Number of lanes this sink tracks.
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }
@@ -157,18 +157,6 @@ impl Metrics {
             _ => 2,
         };
         self.requests[endpoint_index(endpoint)][class].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one batcher tick that scored `size` passwords.
-    pub fn record_batch(&self, size: usize) {
-        let size = size as u64;
-        let idx = BATCH_BUCKETS
-            .iter()
-            .position(|&b| size <= b)
-            .unwrap_or(BATCH_BUCKETS.len());
-        self.batch_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.batch_sum.fetch_add(size, Ordering::Relaxed);
-        self.batch_ticks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one request's total latency (read → response flushed).
@@ -266,16 +254,23 @@ impl Metrics {
             }
         }
 
+        // The aggregate histogram is the sum of the per-lane ones.
+        let lane_sum = |field: &dyn Fn(&LaneMetric) -> &AtomicU64| -> u64 {
+            self.lanes
+                .iter()
+                .map(|l| field(l).load(Ordering::Relaxed))
+                .sum()
+        };
         out.push_str("# TYPE passflow_batch_size histogram\n");
         let mut cumulative = 0u64;
         for (i, bound) in BATCH_BUCKETS.iter().enumerate() {
-            cumulative += self.batch_buckets[i].load(Ordering::Relaxed);
+            cumulative += lane_sum(&|l| &l.batch_buckets[i]);
             let _ = writeln!(
                 out,
                 "passflow_batch_size_bucket{{le=\"{bound}\"}} {cumulative}"
             );
         }
-        cumulative += self.batch_buckets[BATCH_BUCKETS.len()].load(Ordering::Relaxed);
+        cumulative += lane_sum(&|l| &l.batch_buckets[BATCH_BUCKETS.len()]);
         let _ = writeln!(
             out,
             "passflow_batch_size_bucket{{le=\"+Inf\"}} {cumulative}"
@@ -283,57 +278,55 @@ impl Metrics {
         let _ = writeln!(
             out,
             "passflow_batch_size_sum {}",
-            self.batch_sum.load(Ordering::Relaxed)
+            lane_sum(&|l| &l.batch_sum)
         );
         let _ = writeln!(
             out,
             "passflow_batch_size_count {}",
-            self.batch_ticks.load(Ordering::Relaxed)
+            lane_sum(&|l| &l.batch_ticks)
         );
 
-        if !self.lanes.is_empty() {
-            out.push_str("# TYPE passflow_lane_depth gauge\n");
-            for (i, lane) in self.lanes.iter().enumerate() {
+        out.push_str("# TYPE passflow_lane_depth gauge\n");
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "passflow_lane_depth{{lane=\"{i}\"}} {}",
+                lane.depth.load(Ordering::Relaxed)
+            );
+        }
+        out.push_str("# TYPE passflow_lane_steals_total counter\n");
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "passflow_lane_steals_total{{lane=\"{i}\"}} {}",
+                lane.steals.load(Ordering::Relaxed)
+            );
+        }
+        out.push_str("# TYPE passflow_lane_batch_size histogram\n");
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let mut cumulative = 0u64;
+            for (b, bound) in BATCH_BUCKETS.iter().enumerate() {
+                cumulative += lane.batch_buckets[b].load(Ordering::Relaxed);
                 let _ = writeln!(
                     out,
-                    "passflow_lane_depth{{lane=\"{i}\"}} {}",
-                    lane.depth.load(Ordering::Relaxed)
+                    "passflow_lane_batch_size_bucket{{lane=\"{i}\",le=\"{bound}\"}} {cumulative}"
                 );
             }
-            out.push_str("# TYPE passflow_lane_steals_total counter\n");
-            for (i, lane) in self.lanes.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "passflow_lane_steals_total{{lane=\"{i}\"}} {}",
-                    lane.steals.load(Ordering::Relaxed)
-                );
-            }
-            out.push_str("# TYPE passflow_lane_batch_size histogram\n");
-            for (i, lane) in self.lanes.iter().enumerate() {
-                let mut cumulative = 0u64;
-                for (b, bound) in BATCH_BUCKETS.iter().enumerate() {
-                    cumulative += lane.batch_buckets[b].load(Ordering::Relaxed);
-                    let _ = writeln!(
-                        out,
-                        "passflow_lane_batch_size_bucket{{lane=\"{i}\",le=\"{bound}\"}} {cumulative}"
-                    );
-                }
-                cumulative += lane.batch_buckets[BATCH_BUCKETS.len()].load(Ordering::Relaxed);
-                let _ = writeln!(
-                    out,
-                    "passflow_lane_batch_size_bucket{{lane=\"{i}\",le=\"+Inf\"}} {cumulative}"
-                );
-                let _ = writeln!(
-                    out,
-                    "passflow_lane_batch_size_sum{{lane=\"{i}\"}} {}",
-                    lane.batch_sum.load(Ordering::Relaxed)
-                );
-                let _ = writeln!(
-                    out,
-                    "passflow_lane_batch_size_count{{lane=\"{i}\"}} {}",
-                    lane.batch_ticks.load(Ordering::Relaxed)
-                );
-            }
+            cumulative += lane.batch_buckets[BATCH_BUCKETS.len()].load(Ordering::Relaxed);
+            let _ = writeln!(
+                out,
+                "passflow_lane_batch_size_bucket{{lane=\"{i}\",le=\"+Inf\"}} {cumulative}"
+            );
+            let _ = writeln!(
+                out,
+                "passflow_lane_batch_size_sum{{lane=\"{i}\"}} {}",
+                lane.batch_sum.load(Ordering::Relaxed)
+            );
+            let _ = writeln!(
+                out,
+                "passflow_lane_batch_size_count{{lane=\"{i}\"}} {}",
+                lane.batch_ticks.load(Ordering::Relaxed)
+            );
         }
 
         out.push_str("# TYPE passflow_request_latency_seconds summary\n");
@@ -395,7 +388,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_render() {
-        let m = Metrics::new();
+        let m = Metrics::with_lanes(1);
         m.record_request("score", 200);
         m.record_request("score", 200);
         m.record_request("score", 400);
@@ -410,9 +403,10 @@ mod tests {
 
     #[test]
     fn batch_histogram_buckets_are_cumulative() {
-        let m = Metrics::new();
-        for size in [1, 1, 3, 64, 500] {
-            m.record_batch(size);
+        // The aggregate series sums the lanes' ticks.
+        let m = Metrics::with_lanes(2);
+        for (lane, size) in [(0, 1), (1, 1), (0, 3), (1, 64), (0, 500)] {
+            m.record_lane_batch(lane, size);
         }
         let text = m.render();
         assert!(text.contains("passflow_batch_size_bucket{le=\"1\"} 2"));
@@ -425,7 +419,7 @@ mod tests {
 
     #[test]
     fn latency_quantiles_track_the_distribution() {
-        let m = Metrics::new();
+        let m = Metrics::with_lanes(1);
         for _ in 0..99 {
             m.record_latency(Duration::from_micros(80));
         }
@@ -441,15 +435,8 @@ mod tests {
     }
 
     #[test]
-    fn lane_series_render_only_when_lanes_exist() {
-        let plain = Metrics::new();
-        assert_eq!(plain.lane_count(), 0);
-        // Lane methods on a lane-less sink are no-ops, not panics.
-        plain.set_lane_depth(3, 9);
-        plain.record_lane_steal(3);
-        plain.record_lane_batch(3, 5);
-        assert!(!plain.render().contains("passflow_lane_"));
-
+    fn lane_series_render_per_lane() {
+        assert_eq!(Metrics::with_lanes(0).lane_count(), 1, "0 lanes ≡ 1");
         let m = Metrics::with_lanes(2);
         assert_eq!(m.lane_count(), 2);
         m.set_lane_depth(0, 7);
@@ -469,14 +456,18 @@ mod tests {
         assert_eq!(m.lane_steals(1), 2);
         assert_eq!(m.total_lane_steals(), 2);
         assert_eq!(m.lane_ticks(0), 2);
-        // Out-of-range lanes stay no-ops.
+        // Out-of-range lanes are no-ops, not panics.
+        let before = m.render();
+        m.set_lane_depth(9, 9);
+        m.record_lane_steal(9);
         m.record_lane_batch(9, 1);
         assert_eq!(m.lane_ticks(9), 0);
+        assert_eq!(m.render(), before);
     }
 
     #[test]
     fn robustness_counters_render() {
-        let m = Metrics::new();
+        let m = Metrics::with_lanes(1);
         m.record_store_fault();
         m.record_deadline_expired();
         m.record_deadline_expired();

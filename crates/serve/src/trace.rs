@@ -39,10 +39,9 @@
 use std::io::Read;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use passflow_nn::fan_out;
 use passflow_store::io::splitmix64;
 
 use crate::client::Connection;
@@ -278,7 +277,7 @@ impl Trace {
         let seed = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
         let checksum = u32::from_le_bytes(bytes[28..32].try_into().expect("4 bytes"));
         let body = &bytes[HEADER_LEN..];
-        if body.len() != count * RECORD_LEN {
+        if count.checked_mul(RECORD_LEN) != Some(body.len()) {
             return Err(format!(
                 "length mismatch: header says {count} records, body holds {} bytes",
                 body.len()
@@ -344,15 +343,17 @@ pub struct ReplayOutcome {
 ///
 /// Records are dispatched in trace order: each client claims the next
 /// record, sleeps until its cumulative offset from replay start, fires,
-/// and parses the response. Outcomes come back sorted by record index, so
-/// two replays of the same trace are directly comparable — the
+/// and parses the response. Outcomes come back in record order, so two
+/// replays of the same trace are directly comparable — the
 /// cross-lane-count bit-identity check in `tests/trace.rs` and the bench
-/// is `assert_eq!(outcomes_a, outcomes_b)`.
+/// is `assert_eq!(outcomes_a, outcomes_b)`. Clients wait on the network,
+/// not the CPU, so their count is not clamped to the host's cores.
 ///
 /// # Errors
 ///
-/// Returns the first connection-level error any client hits (HTTP error
-/// statuses are outcomes, not errors).
+/// Returns the first connection-level error in record order (HTTP error
+/// statuses are outcomes, not errors). A client whose connection failed
+/// sends nothing more.
 pub fn replay(
     addr: SocketAddr,
     trace: &Trace,
@@ -365,69 +366,40 @@ pub fn replay(
         acc += Duration::from_micros(record.gap_us as u64);
         offsets.push(acc);
     }
-    let offsets = Arc::new(offsets);
-    let records = Arc::new(trace.records.clone());
-    let next = Arc::new(AtomicUsize::new(0));
-    let outcomes = Arc::new(Mutex::new(Vec::with_capacity(records.len())));
+    let mut conns = (0..clients.max(1))
+        .map(|_| Connection::open(addr, Duration::from_secs(30)).map(Some))
+        .collect::<std::io::Result<Vec<_>>>()?;
     let start = Instant::now();
-
-    let mut threads = Vec::new();
-    for _ in 0..clients.max(1) {
-        let records = Arc::clone(&records);
-        let offsets = Arc::clone(&offsets);
-        let next = Arc::clone(&next);
-        let outcomes = Arc::clone(&outcomes);
-        threads.push(std::thread::spawn(move || -> std::io::Result<()> {
-            let mut conn = Connection::open(addr, Duration::from_secs(30))?;
-            loop {
-                let index = next.fetch_add(1, Ordering::SeqCst);
-                let Some(record) = records.get(index) else {
-                    return Ok(());
-                };
-                let target = start + offsets[index];
-                let now = Instant::now();
-                if target > now {
-                    std::thread::sleep(target - now);
-                }
-                let response =
-                    conn.request("POST", record.endpoint.path(), Some(&record.body()))?;
-                let (bits, verdicts) = if response.status == 200 {
-                    extract_outcome_fields(&response.text())
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                outcomes
-                    .lock()
-                    .expect("replay outcomes lock")
-                    .push(ReplayOutcome {
-                        index,
-                        status: response.status,
-                        bits,
-                        verdicts,
-                    });
-            }
-        }));
-    }
-    let mut first_error = None;
-    for thread in threads {
-        match thread.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => first_error = first_error.or(Some(e)),
-            Err(_) => {
-                first_error =
-                    first_error.or_else(|| Some(std::io::Error::other("replay client panicked")));
-            }
+    let outcomes = fan_out(trace.records.len(), &mut conns, |index, conn| {
+        // Claims are handed out in increasing order, so a claim failed
+        // here comes after the error that closed this client.
+        let Some(live) = conn.as_mut() else {
+            return Err(std::io::Error::other(
+                "replay client closed by an earlier error",
+            ));
+        };
+        let target = start + offsets[index];
+        let now = Instant::now();
+        if target > now {
+            std::thread::sleep(target - now);
         }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let mut outcomes = Arc::try_unwrap(outcomes)
-        .expect("all clients joined")
-        .into_inner()
-        .expect("replay outcomes lock");
-    outcomes.sort_by_key(|o| o.index);
-    Ok(outcomes)
+        let record = &trace.records[index];
+        let response = live
+            .request("POST", record.endpoint.path(), Some(&record.body()))
+            .inspect_err(|_| *conn = None)?;
+        let (bits, verdicts) = if response.status == 200 {
+            extract_outcome_fields(&response.text())
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Ok(ReplayOutcome {
+            index,
+            status: response.status,
+            bits,
+            verdicts,
+        })
+    });
+    outcomes.into_iter().collect()
 }
 
 /// Pulls the per-password `log_prob_bits` strings (and, for screen
@@ -528,6 +500,16 @@ mod tests {
         assert!(Trace::from_bytes(truncated)
             .unwrap_err()
             .contains("mismatch"));
+
+        // A header claiming 2^60 records over an empty, correctly
+        // checksummed body: the byte count overflows and must still read
+        // as a length mismatch, not a panic or an empty trace.
+        let mut huge = good[..HEADER_LEN].to_vec();
+        huge[12..20].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        huge[28..32].copy_from_slice(&fnv1a(&[]).to_le_bytes());
+        assert!(Trace::from_bytes(&huge)
+            .unwrap_err()
+            .contains("length mismatch"));
     }
 
     #[test]

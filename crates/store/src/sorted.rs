@@ -496,11 +496,6 @@ impl<C: KeyCodec> SortedStore<C> {
         &self.path
     }
 
-    /// Overrides the bounded-retry policy applied to positioned reads.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
     /// Reads and decodes block `i` into `out` (cleared first).
     fn decode_block_into(&self, i: usize, out: &mut Vec<(C::Key, u64)>) -> Result<()> {
         let entry = &self.index[i];

@@ -3,9 +3,10 @@
 //! and reusing scratch state must never change any observable result.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use passflow::nn::rng as nnrng;
-use passflow::nn::{Module, NetWorkspace, ResNet, Tensor};
+use passflow::nn::{Module, NetWorkspace, ResNet, Tensor, ThreadPool};
 use passflow::{
     train, Attack, AttackOutcome, CorpusConfig, DynamicParams, FlowConfig, FlowScorer,
     FlowWorkspace, GaussianSmoothing, Guesser, GuessingStrategy, PassFlow, QuantizedScorer,
@@ -228,7 +229,6 @@ fn gemm_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
 #[test]
 fn threaded_gemm_matches_reference_over_ragged_shapes() {
     use passflow::nn::kernels::{matmul_into, matmul_into_with};
-    use passflow::nn::ThreadPool;
 
     // A property-style sweep: shapes chosen to hit every tail of the
     // blocked kernel — 16/8/4/1-wide column tails, 4-row blocks and
@@ -366,11 +366,17 @@ fn scorer_log_prob_bits_are_pinned() {
 
     let exact = FlowScorer::new(&flow);
     let int8 = QuantizedScorer::from_scorer(&exact);
+    // The threaded scores come through a workspace holding a 2-thread pool.
+    let mut ws = FlowWorkspace::new();
+    ws.set_thread_pool(Some(Arc::new(ThreadPool::new(2))));
+    let (mut exact_threaded, mut int8_threaded) = (Vec::new(), Vec::new());
+    exact.log_probs_with(&passwords, &mut ws, &mut exact_threaded);
+    int8.log_probs_with(&passwords, &mut ws, &mut int8_threaded);
     let pins = [
         (
             "f32",
             exact.log_probs(&passwords),
-            exact.clone().with_threads(2).log_probs(&passwords),
+            exact_threaded,
             0x4a5a_7391_bc5c_a470,
             [
                 0xc04a_85ac_bc1b_9dd0,
@@ -381,7 +387,7 @@ fn scorer_log_prob_bits_are_pinned() {
         (
             "int8",
             int8.log_probs(&passwords),
-            int8.clone().with_threads(2).log_probs(&passwords),
+            int8_threaded,
             0x003c_a526_a576_49c1,
             [
                 0xc04a_8567_f41b_9dd0,
