@@ -290,6 +290,24 @@ mod tests {
     }
 
     #[test]
+    fn state_digest_is_the_fnv_of_the_saved_weights() {
+        use passflow_store::format::{fnv1a, FNV_SEED};
+        // The literals pin the `PASSFLOW v1` bytes too, so every digest
+        // already stored in a `PFATTACK` file stays valid.
+        let pinned = [
+            (FlowConfig::tiny(), 9_519_593_025_717_491_631u64),
+            (FlowConfig::evaluation(), 3_065_149_513_416_091_374),
+        ];
+        for (config, digest) in pinned {
+            let flow = PassFlow::new(config, &mut nnrng::seeded(8)).unwrap();
+            let mut bytes = Vec::new();
+            crate::persist::save_flow_to_writer(&flow, &mut bytes).unwrap();
+            assert_eq!(flow.state_digest(), Some(fnv1a(FNV_SEED, &bytes)));
+            assert_eq!(flow.state_digest(), Some(digest), "{:?}", flow.config());
+        }
+    }
+
+    #[test]
     fn generate_batch_matches_static_sampling() {
         let mut rng_a = nnrng::seeded(3);
         let mut rng_b = nnrng::seeded(3);
