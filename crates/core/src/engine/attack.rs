@@ -470,7 +470,13 @@ impl AttackEngine {
         } else {
             None
         };
-        let guesser_digest = guesser.state_digest();
+        // The digest only guards checkpoints against resuming on other
+        // weights, so a run that neither writes nor reads one skips it.
+        let guesser_digest = if attack.checkpoint_path.is_some() || attack.resume_from.is_some() {
+            guesser.state_digest()
+        } else {
+            None
+        };
         let latent_dim = latent.map_or(0u32, |lg| lg.latent_dim() as u32);
 
         let mut state = ReduceState {
@@ -522,6 +528,9 @@ impl AttackEngine {
         // started lazily inside whichever thread ends up owning the context.
         let mut worker_ctxs: Vec<WorkerCtx<'_>> =
             (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
+        // The latent and feature buffers of a narrow wave's chunks, which
+        // run on this thread while the worker contexts invert row blocks.
+        let (mut wave_z, mut wave_x) = (Tensor::default(), Tensor::default());
 
         let mut dynamic_params = dynamic;
         while chunks_done < total {
@@ -541,44 +550,68 @@ impl AttackEngine {
                 (None, _) => None,
             };
 
-            // Chunks are claimed dynamically by `shards` workers and folded
-            // back in chunk order, so the schedule never shows in results.
-            let outputs = passflow_nn::fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
-                let chunk = &epoch[i];
-                let mut rng = nnrng::derived(attack.seed, chunk.index);
-                match (latent, prior.as_ref()) {
-                    (Some(lg), Some(prior)) => {
-                        let session = ctx.latent.get_or_insert_with(|| {
-                            lg.start_latent_session()
-                                .unwrap_or_else(|| Box::new(StatelessLatentSession(lg)))
-                        });
+            let outputs = match (latent, prior.as_ref()) {
+                // A wave narrower than the worker pool (Dynamic sampling
+                // with `sync_every < shards`) would leave workers idle, so
+                // its chunks run in order on this thread and only each
+                // chunk's inverse fans out, as row blocks over every
+                // context. Sampling, decoding and smoothing stay here and
+                // draw the chunk's stream exactly as the wide path does.
+                (Some(lg), Some(prior)) if epoch.len() < worker_ctxs.len() => epoch
+                    .iter()
+                    .map(|chunk| {
                         generate_latent_chunk(
                             lg,
-                            session.as_mut(),
-                            &mut ctx.z,
-                            &mut ctx.x,
+                            |z, x| split_inverse(lg, &mut worker_ctxs, z, x),
+                            &mut wave_z,
+                            &mut wave_x,
                             chunk,
                             prior,
                             smoothing.as_ref(),
                             &state.generated,
                             attack.targets,
                             state.track_latents,
-                            &mut rng,
+                            &mut nnrng::derived(attack.seed, chunk.index),
                         )
-                    }
-                    _ => {
-                        let session = ctx.plain.get_or_insert_with(|| {
-                            guesser
-                                .start_session()
-                                .unwrap_or_else(|| Box::new(StatelessSession(guesser)))
-                        });
-                        ChunkOutput {
-                            guesses: session.generate_batch(chunk.len, &mut rng),
-                            matched_latents: Vec::new(),
+                    })
+                    .collect(),
+                // Chunks are claimed dynamically by `shards` workers and
+                // folded back in chunk order, so the schedule never shows
+                // in results.
+                _ => passflow_nn::fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
+                    let chunk = &epoch[i];
+                    let mut rng = nnrng::derived(attack.seed, chunk.index);
+                    match (latent, prior.as_ref()) {
+                        (Some(lg), Some(prior)) => {
+                            let session = latent_session(&mut ctx.latent, lg);
+                            generate_latent_chunk(
+                                lg,
+                                |z, x| session.latents_to_features_into(z, x),
+                                &mut ctx.z,
+                                &mut ctx.x,
+                                chunk,
+                                prior,
+                                smoothing.as_ref(),
+                                &state.generated,
+                                attack.targets,
+                                state.track_latents,
+                                &mut rng,
+                            )
+                        }
+                        _ => {
+                            let session = ctx.plain.get_or_insert_with(|| {
+                                guesser
+                                    .start_session()
+                                    .unwrap_or_else(|| Box::new(StatelessSession(guesser)))
+                            });
+                            ChunkOutput {
+                                guesses: session.generate_batch(chunk.len, &mut rng),
+                                matched_latents: Vec::new(),
+                            }
                         }
                     }
-                }
-            });
+                }),
+            };
 
             for output in outputs {
                 state.fold_chunk(output, &self.checkpoints, attack.observer.as_deref_mut());
@@ -821,14 +854,59 @@ fn write_guess_archive(generated: &ShardedSet, path: &Path) -> Result<()> {
     Ok(())
 }
 
+/// A context's latent session, started on first use.
+fn latent_session<'s, 'g>(
+    slot: &'s mut Option<Box<dyn LatentSession + 'g>>,
+    lg: &'g dyn LatentGuesser,
+) -> &'s mut (dyn LatentSession + 'g) {
+    slot.get_or_insert_with(|| {
+        lg.start_latent_session()
+            .unwrap_or_else(|| Box::new(StatelessLatentSession(lg)))
+    })
+    .as_mut()
+}
+
+/// The narrow-wave inverse of `z` into `x`: the rows are cut into one
+/// contiguous block per context, the blocks are claimed through
+/// [`passflow_nn::fan_out`] and inverted by the claiming context's own
+/// session into its own buffers, and the results are joined back in row
+/// order. Row `i` of a [`LatentSession`]'s output depends only on row `i`
+/// of its input, so this is bit-identical to one whole-batch inverse.
+fn split_inverse<'g>(
+    lg: &'g dyn LatentGuesser,
+    ctxs: &mut [WorkerCtx<'g>],
+    z: &Tensor,
+    x: &mut Tensor,
+) {
+    let (rows, cols) = z.shape();
+    let blocks = ctxs.len().min(rows).max(1);
+    let features = passflow_nn::fan_out(blocks, ctxs, |b, ctx| {
+        let (lo, hi) = (b * rows / blocks, (b + 1) * rows / blocks);
+        ctx.z.resize(hi - lo, cols);
+        ctx.z
+            .as_mut_slice()
+            .copy_from_slice(&z.as_slice()[lo * cols..hi * cols]);
+        latent_session(&mut ctx.latent, lg).latents_to_features_into(&ctx.z, &mut ctx.x);
+        std::mem::take(&mut ctx.x)
+    });
+    x.resize(rows, features[0].cols());
+    let mut at = 0;
+    // Each block's buffer goes back to a context, so the next chunk's
+    // blocks reuse the allocations whichever context claims them.
+    for (ctx, block) in ctxs.iter_mut().zip(features) {
+        x.as_mut_slice()[at..at + block.len()].copy_from_slice(block.as_slice());
+        at += block.len();
+        ctx.x = block;
+    }
+}
+
 /// Generates one chunk through the latent path: sample the epoch prior into
-/// the worker's latent buffer, invert through the session's cached snapshot
-/// into the feature buffer, decode, and (optionally) smooth collisions away
-/// in data space.
+/// the latent buffer, map it through `invert` into the feature buffer,
+/// decode, and (optionally) smooth collisions away in data space.
 #[allow(clippy::too_many_arguments)]
 fn generate_latent_chunk(
     lg: &dyn LatentGuesser,
-    session: &mut dyn LatentSession,
+    invert: impl FnOnce(&Tensor, &mut Tensor),
     z: &mut Tensor,
     x: &mut Tensor,
     chunk: &Chunk,
@@ -840,7 +918,7 @@ fn generate_latent_chunk(
     rng: &mut dyn RngCore,
 ) -> ChunkOutput {
     prior.sample_into(chunk.len, rng, z);
-    session.latents_to_features_into(z, x);
+    invert(z, x);
 
     // The chunk-local dedup view is only consulted by smoothing; skip the
     // per-guess clone + hash entirely for strategies without it.
@@ -1110,6 +1188,41 @@ mod tests {
         );
         for shards in [2, 8] {
             assert_eq!(run(shards), sequential, "shards={shards} diverged");
+        }
+    }
+
+    #[test]
+    fn row_split_inverse_is_bit_identical_to_one_whole_batch() {
+        // The evaluation width (64) at two layers keeps the debug run short.
+        let config = FlowConfig {
+            coupling_layers: 2,
+            ..FlowConfig::evaluation()
+        };
+        let flow = PassFlow::new(config, &mut nnrng::seeded(21)).unwrap();
+        let mut whole = flow.start_latent_session().unwrap();
+        let bits = |t: &Tensor| {
+            (
+                t.shape(),
+                t.as_slice().iter().map(|v| v.to_bits()).collect(),
+            )
+        };
+        for rows in [1usize, 5, 17, 1023, 1024] {
+            let z = Tensor::randn(rows, flow.dim(), &mut nnrng::seeded(rows as u64));
+            let mut expected = Tensor::default();
+            whole.latents_to_features_into(&z, &mut expected);
+            let expected: ((usize, usize), Vec<u32>) = bits(&expected);
+            // `fan_out` takes the contexts as given, so this covers 1–4
+            // workers on any host.
+            for contexts in 1..=4 {
+                let mut ctxs: Vec<WorkerCtx<'_>> =
+                    (0..contexts).map(|_| WorkerCtx::new()).collect();
+                let mut x = Tensor::default();
+                // Twice: the second pass runs on the handed-back buffers.
+                for _ in 0..2 {
+                    split_inverse(&flow, &mut ctxs, &z, &mut x);
+                    assert_eq!(bits(&x), expected, "rows={rows} contexts={contexts}");
+                }
+            }
         }
     }
 

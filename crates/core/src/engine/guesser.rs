@@ -7,6 +7,7 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use passflow_nn::Tensor;
+use passflow_store::format::{Fnv1aWriter, FNV_SEED};
 
 use crate::fastpath::{FlowSnapshot, FlowWorkspace};
 use crate::flow::PassFlow;
@@ -210,13 +211,11 @@ impl Guesser for PassFlow {
 
     fn state_digest(&self) -> Option<u64> {
         // FNV over the canonical serialized form, so the digest moves with
-        // the weights (and with nothing else).
-        let mut bytes = Vec::new();
-        crate::persist::save_flow_to_writer(self, &mut bytes).ok()?;
-        Some(passflow_store::format::fnv1a(
-            passflow_store::format::FNV_SEED,
-            &bytes,
-        ))
+        // the weights (and with nothing else). The bytes stream through the
+        // hash; none are buffered.
+        let mut hash = Fnv1aWriter(FNV_SEED);
+        crate::persist::save_flow_to_writer(self, &mut hash).ok()?;
+        Some(hash.0)
     }
 }
 
@@ -291,7 +290,7 @@ mod tests {
 
     #[test]
     fn state_digest_is_the_fnv_of_the_saved_weights() {
-        use passflow_store::format::{fnv1a, FNV_SEED};
+        use passflow_store::format::fnv1a;
         // The literals pin the `PASSFLOW v1` bytes too, so every digest
         // already stored in a `PFATTACK` file stays valid.
         let pinned = [

@@ -128,7 +128,17 @@ impl PassFlow {
 
     /// All trainable parameters.
     pub fn parameters(&self) -> Vec<Parameter> {
-        self.couplings.iter().flat_map(|c| c.parameters()).collect()
+        let mut params = Vec::new();
+        self.visit_parameters(&mut |p| params.push(p.clone()));
+        params
+    }
+
+    /// Calls `f` with every trainable parameter, in
+    /// [`parameters`](Self::parameters) order, without collecting them.
+    pub fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
+        for coupling in &self.couplings {
+            coupling.visit_parameters(f);
+        }
     }
 
     /// Total number of trainable scalars.

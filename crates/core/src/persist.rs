@@ -98,12 +98,34 @@ fn write_flow_header<W: Write>(flow: &PassFlow, magic: &str, writer: &mut W) -> 
 
 fn write_tensor_block<W: Write>(tensor: &Tensor, writer: &mut W) -> Result<()> {
     writeln!(writer, "tensor {} {}", tensor.rows(), tensor.cols()).map_err(io_err)?;
-    let words: Vec<String> = tensor
-        .as_slice()
-        .iter()
-        .map(|v| format!("{:08x}", v.to_bits()))
-        .collect();
-    writeln!(writer, "{}", words.join(" ")).map_err(io_err)
+    // Space-separated 8-digit lowercase hex words, each rendered on the
+    // stack: a digest of the weights streams through here per float.
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for (i, value) in tensor.as_slice().iter().enumerate() {
+        let mut word = [b' '; 9];
+        let bits = value.to_bits();
+        for (d, digit) in word[1..].iter_mut().enumerate() {
+            *digit = HEX[((bits >> (28 - 4 * d)) & 0xf) as usize];
+        }
+        let word = if i == 0 { &word[1..] } else { &word[..] };
+        writer.write_all(word).map_err(io_err)?;
+    }
+    writer.write_all(b"\n").map_err(io_err)
+}
+
+/// Writes the flow's weights in [`PassFlow::parameters`] order, reading
+/// each under its lock instead of cloning a weight snapshot.
+fn write_weights<W: Write>(flow: &PassFlow, writer: &mut W) -> Result<()> {
+    let mut count = 0usize;
+    flow.visit_parameters(&mut |_| count += 1);
+    writeln!(writer, "tensors {count}").map_err(io_err)?;
+    let mut written = Ok(());
+    flow.visit_parameters(&mut |p| {
+        if written.is_ok() {
+            written = p.with_value(|tensor| write_tensor_block(tensor, writer));
+        }
+    });
+    written
 }
 
 fn write_tensors<W: Write>(label: &str, tensors: &[Tensor], writer: &mut W) -> Result<()> {
@@ -138,7 +160,7 @@ fn schedule_to_string(schedule: Schedule) -> String {
 /// Returns [`FlowError::IncompatibleWeights`] wrapping any I/O failure.
 pub fn save_flow_to_writer<W: Write>(flow: &PassFlow, writer: &mut W) -> Result<()> {
     write_flow_header(flow, MAGIC_V1, writer)?;
-    write_tensors("tensors", &flow.weight_snapshot(), writer)
+    write_weights(flow, writer)
 }
 
 /// Saves a flow to a file. See [`save_flow_to_writer`] for the format.
@@ -169,7 +191,7 @@ pub fn save_checkpoint_to_writer<W: Write>(
     writer: &mut W,
 ) -> Result<()> {
     write_flow_header(flow, MAGIC_V2, writer)?;
-    write_tensors("tensors", &flow.weight_snapshot(), writer)?;
+    write_weights(flow, writer)?;
     let Some(state) = state else {
         writeln!(writer, "train_state 0").map_err(io_err)?;
         return Ok(());

@@ -60,6 +60,12 @@ impl Parameter {
         self.0.read().value.clone()
     }
 
+    /// Calls `f` with the current value under the read lock, without
+    /// copying it.
+    pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.0.read().value)
+    }
+
     /// A counter incremented on every value mutation
     /// ([`set_value`](Self::set_value) / [`update`](Self::update)).
     ///

@@ -34,8 +34,17 @@ pub trait Module: Send + Sync {
     /// [`Module::forward`].
     fn forward_tensor(&self, input: &Tensor) -> Tensor;
 
-    /// Returns handles to every trainable parameter of the module.
-    fn parameters(&self) -> Vec<Parameter>;
+    /// Calls `f` with every trainable parameter of the module, in a fixed
+    /// order, without collecting them.
+    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter));
+
+    /// Returns handles to every trainable parameter of the module, in
+    /// [`visit_parameters`](Module::visit_parameters) order.
+    fn parameters(&self) -> Vec<Parameter> {
+        let mut params = Vec::new();
+        self.visit_parameters(&mut |p| params.push(p.clone()));
+        params
+    }
 
     /// Total number of trainable scalars.
     fn num_parameters(&self) -> usize {
@@ -162,8 +171,9 @@ impl Module for Linear {
             .add_row_broadcast(&self.bias.value())
     }
 
-    fn parameters(&self) -> Vec<Parameter> {
-        vec![self.weight.clone(), self.bias.clone()]
+    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -221,9 +231,7 @@ impl Module for Activation {
         }
     }
 
-    fn parameters(&self) -> Vec<Parameter> {
-        Vec::new()
-    }
+    fn visit_parameters(&self, _f: &mut dyn FnMut(&Parameter)) {}
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
         Some(WeightSnapshot::Activation(self.kind))
@@ -287,10 +295,9 @@ impl Module for ResidualBlock {
         input.add(&out)
     }
 
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut params = self.fc1.parameters();
-        params.extend(self.fc2.parameters());
-        params
+    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
+        self.fc1.visit_parameters(f);
+        self.fc2.visit_parameters(f);
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -395,13 +402,12 @@ impl Module for ResNet {
         }
     }
 
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut params = self.input.parameters();
+    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
+        self.input.visit_parameters(f);
         for block in &self.blocks {
-            params.extend(block.parameters());
+            block.visit_parameters(f);
         }
-        params.extend(self.output.parameters());
-        params
+        self.output.visit_parameters(f);
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -471,8 +477,10 @@ impl Module for Sequential {
         x
     }
 
-    fn parameters(&self) -> Vec<Parameter> {
-        self.layers.iter().flat_map(|l| l.parameters()).collect()
+    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
+        for layer in &self.layers {
+            layer.visit_parameters(f);
+        }
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {

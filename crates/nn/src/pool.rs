@@ -104,8 +104,9 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 /// Runs `produce(i, ctx)` for every `i in 0..n` and returns the outputs in
 /// index order.
 ///
-/// Each context in `ctxs` backs one scoped worker thread (at most `n` of
-/// them; with one, the loop runs inline on the calling thread). Workers
+/// Each context in `ctxs` backs one worker (at most `n` of them). The
+/// calling thread works the first context itself and each other one gets
+/// a scoped thread, so one context runs the whole loop inline. Workers
 /// claim the next unclaimed index from a shared counter, so a slow item
 /// never stalls the others, and a context keeps its state across every
 /// index its worker claims. Outputs are re-assembled by index, so as long
@@ -138,8 +139,11 @@ where
     // reach this thread through `join`, which synchronizes.
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let (own, others) = ctxs[..workers]
+        .split_first_mut()
+        .expect("at least two workers");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ctxs[..workers]
+        let handles: Vec<_> = others
             .iter_mut()
             .map(|ctx| {
                 let (next, produce) = (&next, &produce);
@@ -155,6 +159,13 @@ where
                 })
             })
             .collect();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            slots[i] = Some(produce(i, own));
+        }
         for handle in handles {
             match handle.join() {
                 Ok(produced) => {

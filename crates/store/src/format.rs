@@ -197,6 +197,23 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a offset basis (checksum seed).
 pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// An [`std::io::Write`] sink folding every byte written into an FNV-1a-64
+/// hash (the field, seeded with [`FNV_SEED`]), so a digest of serialized
+/// bytes needs no buffer to hold them.
+#[derive(Clone, Debug)]
+pub struct Fnv1aWriter(pub u64);
+
+impl std::io::Write for Fnv1aWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 = fnv1a(self.0, buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The digest key codec
 // ---------------------------------------------------------------------------

@@ -144,6 +144,49 @@ fn flow_strategies_all_run_through_the_engine() {
 }
 
 #[test]
+fn narrow_dynamic_waves_are_shard_invariant() {
+    let flow = fixture().guessers[0].as_ref();
+    // Targets drawn from the flow itself, so Dynamic sampling matches and
+    // builds its mixture prior.
+    let targets: HashSet<String> = flow
+        .generate_batch(300, &mut nnrng::seeded(406))
+        .into_iter()
+        .filter(|p| !p.is_empty())
+        .collect();
+    let params = DynamicParams::new(0, 0.1, 8);
+    let strategies = [
+        GuessingStrategy::Dynamic(params),
+        GuessingStrategy::DynamicWithSmoothing {
+            params,
+            smoothing: GaussianSmoothing::default(),
+        },
+    ];
+    for strategy in strategies {
+        // `sync_every(1)` makes every wave one chunk wide, narrower than
+        // two shards, so the 2-shard run splits each chunk's inverse.
+        let run = |shards: usize| {
+            Attack::new(&targets)
+                .budget(1_500)
+                .batch_size(128)
+                .checkpoints(vec![512, 1_024])
+                .strategy(strategy.clone())
+                .seed(12)
+                .shards(shards)
+                .sync_every(1)
+                .run(flow)
+                .unwrap()
+        };
+        let serial = run(1);
+        assert!(
+            serial.final_report().matched > 0,
+            "{}: the mixture prior must activate",
+            strategy.label()
+        );
+        assert_eq!(run(2), serial, "{} diverged", strategy.label());
+    }
+}
+
+#[test]
 fn latent_strategies_fail_cleanly_for_plain_guessers() {
     let fixture = fixture();
     // guessers[1] is the Markov model: no latent space.

@@ -200,6 +200,36 @@ fn halted_and_resumed_dynamic_gs_attacks_reproduce_uninterrupted_outcomes() {
 }
 
 #[test]
+fn narrow_wave_resume_on_two_shards_reproduces_one_shard() {
+    let scratch = Scratch::new("narrow");
+    let (flow, targets) = flow_fixture();
+    // One chunk per wave: the 2-shard runs split each chunk's inverse.
+    let attack = |shards: usize| dynamic_attack(&targets).sync_every(1).shards(shards);
+
+    let reference_archive = scratch.path("reference.pfg");
+    let reference = attack(1).archive_to(&reference_archive).run(&flow).unwrap();
+    assert!(reference.final_report().matched > 0);
+
+    let cp = scratch.path("halt.pfa");
+    attack(2)
+        .checkpoint_to(&cp)
+        .halt_after(600)
+        .run(&flow)
+        .unwrap();
+    let resumed_archive = scratch.path("resumed.pfg");
+    let resumed = attack(2)
+        .resume(&cp)
+        .archive_to(&resumed_archive)
+        .run(&flow)
+        .unwrap();
+    assert_eq!(resumed, reference);
+    assert_eq!(
+        std::fs::read(&resumed_archive).unwrap(),
+        std::fs::read(&reference_archive).unwrap()
+    );
+}
+
+#[test]
 fn periodic_checkpoints_and_resume_from_complete_are_stable() {
     let scratch = Scratch::new("cadence");
     let targets = targets();
