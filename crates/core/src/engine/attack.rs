@@ -194,7 +194,11 @@ impl<'a> Attack<'a> {
     /// Sharding is a *throughput* knob: every chunk of work draws from its
     /// own deterministic RNG stream keyed by the chunk index, so
     /// `shards(1)` and `shards(8)` produce byte-identical reports for the
-    /// same seed.
+    /// same seed. A wave with at least one chunk per shard runs one chunk
+    /// per worker. A narrower wave (Dynamic sampling with
+    /// [`sync_every`](Attack::sync_every) below the shard count) runs its
+    /// chunks in order and splits each chunk's flow inverse into one row
+    /// block per shard instead.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         // Repo-wide thread discipline: clamp to the host (results are
@@ -207,12 +211,14 @@ impl<'a> Attack<'a> {
     /// synchronizations (default 1, the per-batch cadence of Algorithm 1).
     ///
     /// Dynamic Sampling conditions the prior on the matches found so far,
-    /// which serializes generation; raising `sync_every` lets up to that
-    /// many chunks run in parallel against a snapshot of the matched set,
-    /// trading feedback freshness for throughput. The value changes the
-    /// trajectory (like changing the batch size does) but, for a fixed
-    /// value, results remain shard-count-invariant. Static strategies
-    /// ignore this and parallelize freely.
+    /// so each chunk's sampling, decoding and smoothing wait for the
+    /// previous wave's fold; only the flow inverse inside a chunk still
+    /// spreads over the shards, as row blocks. Raising `sync_every` lets up
+    /// to that many whole chunks run in parallel against a snapshot of the
+    /// matched set, trading feedback freshness for throughput. The value
+    /// changes the trajectory (like changing the batch size does) but, for
+    /// a fixed value, results remain shard-count-invariant. Static
+    /// strategies ignore this and parallelize freely.
     #[must_use]
     pub fn sync_every(mut self, chunks: usize) -> Self {
         self.sync_every = chunks.max(1);
@@ -361,9 +367,10 @@ impl PriorSnapshot {
 
 /// Per-worker state kept alive across chunks and epochs: the guesser's
 /// generation session (cached weight snapshot + scratch workspace) and the
-/// latent/feature buffers the chunk loop writes into. After the first chunk
-/// warms these up, steady-state generation allocates nothing but the guess
-/// strings themselves.
+/// latent/feature buffers that a wide wave's chunks, or a narrow wave's
+/// row blocks, are written into. After the first chunk warms these up,
+/// steady-state generation allocates nothing inside the flow; the guess
+/// strings and the fan-out's own bookkeeping still allocate.
 struct WorkerCtx<'g> {
     plain: Option<Box<dyn GuessSession + 'g>>,
     latent: Option<Box<dyn LatentSession + 'g>>,

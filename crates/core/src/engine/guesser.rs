@@ -60,6 +60,10 @@ pub trait Guesser: Send + Sync {
     /// weights), recorded in `PFATTACK v1` attack checkpoints so resuming
     /// against a *different* model is a typed error instead of silently
     /// divergent output. `None` (the default) skips the check.
+    ///
+    /// The engine computes it only for an attack that checkpoints
+    /// ([`Attack::checkpoint_to`](crate::Attack::checkpoint_to)) or
+    /// resumes ([`Attack::resume`](crate::Attack::resume)).
     fn state_digest(&self) -> Option<u64> {
         None
     }
@@ -99,6 +103,10 @@ pub trait LatentGuesser: Guesser {
 
     /// Maps a batch of latent rows to data-space feature rows (the flow's
     /// inverse pass).
+    ///
+    /// Row `i` of the output must depend only on row `i` of the input, bit
+    /// for bit, whatever the batch around it: the engine splits a batch
+    /// into row blocks across workers and joins the results.
     fn latents_to_features(&self, z: &Tensor) -> Tensor;
 
     /// Decodes one data-space feature row into a password guess.
@@ -117,6 +125,10 @@ pub trait LatentGuesser: Guesser {
 
 /// A per-worker latent-inference context created by
 /// [`LatentGuesser::start_latent_session`].
+///
+/// As with [`LatentGuesser::latents_to_features`], row `i` of the output
+/// depends only on row `i` of the input: the engine may invert one batch
+/// as contiguous row blocks, each through a different worker's session.
 pub trait LatentSession: Send {
     /// Maps a batch of latent rows to data-space feature rows, writing into
     /// `out` and reusing session scratch buffers.

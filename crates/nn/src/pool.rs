@@ -35,9 +35,10 @@
 //!
 //! ## Ordered fan-out
 //!
-//! [`fan_out`] is the coarse-grained sibling of the pool: scoped threads,
-//! one per caller-supplied context, pulling item indices from a shared
-//! counter and returning outputs in index order. Attack chunks, gradient
+//! [`fan_out`] is the coarse-grained sibling of the pool: one worker per
+//! caller-supplied context (the calling thread, then scoped threads),
+//! pulling item indices from a shared counter and returning outputs in
+//! index order. Attack chunks, gradient
 //! micro-batches, strength-table chunks and trace replay clients all run
 //! through it.
 
@@ -136,48 +137,44 @@ where
         };
     }
     // Relaxed suffices: the counter only hands out indices; the outputs
-    // reach this thread through `join`, which synchronizes.
+    // reach this thread through the slot mutex and the scope's join.
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let panicked = Mutex::new(None);
+    let work = |ctx: &mut C| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        let output = produce(i, ctx);
+        slots.lock().expect("no slot write panics")[i] = Some(output);
+    };
     let (own, others) = ctxs[..workers]
         .split_first_mut()
         .expect("at least two workers");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = others
-            .iter_mut()
-            .map(|ctx| {
-                let (next, produce) = (&next, &produce);
-                scope.spawn(move || {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return produced;
-                        }
-                        produced.push((i, produce(i, ctx)));
-                    }
-                })
-            })
-            .collect();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            slots[i] = Some(produce(i, own));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(produced) => {
-                    for (i, output) in produced {
-                        slots[i] = Some(output);
-                    }
+        for ctx in others {
+            let (work, panicked) = (&work, &panicked);
+            scope.spawn(move || {
+                // The payload is kept for the caller: a scoped thread's
+                // own panic would surface only as "a scoped thread
+                // panicked".
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(ctx))) {
+                    panicked
+                        .lock()
+                        .expect("no payload write panics")
+                        .get_or_insert(payload);
                 }
-                Err(panic) => resume_unwind(panic),
-            }
+            });
         }
+        work(own);
     });
+    if let Some(payload) = panicked.into_inner().expect("no payload write panics") {
+        resume_unwind(payload);
+    }
     slots
+        .into_inner()
+        .expect("no slot write panics")
         .into_iter()
         .map(|slot| slot.expect("every index produced"))
         .collect()

@@ -144,7 +144,7 @@ fn only_persisting_attacks_compute_the_state_digest(flow: &PassFlow) {
 
 fn row_split_allocations_are_bounded_per_chunk(flow: &PassFlow, targets: &HashSet<String>) {
     const BUDGET: u64 = 8_192;
-    const BATCH: usize = 128;
+    const BATCH: usize = 64;
     let campaign = |shards: usize| {
         counted(|| {
             Attack::new(targets)
