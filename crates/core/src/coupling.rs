@@ -77,16 +77,9 @@ impl CouplingLayer {
 
     /// Trainable parameters of both coupling networks.
     pub fn parameters(&self) -> Vec<Parameter> {
-        let mut params = Vec::new();
-        self.visit_parameters(&mut |p| params.push(p.clone()));
+        let mut params = self.s_net.parameters();
+        params.extend(self.t_net.parameters());
         params
-    }
-
-    /// Calls `f` with the trainable parameters of both coupling networks,
-    /// in [`parameters`](Self::parameters) order, without collecting them.
-    pub fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.s_net.visit_parameters(f);
-        self.t_net.visit_parameters(f);
     }
 
     /// Exports an owned, immutable [`CouplingSnapshot`] of the layer's masks

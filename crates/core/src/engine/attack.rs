@@ -194,11 +194,10 @@ impl<'a> Attack<'a> {
     /// Sharding is a *throughput* knob: every chunk of work draws from its
     /// own deterministic RNG stream keyed by the chunk index, so
     /// `shards(1)` and `shards(8)` produce byte-identical reports for the
-    /// same seed. A wave with at least one chunk per shard runs one chunk
-    /// per worker. A narrower wave (Dynamic sampling with
-    /// [`sync_every`](Attack::sync_every) below the shard count) runs its
-    /// chunks in order and splits each chunk's flow inverse into one row
-    /// block per shard instead.
+    /// same seed. A plain guesser's chunks (a static attack without
+    /// smoothing) run one per worker. A latent strategy (Dynamic sampling
+    /// or Gaussian smoothing) runs its chunks in order and splits each
+    /// chunk's flow inverse into one row block per shard.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         // Repo-wide thread discipline: clamp to the host (results are
@@ -211,14 +210,13 @@ impl<'a> Attack<'a> {
     /// synchronizations (default 1, the per-batch cadence of Algorithm 1).
     ///
     /// Dynamic Sampling conditions the prior on the matches found so far,
-    /// so each chunk's sampling, decoding and smoothing wait for the
-    /// previous wave's fold; only the flow inverse inside a chunk still
-    /// spreads over the shards, as row blocks. Raising `sync_every` lets up
-    /// to that many whole chunks run in parallel against a snapshot of the
-    /// matched set, trading feedback freshness for throughput. The value
-    /// changes the trajectory (like changing the batch size does) but, for
-    /// a fixed value, results remain shard-count-invariant. Static
-    /// strategies ignore this and parallelize freely.
+    /// so each wave's chunks sample from the prior built at the previous
+    /// wave's fold. Raising `sync_every` lets that many chunks share one
+    /// snapshot of the matched set, trading feedback freshness for fewer
+    /// prior rebuilds; each chunk's flow inverse spreads over the shards as
+    /// row blocks at any value. The value changes the trajectory (like
+    /// changing the batch size does) but, for a fixed value, results remain
+    /// shard-count-invariant. Static strategies ignore this.
     #[must_use]
     pub fn sync_every(mut self, chunks: usize) -> Self {
         self.sync_every = chunks.max(1);
@@ -367,8 +365,8 @@ impl PriorSnapshot {
 
 /// Per-worker state kept alive across chunks and epochs: the guesser's
 /// generation session (cached weight snapshot + scratch workspace) and the
-/// latent/feature buffers that a wide wave's chunks, or a narrow wave's
-/// row blocks, are written into. After the first chunk warms these up,
+/// latent/feature buffers that a latent chunk's row blocks are written
+/// into. After the first chunk warms these up,
 /// steady-state generation allocates nothing inside the flow; the guess
 /// strings and the fan-out's own bookkeeping still allocate.
 struct WorkerCtx<'g> {
@@ -535,8 +533,8 @@ impl AttackEngine {
         // started lazily inside whichever thread ends up owning the context.
         let mut worker_ctxs: Vec<WorkerCtx<'_>> =
             (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
-        // The latent and feature buffers of a narrow wave's chunks, which
-        // run on this thread while the worker contexts invert row blocks.
+        // The latent and feature buffers of the latent chunks, which run on
+        // this thread while the worker contexts invert row blocks.
         let (mut wave_z, mut wave_x) = (Tensor::default(), Tensor::default());
 
         let mut dynamic_params = dynamic;
@@ -558,18 +556,16 @@ impl AttackEngine {
             };
 
             let outputs = match (latent, prior.as_ref()) {
-                // A wave narrower than the worker pool (Dynamic sampling
-                // with `sync_every < shards`) would leave workers idle, so
-                // its chunks run in order on this thread and only each
-                // chunk's inverse fans out, as row blocks over every
-                // context. Sampling, decoding and smoothing stay here and
-                // draw the chunk's stream exactly as the wide path does.
-                (Some(lg), Some(prior)) if epoch.len() < worker_ctxs.len() => epoch
+                // Latent chunks run in order on this thread, and only each
+                // chunk's flow inverse fans out, as row blocks over every
+                // context. A Dynamic wave is often a single chunk, so this
+                // keeps every worker busy at any cadence.
+                (Some(lg), Some(prior)) => epoch
                     .iter()
                     .map(|chunk| {
                         generate_latent_chunk(
                             lg,
-                            |z, x| split_inverse(lg, &mut worker_ctxs, z, x),
+                            &mut worker_ctxs,
                             &mut wave_z,
                             &mut wave_x,
                             chunk,
@@ -582,40 +578,22 @@ impl AttackEngine {
                         )
                     })
                     .collect(),
-                // Chunks are claimed dynamically by `shards` workers and
-                // folded back in chunk order, so the schedule never shows
-                // in results.
+                // Plain chunks are claimed dynamically by `shards` workers
+                // and folded back in chunk order, so the schedule never
+                // shows in results.
                 _ => passflow_nn::fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
                     let chunk = &epoch[i];
-                    let mut rng = nnrng::derived(attack.seed, chunk.index);
-                    match (latent, prior.as_ref()) {
-                        (Some(lg), Some(prior)) => {
-                            let session = latent_session(&mut ctx.latent, lg);
-                            generate_latent_chunk(
-                                lg,
-                                |z, x| session.latents_to_features_into(z, x),
-                                &mut ctx.z,
-                                &mut ctx.x,
-                                chunk,
-                                prior,
-                                smoothing.as_ref(),
-                                &state.generated,
-                                attack.targets,
-                                state.track_latents,
-                                &mut rng,
-                            )
-                        }
-                        _ => {
-                            let session = ctx.plain.get_or_insert_with(|| {
-                                guesser
-                                    .start_session()
-                                    .unwrap_or_else(|| Box::new(StatelessSession(guesser)))
-                            });
-                            ChunkOutput {
-                                guesses: session.generate_batch(chunk.len, &mut rng),
-                                matched_latents: Vec::new(),
-                            }
-                        }
+                    let session = ctx.plain.get_or_insert_with(|| {
+                        guesser
+                            .start_session()
+                            .unwrap_or_else(|| Box::new(StatelessSession(guesser)))
+                    });
+                    ChunkOutput {
+                        guesses: session.generate_batch(
+                            chunk.len,
+                            &mut nnrng::derived(attack.seed, chunk.index),
+                        ),
+                        matched_latents: Vec::new(),
                     }
                 }),
             };
@@ -873,7 +851,7 @@ fn latent_session<'s, 'g>(
     .as_mut()
 }
 
-/// The narrow-wave inverse of `z` into `x`: the rows are cut into one
+/// The inverse of a latent chunk's `z` into `x`: the rows are cut into one
 /// contiguous block per context, the blocks are claimed through
 /// [`passflow_nn::fan_out`] and inverted by the claiming context's own
 /// session into its own buffers, and the results are joined back in row
@@ -908,12 +886,13 @@ fn split_inverse<'g>(
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into
-/// the latent buffer, map it through `invert` into the feature buffer,
-/// decode, and (optionally) smooth collisions away in data space.
+/// the latent buffer, map it through the row-split inverse over `ctxs` into
+/// the feature buffer, decode, and (optionally) smooth collisions away in
+/// data space.
 #[allow(clippy::too_many_arguments)]
-fn generate_latent_chunk(
-    lg: &dyn LatentGuesser,
-    invert: impl FnOnce(&Tensor, &mut Tensor),
+fn generate_latent_chunk<'g>(
+    lg: &'g dyn LatentGuesser,
+    ctxs: &mut [WorkerCtx<'g>],
     z: &mut Tensor,
     x: &mut Tensor,
     chunk: &Chunk,
@@ -925,7 +904,7 @@ fn generate_latent_chunk(
     rng: &mut dyn RngCore,
 ) -> ChunkOutput {
     prior.sample_into(chunk.len, rng, z);
-    invert(z, x);
+    split_inverse(lg, ctxs, z, x);
 
     // The chunk-local dedup view is only consulted by smoothing; skip the
     // per-guess clone + hash entirely for strategies without it.

@@ -128,17 +128,7 @@ impl PassFlow {
 
     /// All trainable parameters.
     pub fn parameters(&self) -> Vec<Parameter> {
-        let mut params = Vec::new();
-        self.visit_parameters(&mut |p| params.push(p.clone()));
-        params
-    }
-
-    /// Calls `f` with every trainable parameter, in
-    /// [`parameters`](Self::parameters) order, without collecting them.
-    pub fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        for coupling in &self.couplings {
-            coupling.visit_parameters(f);
-        }
+        self.couplings.iter().flat_map(|c| c.parameters()).collect()
     }
 
     /// Total number of trainable scalars.

@@ -116,16 +116,11 @@ fn write_tensor_block<W: Write>(tensor: &Tensor, writer: &mut W) -> Result<()> {
 /// Writes the flow's weights in [`PassFlow::parameters`] order, reading
 /// each under its lock instead of cloning a weight snapshot.
 fn write_weights<W: Write>(flow: &PassFlow, writer: &mut W) -> Result<()> {
-    let mut count = 0usize;
-    flow.visit_parameters(&mut |_| count += 1);
-    writeln!(writer, "tensors {count}").map_err(io_err)?;
-    let mut written = Ok(());
-    flow.visit_parameters(&mut |p| {
-        if written.is_ok() {
-            written = p.with_value(|tensor| write_tensor_block(tensor, writer));
-        }
-    });
-    written
+    let params = flow.parameters();
+    writeln!(writer, "tensors {}", params.len()).map_err(io_err)?;
+    params
+        .iter()
+        .try_for_each(|p| p.with_value(|tensor| write_tensor_block(tensor, writer)))
 }
 
 fn write_tensors<W: Write>(label: &str, tensors: &[Tensor], writer: &mut W) -> Result<()> {

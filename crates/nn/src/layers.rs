@@ -34,17 +34,8 @@ pub trait Module: Send + Sync {
     /// [`Module::forward`].
     fn forward_tensor(&self, input: &Tensor) -> Tensor;
 
-    /// Calls `f` with every trainable parameter of the module, in a fixed
-    /// order, without collecting them.
-    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter));
-
-    /// Returns handles to every trainable parameter of the module, in
-    /// [`visit_parameters`](Module::visit_parameters) order.
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut params = Vec::new();
-        self.visit_parameters(&mut |p| params.push(p.clone()));
-        params
-    }
+    /// Returns handles to every trainable parameter of the module.
+    fn parameters(&self) -> Vec<Parameter>;
 
     /// Total number of trainable scalars.
     fn num_parameters(&self) -> usize {
@@ -171,9 +162,8 @@ impl Module for Linear {
             .add_row_broadcast(&self.bias.value())
     }
 
-    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        f(&self.weight);
-        f(&self.bias);
+    fn parameters(&self) -> Vec<Parameter> {
+        vec![self.weight.clone(), self.bias.clone()]
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -231,7 +221,9 @@ impl Module for Activation {
         }
     }
 
-    fn visit_parameters(&self, _f: &mut dyn FnMut(&Parameter)) {}
+    fn parameters(&self) -> Vec<Parameter> {
+        Vec::new()
+    }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
         Some(WeightSnapshot::Activation(self.kind))
@@ -295,9 +287,10 @@ impl Module for ResidualBlock {
         input.add(&out)
     }
 
-    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.fc1.visit_parameters(f);
-        self.fc2.visit_parameters(f);
+    fn parameters(&self) -> Vec<Parameter> {
+        let mut params = self.fc1.parameters();
+        params.extend(self.fc2.parameters());
+        params
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -402,12 +395,13 @@ impl Module for ResNet {
         }
     }
 
-    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        self.input.visit_parameters(f);
+    fn parameters(&self) -> Vec<Parameter> {
+        let mut params = self.input.parameters();
         for block in &self.blocks {
-            block.visit_parameters(f);
+            params.extend(block.parameters());
         }
-        self.output.visit_parameters(f);
+        params.extend(self.output.parameters());
+        params
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {
@@ -477,10 +471,8 @@ impl Module for Sequential {
         x
     }
 
-    fn visit_parameters(&self, f: &mut dyn FnMut(&Parameter)) {
-        for layer in &self.layers {
-            layer.visit_parameters(f);
-        }
+    fn parameters(&self) -> Vec<Parameter> {
+        self.layers.iter().flat_map(|l| l.parameters()).collect()
     }
 
     fn export_snapshot(&self) -> Option<WeightSnapshot> {

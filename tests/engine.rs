@@ -162,8 +162,8 @@ fn narrow_dynamic_waves_are_shard_invariant() {
         },
     ];
     for strategy in strategies {
-        // `sync_every(1)` makes every wave one chunk wide, narrower than
-        // two shards, so the 2-shard run splits each chunk's inverse.
+        // `sync_every(1)` makes every wave one chunk, so only the row
+        // split of each chunk's inverse puts the second shard to work.
         let run = |shards: usize| {
             Attack::new(&targets)
                 .budget(1_500)
