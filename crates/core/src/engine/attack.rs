@@ -194,10 +194,9 @@ impl<'a> Attack<'a> {
     /// Sharding is a *throughput* knob: every chunk of work draws from its
     /// own deterministic RNG stream keyed by the chunk index, so
     /// `shards(1)` and `shards(8)` produce byte-identical reports for the
-    /// same seed. A plain guesser's chunks (a static attack without
-    /// smoothing) run one per worker. A latent strategy (Dynamic sampling
-    /// or Gaussian smoothing) runs its chunks in order and splits each
-    /// chunk's flow inverse into one row block per shard.
+    /// same seed. A static attack's chunks run one per worker. A Dynamic
+    /// strategy (with or without smoothing) runs its chunks in order and
+    /// splits each chunk's flow inverse into one row block per shard.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         // Repo-wide thread discipline: clamp to the host (results are
@@ -556,10 +555,11 @@ impl AttackEngine {
             };
 
             let outputs = match (latent, prior.as_ref()) {
-                // Latent chunks run in order on this thread, and only each
+                // Dynamic chunks run in order on this thread, and only each
                 // chunk's flow inverse fans out, as row blocks over every
-                // context. A Dynamic wave is often a single chunk, so this
-                // keeps every worker busy at any cadence.
+                // context. A wave is one chunk at the default cadence, so
+                // this keeps every worker busy where one chunk per worker
+                // would not.
                 (Some(lg), Some(prior)) => epoch
                     .iter()
                     .map(|chunk| {

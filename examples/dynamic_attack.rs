@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for strategy in strategies {
         // One engine drives all three strategies; static generation fans out
-        // across shards, dynamic generation parallelizes between feedback
-        // synchronizations (sync_every batches share one prior snapshot).
+        // chunks across shards, dynamic generation splits each batch's flow
+        // inverse across them (sync_every batches share one prior snapshot).
         let outcome = Attack::new(&targets)
             .budget(budget)
             .batch_size(2_048)
