@@ -11,12 +11,19 @@
 //! `matmul` + `add_row_broadcast`), and fused elementwise kernels apply the
 //! same scalar functions in the same sequence as the tensor-op chain.
 //!
-//! The matrix core is a register-blocked i-k-j GEMM: 4 output rows × 16
-//! output columns are accumulated in registers while `p` streams through the
-//! shared dimension, with 8/4/1-wide column tails and single-row tails for
-//! ragged shapes. Register blocking re-tiles the *independent* i/j loops
-//! only, and the per-lane `mul_add` keeps exact FMA semantics, so
-//! vectorization never reassociates the `p` accumulation order. Weights stay
+//! The matrix core is a register-blocked i-k-j GEMM: a block of 4 output rows
+//! × one column tile is accumulated in registers while `p` streams through
+//! the shared dimension, with single-row tails for ragged row counts. The
+//! column tiles come from the widest `Tier` the host has, chosen once by a
+//! cached CPUID probe: 32-wide AVX-512F tiles (two zmm accumulators per row),
+//! then 16-wide AVX2/FMA tiles, then **one masked 16-lane tile** for the last
+//! `n mod 16` columns. Masked lanes are never read or written, so no operand
+//! needs padding, and a 10-wide output layer — the flow's `s`/`t` heads —
+//! stays on SIMD instead of falling to scalar tiles. Hosts without AVX2 run
+//! the portable 16/8/4/1-wide scalar tiles. Register blocking re-tiles the
+//! *independent* i/j loops only, and every lane computes `fma(a[i][p],
+//! b[p][j], acc)` from `0.0` with `p` ascending, so no tier reassociates the
+//! `p` accumulation order and every tier gives the same bits. Weights stay
 //! row-major `k × n`, which the i-k-j kernel streams with unit stride; a
 //! dot-product inner loop over a transposed operand could only vectorize by
 //! reassociating the reduction, which would break bit-exactness.
@@ -48,21 +55,83 @@ pub(crate) enum Epilogue<'a> {
     BiasAdd(&'a [f32]),
 }
 
-/// Whether the explicit AVX2/FMA inner tile is available on this host.
+/// Whether the explicit AVX2/FMA tiles (with their masked column tail) are
+/// available on this host — true on every SIMD tier, AVX-512 included.
 ///
 /// On `x86_64` this is a cached runtime CPUID check; elsewhere it is `false`
-/// and every call takes the scalar tile (which `-C target-cpu` may still
-/// auto-vectorize — the explicit tile exists so peak width never depends on
-/// build flags). Both tiles compute identical bytes, so the dispatch is
+/// and every call takes the scalar tiles (which `-C target-cpu` may still
+/// auto-vectorize — the explicit tiles exist so peak width never depends on
+/// build flags). Every tier computes identical bytes, so the dispatch is
 /// invisible in results.
 pub fn simd_tile_available() -> bool {
+    Tier::best() > Tier::Scalar
+}
+
+/// The inner-tile tier a GEMM runs on, narrowest first. Tiers differ only
+/// in register-tile width; each lane's arithmetic is the same, so every tier
+/// gives the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// Portable 16/8/4/1-wide tiles.
+    Scalar,
+    /// 16-wide AVX2/FMA tiles and one masked 16-lane column tail.
     #[cfg(target_arch = "x86_64")]
-    {
-        simd::available()
+    Avx2,
+    /// 32-wide AVX-512F tiles, then the AVX2 tiles for the last `n mod 32`
+    /// columns.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this host supports (a cached CPUID probe).
+    pub(crate) fn best() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            simd::best()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Tier::Scalar
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// Every tier this host supports, narrowest first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Tier> {
+        [
+            Tier::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512,
+        ]
+        .into_iter()
+        .filter(|&tier| tier <= Tier::best())
+        .collect()
+    }
+}
+
+/// Which tiles a product runs on, and the pool (if any) splitting its rows.
+#[derive(Clone, Copy)]
+pub(crate) struct Tiles<'p> {
+    pub(crate) tier: Tier,
+    pub(crate) pool: Option<&'p ThreadPool>,
+}
+
+impl<'p> Tiles<'p> {
+    /// The scalar tiles alone, single-threaded (the conformance oracle).
+    const SCALAR: Tiles<'static> = Tiles {
+        tier: Tier::Scalar,
+        pool: None,
+    };
+
+    /// The host's widest tier, output rows split across `pool` when given.
+    pub(crate) fn best(pool: Option<&'p ThreadPool>) -> Self {
+        Tiles {
+            tier: Tier::best(),
+            pool,
+        }
     }
 }
 
@@ -70,12 +139,14 @@ pub fn simd_tile_available() -> bool {
 /// storage format: f32 (`[f32]`) or int8 with per-row scales
 /// ([`QuantizedLinearSnapshot`](crate::QuantizedLinearSnapshot)).
 ///
-/// The driver owns everything above the inner tile — row blocks, column
-/// tails and the pool row partition — so a format supplies only its two
-/// tiles. Each tile accumulates `Σ_p fma(a[i][p]·…, w[p][j], acc)` from
+/// The driver owns everything above the inner tile — row blocks, the column
+/// walk with its masked tail, and the pool row partition — so a format
+/// supplies only its tiles: a scalar tile, a 16-lane SIMD tile that can run
+/// masked, and optionally a 32-wide AVX-512 tile (by default two 16-lane
+/// tiles). Each tile accumulates `Σ_p fma(a[i][p]·…, w[p][j], acc)` from
 /// `0.0` with `p` ascending and finishes through the shared epilogue
-/// ([`write_tile`] or `simd::write_tile16`), which is what keeps a format's
-/// scalar and SIMD tiles, and every thread count, bit-identical.
+/// ([`write_tile`], `simd::write_tile16` or `simd::write_tile32`), which is
+/// what keeps a format's tiers, and every thread count, bit-identical.
 pub(crate) trait GemmWeights: Sync {
     /// One register tile: `R` output rows × `W` output columns at `(i, j)`.
     #[allow(clippy::too_many_arguments)]
@@ -90,17 +161,40 @@ pub(crate) trait GemmWeights: Sync {
         epi: Epilogue<'_>,
     );
 
-    /// The 16-wide AVX2/FMA tile for `R` rows at `(i, j)`.
+    /// The 16-lane AVX2/FMA tile for `R` rows at `(i, j)`. With `MASKED`,
+    /// only the first `cols` columns (`1..16`) are read or written; without
+    /// it `cols` is 16.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2+FMA are available ([`simd_tile_available`])
-    /// and that the `R`×16 tile at `(i, j)` is in bounds for `a`/`self`/`out`
-    /// with the given `k`/`n` strides (the contract the scalar tile's
-    /// slicing enforces).
+    /// and that the `R`×`cols` tile at `(i, j)` is in bounds for
+    /// `a`/`self`/`out` with the given `k`/`n` strides (the contract the
+    /// scalar tile's slicing enforces).
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn tile16<const R: usize>(
+    unsafe fn tile16<const R: usize, const MASKED: bool>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        cols: usize,
+        epi: Epilogue<'_>,
+    );
+
+    /// The 32-wide tile of the AVX-512 tier for `R` rows at `(i, j)`; by
+    /// default two unmasked 16-lane tiles.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F, AVX2 and FMA are available and that the
+    /// `R`×32 tile at `(i, j)` is in bounds, as for [`Self::tile16`].
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile32<const R: usize>(
         &self,
         a: &[f32],
         out: &mut [f32],
@@ -109,7 +203,10 @@ pub(crate) trait GemmWeights: Sync {
         k: usize,
         n: usize,
         epi: Epilogue<'_>,
-    );
+    ) {
+        self.tile16::<R, false>(a, out, i, j, k, n, 16, epi);
+        self.tile16::<R, false>(a, out, i, j + 16, k, n, 16, epi);
+    }
 }
 
 /// Writes an `R`×`W` accumulator tile at `(i, j)` under `epi`. The bias is
@@ -180,9 +277,43 @@ impl GemmWeights for [f32] {
 
     /// Two 8-lane accumulators per row: exactly the scalar tile's per-lane
     /// operations, one `vfmadd` per `(row, column, p)` with `p` ascending.
+    /// Masked lanes load `0.0` and are never stored.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile16<const R: usize>(
+    unsafe fn tile16<const R: usize, const MASKED: bool>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        cols: usize,
+        epi: Epilogue<'_>,
+    ) {
+        use std::arch::x86_64::{_mm256_fmadd_ps, _mm256_set1_ps, _mm256_setzero_ps};
+        debug_assert!((i + R) * k <= a.len());
+        debug_assert!(k == 0 || (k - 1) * n + j + cols <= self.len());
+        let mask = simd::mask16(cols);
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        let mut b_off = j;
+        for p in 0..k {
+            let b = simd::load16::<MASKED>(self.as_ptr().add(b_off), mask);
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let a_val = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
+                acc[0] = _mm256_fmadd_ps(a_val, b[0], acc[0]);
+                acc[1] = _mm256_fmadd_ps(a_val, b[1], acc[1]);
+            }
+            b_off += n;
+        }
+        simd::write_tile16::<R, MASKED>(&acc, out, i, j, n, epi, mask);
+    }
+
+    /// Two 16-lane zmm accumulators per row, with the same per-lane
+    /// operations as the 16-lane tile.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile32<const R: usize>(
         &self,
         a: &[f32],
         out: &mut [f32],
@@ -193,101 +324,201 @@ impl GemmWeights for [f32] {
         epi: Epilogue<'_>,
     ) {
         use std::arch::x86_64::{
-            _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
         };
         debug_assert!((i + R) * k <= a.len());
-        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= self.len());
-        let mut acc_lo = [_mm256_setzero_ps(); R];
-        let mut acc_hi = [_mm256_setzero_ps(); R];
+        debug_assert!(k == 0 || (k - 1) * n + j + 32 <= self.len());
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
         let mut b_off = j;
         for p in 0..k {
-            let b_lo = _mm256_loadu_ps(self.as_ptr().add(b_off));
-            let b_hi = _mm256_loadu_ps(self.as_ptr().add(b_off + 8));
-            for r in 0..R {
-                let a_val = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                acc_lo[r] = _mm256_fmadd_ps(a_val, b_lo, acc_lo[r]);
-                acc_hi[r] = _mm256_fmadd_ps(a_val, b_hi, acc_hi[r]);
+            let b_lo = _mm512_loadu_ps(self.as_ptr().add(b_off));
+            let b_hi = _mm512_loadu_ps(self.as_ptr().add(b_off + 16));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let a_val = _mm512_set1_ps(*a.get_unchecked((i + r) * k + p));
+                acc[0] = _mm512_fmadd_ps(a_val, b_lo, acc[0]);
+                acc[1] = _mm512_fmadd_ps(a_val, b_hi, acc[1]);
             }
             b_off += n;
         }
-        simd::write_tile16(&acc_lo, &acc_hi, out, i, j, n, epi);
+        simd::write_tile32(&acc, out, i, j, n, epi);
     }
 }
 
-/// The AVX2/FMA support shared by every format's 16-wide tile (`x86_64`
-/// only).
+/// The SIMD support shared by every format's tiles (`x86_64` only): the
+/// tier probe, the 16-lane loads, stores and masks, and the epilogues.
 ///
 /// SIMD re-tiles the *independent* row/column loops only — the `p`
-/// reduction order per output element is untouched — so scalar and SIMD
-/// tiles agree to 0 ULP (asserted by the `simd_tile_matches_scalar_tile`
-/// test on AVX2 hosts).
+/// reduction order per output element is untouched — so every tier agrees
+/// with the scalar tiles to 0 ULP (asserted per tier by the
+/// `simd_tile_matches_scalar_tile_bit_for_bit` test).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod simd {
-    use super::Epilogue;
+    use super::{Epilogue, Tier};
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, __m256i, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
     };
     use std::sync::OnceLock;
 
-    /// Cached CPUID probe for AVX2 + FMA.
-    pub(super) fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+    /// Cached CPUID probe: AVX-512F (with AVX2 + FMA), AVX2 + FMA, or
+    /// neither.
+    pub(super) fn best() -> Tier {
+        static BEST: OnceLock<Tier> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            if !(std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"))
+            {
+                Tier::Scalar
+            } else if std::arch::is_x86_feature_detected!("avx512f") {
+                Tier::Avx512
+            } else {
+                Tier::Avx2
+            }
         })
+    }
+
+    /// Lane masks selecting the first `cols` of 16 columns, one per octet.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(crate) fn mask16(cols: usize) -> [__m256i; 2] {
+        debug_assert!((1..=16).contains(&cols));
+        let cols = _mm256_set1_epi32(cols as i32);
+        [
+            _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+            _mm256_cmpgt_epi32(cols, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
+        ]
+    }
+
+    /// Loads 16 columns at `ptr` as two octets. With `MASKED`, lanes that
+    /// `mask` clears read as `0.0` and touch no memory.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and every lane the load reads (all 16, or
+    /// the masked-in ones) must be in bounds.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn load16<const MASKED: bool>(
+        ptr: *const f32,
+        mask: [__m256i; 2],
+    ) -> [__m256; 2] {
+        if MASKED {
+            // `wrapping_add`: the upper octet may start past the slice end
+            // when the mask clears all of it.
+            [
+                _mm256_maskload_ps(ptr, mask[0]),
+                _mm256_maskload_ps(ptr.wrapping_add(8), mask[1]),
+            ]
+        } else {
+            [_mm256_loadu_ps(ptr), _mm256_loadu_ps(ptr.add(8))]
+        }
+    }
+
+    /// Stores 16 columns at `ptr` from two octets; with `MASKED`, only the
+    /// lanes `mask` selects.
+    ///
+    /// # Safety
+    ///
+    /// As for [`load16`], for writes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store16<const MASKED: bool>(ptr: *mut f32, v: [__m256; 2], mask: [__m256i; 2]) {
+        if MASKED {
+            _mm256_maskstore_ps(ptr, mask[0], v[0]);
+            _mm256_maskstore_ps(ptr.wrapping_add(8), mask[1], v[1]);
+        } else {
+            _mm256_storeu_ps(ptr, v[0]);
+            _mm256_storeu_ps(ptr.add(8), v[1]);
+        }
     }
 
     /// Writes `R` rows × 16 columns of accumulators (two octets per row) at
     /// `(i, j)` under `epi` — the SIMD form of [`super::write_tile`], with
     /// the same operation order: `acc + bias`, then (for `BiasAdd`)
-    /// `out + (acc + bias)`.
+    /// `out + (acc + bias)`. With `MASKED`, the bias and output are read and
+    /// written only in the lanes `mask` selects.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2+FMA are available and that the `R`×16 tile
-    /// at `(i, j)` is in bounds for `out` (and `bias`) with row stride `n`.
+    /// Caller must ensure AVX2+FMA are available and that the `R`-row tile
+    /// at `(i, j)` is in bounds for `out` (and `bias`) with row stride `n`
+    /// in every lane it touches.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    pub(crate) unsafe fn write_tile16<const R: usize>(
-        acc_lo: &[__m256; R],
-        acc_hi: &[__m256; R],
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn write_tile16<const R: usize, const MASKED: bool>(
+        acc: &[[__m256; 2]; R],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+        mask: [__m256i; 2],
+    ) {
+        let bias = match epi {
+            Epilogue::Store => [_mm256_setzero_ps(); 2],
+            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => {
+                load16::<MASKED>(bias.as_ptr().add(j), mask)
+            }
+        };
+        for (r, acc) in acc.iter().enumerate() {
+            let out_ptr = out.as_mut_ptr().add((i + r) * n + j);
+            let v = match epi {
+                Epilogue::Store => *acc,
+                Epilogue::Bias(_) => [
+                    _mm256_add_ps(acc[0], bias[0]),
+                    _mm256_add_ps(acc[1], bias[1]),
+                ],
+                Epilogue::BiasAdd(_) => {
+                    let cur = load16::<MASKED>(out_ptr, mask);
+                    [
+                        _mm256_add_ps(cur[0], _mm256_add_ps(acc[0], bias[0])),
+                        _mm256_add_ps(cur[1], _mm256_add_ps(acc[1], bias[1])),
+                    ]
+                }
+            };
+            store16::<MASKED>(out_ptr, v, mask);
+        }
+    }
+
+    /// [`write_tile16`] for `R` rows × 32 columns held as two 16-lane zmm
+    /// accumulators per row, in the same operation order.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available and that the `R`×32 tile at
+    /// `(i, j)` is in bounds for `out` (and `bias`) with row stride `n`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(super) unsafe fn write_tile32<const R: usize>(
+        acc: &[[__m512; 2]; R],
         out: &mut [f32],
         i: usize,
         j: usize,
         n: usize,
         epi: Epilogue<'_>,
     ) {
-        let (bias_lo, bias_hi): (__m256, __m256) = match epi {
-            Epilogue::Store => (_mm256_setzero_ps(), _mm256_setzero_ps()),
-            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => (
-                _mm256_loadu_ps(bias.as_ptr().add(j)),
-                _mm256_loadu_ps(bias.as_ptr().add(j + 8)),
-            ),
+        let bias = match epi {
+            Epilogue::Store => [_mm512_setzero_ps(); 2],
+            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => [
+                _mm512_loadu_ps(bias.as_ptr().add(j)),
+                _mm512_loadu_ps(bias.as_ptr().add(j + 16)),
+            ],
         };
-        for r in 0..R {
+        for (r, acc) in acc.iter().enumerate() {
             let out_ptr = out.as_mut_ptr().add((i + r) * n + j);
-            match epi {
-                Epilogue::Store => {
-                    _mm256_storeu_ps(out_ptr, acc_lo[r]);
-                    _mm256_storeu_ps(out_ptr.add(8), acc_hi[r]);
-                }
-                Epilogue::Bias(_) => {
-                    _mm256_storeu_ps(out_ptr, _mm256_add_ps(acc_lo[r], bias_lo));
-                    _mm256_storeu_ps(out_ptr.add(8), _mm256_add_ps(acc_hi[r], bias_hi));
-                }
-                Epilogue::BiasAdd(_) => {
-                    let cur_lo = _mm256_loadu_ps(out_ptr);
-                    let cur_hi = _mm256_loadu_ps(out_ptr.add(8));
-                    _mm256_storeu_ps(
-                        out_ptr,
-                        _mm256_add_ps(cur_lo, _mm256_add_ps(acc_lo[r], bias_lo)),
-                    );
-                    _mm256_storeu_ps(
-                        out_ptr.add(8),
-                        _mm256_add_ps(cur_hi, _mm256_add_ps(acc_hi[r], bias_hi)),
-                    );
-                }
+            for (half, (&acc, &bias)) in acc.iter().zip(&bias).enumerate() {
+                let ptr = out_ptr.add(16 * half);
+                let v = match epi {
+                    Epilogue::Store => acc,
+                    Epilogue::Bias(_) => _mm512_add_ps(acc, bias),
+                    Epilogue::BiasAdd(_) => {
+                        _mm512_add_ps(_mm512_loadu_ps(ptr), _mm512_add_ps(acc, bias))
+                    }
+                };
+                _mm512_storeu_ps(ptr, v);
             }
         }
     }
@@ -304,40 +535,60 @@ fn row_block<B: GemmWeights + ?Sized, const R: usize>(
     k: usize,
     n: usize,
     epi: Epilogue<'_>,
-    use_simd: bool,
+    tier: Tier,
 ) {
     let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        while j + 16 <= n {
-            // SAFETY: AVX2+FMA availability is checked before `use_simd` is
-            // set; bounds follow from `j + 16 <= n` and `i + R <= m`.
-            unsafe { b.tile16::<R>(a, out, i, j, k, n, epi) };
-            j += 16;
+    match tier {
+        Tier::Scalar => {
+            while j + 16 <= n {
+                b.tile::<R, 16>(a, out, i, j, k, n, epi);
+                j += 16;
+            }
+            if j + 8 <= n {
+                b.tile::<R, 8>(a, out, i, j, k, n, epi);
+                j += 8;
+            }
+            if j + 4 <= n {
+                b.tile::<R, 4>(a, out, i, j, k, n, epi);
+                j += 4;
+            }
+            while j < n {
+                b.tile::<R, 1>(a, out, i, j, k, n, epi);
+                j += 1;
+            }
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-    while j + 16 <= n {
-        b.tile::<R, 16>(a, out, i, j, k, n, epi);
-        j += 16;
-    }
-    if j + 8 <= n {
-        b.tile::<R, 8>(a, out, i, j, k, n, epi);
-        j += 8;
-    }
-    if j + 4 <= n {
-        b.tile::<R, 4>(a, out, i, j, k, n, epi);
-        j += 4;
-    }
-    while j < n {
-        b.tile::<R, 1>(a, out, i, j, k, n, epi);
-        j += 1;
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => {
+            // SAFETY: `gemm_rows` asserts `tier <= Tier::best()`, so the CPUID
+            // probe found every feature these tiles enable. Bounds: `i + R
+            // <= m`, each full tile has `j + W <= n`, and the masked tail
+            // covers exactly the `n - j < 16` columns left.
+            unsafe {
+                if tier == Tier::Avx512 {
+                    while j + 32 <= n {
+                        b.tile32::<R>(a, out, i, j, k, n, epi);
+                        j += 32;
+                    }
+                }
+                while j + 16 <= n {
+                    b.tile16::<R, false>(a, out, i, j, k, n, 16, epi);
+                    j += 16;
+                }
+                if j < n {
+                    b.tile16::<R, true>(a, out, i, j, k, n, n - j, epi);
+                }
+            }
+        }
     }
 }
 
 /// Single-threaded blocked GEMM over a row range — the unit of work the
 /// threaded driver hands to each pool block.
+///
+/// # Panics
+///
+/// Panics if `tier` is wider than the host supports (its tiles would
+/// execute instructions the CPU lacks).
 #[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
 pub(crate) fn gemm_rows<B: GemmWeights + ?Sized>(
     a: &[f32],
@@ -347,17 +598,18 @@ pub(crate) fn gemm_rows<B: GemmWeights + ?Sized>(
     n: usize,
     out: &mut [f32],
     epi: Epilogue<'_>,
-    use_simd: bool,
+    tier: Tier,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
+    assert!(tier <= Tier::best(), "{tier:?} tiles are not available");
+    assert_eq!(a.len(), m * k, "GEMM input is not m × k");
+    assert_eq!(out.len(), m * n, "GEMM output is not m × n");
     let mut i = 0;
     while i + 4 <= m {
-        row_block::<B, 4>(a, b, out, i, k, n, epi, use_simd);
+        row_block::<B, 4>(a, b, out, i, k, n, epi, tier);
         i += 4;
     }
     while i < m {
-        row_block::<B, 1>(a, b, out, i, k, n, epi, use_simd);
+        row_block::<B, 1>(a, b, out, i, k, n, epi, tier);
         i += 1;
     }
 }
@@ -381,8 +633,8 @@ const PAR_MIN_MACS: usize = 1 << 17;
 const PAR_MIN_BLOCK_ROWS: usize = 16;
 
 /// The blocked GEMM driver: `out ∘= a (m×k) × b (k×n)` under `epi`, for any
-/// weight format, optionally splitting output row blocks across a
-/// [`ThreadPool`].
+/// weight format, on the tiles of `tiles.tier`, optionally splitting output
+/// row blocks across `tiles.pool`.
 ///
 /// **Bit-exactness across thread counts.** The i/j loops are fully
 /// independent — every output element is `Σ_p fma(a[i][p]·…, w[p][j], ·)`
@@ -399,14 +651,13 @@ pub(crate) fn gemm<B: GemmWeights + ?Sized>(
     n: usize,
     out: &mut [f32],
     epi: Epilogue<'_>,
-    pool: Option<&ThreadPool>,
+    tiles: Tiles<'_>,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    let use_simd = simd_tile_available();
+    let Tiles { tier, pool } = tiles;
+    assert_eq!(out.len(), m * n, "GEMM output is not m × n");
     let threads = pool.map_or(1, ThreadPool::threads);
     if threads <= 1 || m < 2 * PAR_MIN_BLOCK_ROWS || m * k * n < PAR_MIN_MACS {
-        return gemm_rows(a, m, k, b, n, out, epi, use_simd);
+        return gemm_rows(a, m, k, b, n, out, epi, tier);
     }
     let pool = pool.expect("threads > 1 implies a pool");
     // Row blocks: multiples of 4 (whole register blocks), a few per thread
@@ -436,7 +687,7 @@ pub(crate) fn gemm<B: GemmWeights + ?Sized>(
             n,
             out_block,
             epi,
-            use_simd,
+            tier,
         );
     });
 }
@@ -455,24 +706,14 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// blocks across threads. Bit-exact with the single-threaded call at any
 /// thread count (see the GEMM driver's invariance argument).
 pub fn matmul_into_with(a: &Tensor, b: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
-    product(a, b, out, Tiles::Driver(pool));
+    product(a, b, out, Tiles::best(pool));
 }
 
-/// [`matmul_into`] forced onto the scalar inner tile (no explicit SIMD,
-/// single-threaded) — the conformance oracle the SIMD tile and the threaded
-/// driver are tested against. Production code never needs this.
+/// [`matmul_into`] forced onto the scalar inner tiles (no explicit SIMD,
+/// single-threaded) — the conformance oracle every SIMD tier and the
+/// threaded driver are tested against. Production code never needs this.
 pub fn matmul_into_scalar_tile(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    product(a, b, out, Tiles::Scalar);
-}
-
-/// Which tiles a plain product runs on.
-#[derive(Clone, Copy)]
-enum Tiles<'p> {
-    /// The dispatching driver: the SIMD tile when available, output rows
-    /// split across the pool when one is given.
-    Driver(Option<&'p ThreadPool>),
-    /// The scalar tile alone, single-threaded (the conformance oracle).
-    Scalar,
+    product(a, b, out, Tiles::SCALAR);
 }
 
 /// `out = a × b` (resized as needed) on the chosen tiles.
@@ -488,11 +729,16 @@ fn product(a: &Tensor, b: &Tensor, out: &mut Tensor, tiles: Tiles<'_>) {
     );
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     out.resize(m, n);
-    let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
-    match tiles {
-        Tiles::Driver(pool) => gemm(a, m, k, b, n, out, Epilogue::Store, pool),
-        Tiles::Scalar => gemm_rows(a, m, k, b, n, out, Epilogue::Store, false),
-    }
+    gemm(
+        a.as_slice(),
+        m,
+        k,
+        b.as_slice(),
+        n,
+        out.as_mut_slice(),
+        Epilogue::Store,
+        tiles,
+    );
 }
 
 /// Writes `src`ᵀ into `out`, resizing it (the allocation is reused once it
@@ -532,7 +778,10 @@ enum Transposed {
 /// more rows than columns is computed flipped, as `(bᵀ·a)ᵀ` or `(b·aᵀ)ᵀ`,
 /// so the wide side fills the SIMD tiles: each element is the same
 /// `Σ_p fma(x_p, y_p, ·)` with its multiplicands swapped, and `fma` is
-/// commutative in them, so both orientations give the same bits.
+/// commutative in them, so both orientations give the same bits. The
+/// masked column tail keeps a narrow output on SIMD as well, but it fills
+/// only `n` of its 16 lanes: on an AVX-512 host the 64×64×10 product took
+/// ~1.0 µs flipped (as 10×64×64) against ~2.0–2.5 µs direct.
 fn transposed_product(
     which: Transposed,
     a: &Tensor,
@@ -585,7 +834,7 @@ fn product_packed(
 ///
 /// Panics if `a.cols() != b.cols()`.
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, pack: &mut TransposePack, out: &mut Tensor) {
-    transposed_product(Transposed::B, a, b, pack, out, Tiles::Driver(None));
+    transposed_product(Transposed::B, a, b, pack, out, Tiles::best(None));
 }
 
 /// `out = aᵀ × b` for `a: k×m`, `b: k×n`, written into `out` (resized as
@@ -597,7 +846,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, pack: &mut TransposePack, out: &mu
 ///
 /// Panics if `a.rows() != b.rows()`.
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, pack: &mut TransposePack, out: &mut Tensor) {
-    transposed_product(Transposed::A, a, b, pack, out, Tiles::Driver(None));
+    transposed_product(Transposed::A, a, b, pack, out, Tiles::best(None));
 }
 
 /// Fused linear layer: `out = input × weight + bias` (bias broadcast across
@@ -636,7 +885,7 @@ pub fn matmul_bias_into_with(
         n,
         out.as_mut_slice(),
         Epilogue::Bias(bias.as_slice()),
-        pool,
+        Tiles::best(pool),
     );
 }
 
@@ -679,7 +928,7 @@ pub fn matmul_bias_add_into_with(
         weight.cols(),
         out.as_mut_slice(),
         Epilogue::BiasAdd(bias.as_slice()),
-        pool,
+        Tiles::best(pool),
     );
 }
 
@@ -923,18 +1172,55 @@ mod tests {
 
     #[test]
     fn simd_tile_matches_scalar_tile_bit_for_bit() {
-        // On hosts without AVX2 the fast path already *is* the scalar tile
-        // and this degenerates to a self-comparison (still a valid check of
-        // the dispatch plumbing).
+        // Every tier the host supports, serial and on a pool, against the
+        // scalar tiles. n = 1..=70 puts every masked-tail width after 0, 1
+        // and 2 full tiles, with and without a 16-wide tile after the 32-wide
+        // ones (n mod 32 ≥ 16); m = 1/3/4/5/67 mixes 4-row blocks and
+        // single-row tails; k = 10 and 64 are the flow's widths. 67×64×n
+        // crosses the pool's parallel cut-off for n ≥ 31. Each call gets
+        // slices cut to exactly m·k, k·n, n and m·n; the output is cut from a
+        // buffer with a guard tail, so a store past its end shows.
+        const GUARD: f32 = 1234.5;
         let mut r = rng();
-        for (m, k, n) in [(4, 32, 16), (5, 7, 48), (33, 17, 35), (1, 64, 16)] {
-            let a = Tensor::randn(m, k, &mut r);
-            let b = Tensor::randn(k, n, &mut r);
-            let mut fast = Tensor::zeros(0, 0);
-            matmul_into(&a, &b, &mut fast);
-            let mut scalar = Tensor::zeros(0, 0);
-            matmul_into_scalar_tile(&a, &b, &mut scalar);
-            assert_eq!(fast.as_slice(), scalar.as_slice(), "{m}x{k}x{n}");
+        let pool = ThreadPool::new(2);
+        for k in [1, 10, 64] {
+            for m in [1, 3, 4, 5, 67] {
+                for n in 1..=70 {
+                    let a = Tensor::randn(m, k, &mut r);
+                    let b = Tensor::randn(k, n, &mut r);
+                    let bias = Tensor::randn(1, n, &mut r);
+                    let base = Tensor::randn(m, n, &mut r);
+                    let epilogues = [
+                        ("store", Epilogue::Store),
+                        ("bias", Epilogue::Bias(bias.as_slice())),
+                        ("bias-add", Epilogue::BiasAdd(bias.as_slice())),
+                    ];
+                    for (name, epi) in epilogues {
+                        let run = |tiles: Tiles<'_>| {
+                            let mut buf = base.as_slice().to_vec();
+                            buf.extend([GUARD; 16]);
+                            let (out, guard) = buf.split_at_mut(m * n);
+                            gemm(a.as_slice(), m, k, b.as_slice(), n, out, epi, tiles);
+                            assert!(guard.iter().all(|&g| g == GUARD), "{m}x{k}x{n} {name}");
+                            buf.truncate(m * n);
+                            buf
+                        };
+                        let oracle = run(Tiles::SCALAR);
+                        for tier in Tier::supported() {
+                            for pool in [None, Some(&pool)] {
+                                let got = run(Tiles { tier, pool });
+                                let threads = pool.map_or(1, ThreadPool::threads);
+                                assert!(
+                                    got.iter()
+                                        .zip(&oracle)
+                                        .all(|(g, o)| g.to_bits() == o.to_bits()),
+                                    "{m}x{k}x{n} {name} {tier:?} on {threads} threads"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -968,9 +1254,9 @@ mod tests {
         let mut r = rng();
         let pool = ThreadPool::new(2);
         let runs = [
-            ("scalar tile", Tiles::Scalar),
-            ("dispatch", Tiles::Driver(None)),
-            ("2-thread pool", Tiles::Driver(Some(&pool))),
+            ("scalar tile", Tiles::SCALAR),
+            ("dispatch", Tiles::best(None)),
+            ("2-thread pool", Tiles::best(Some(&pool))),
         ];
         // Output columns 61 = 3×16 + 8 + 4 + 1 and 10 = 8 + 1 + 1 walk
         // every column tile; rows 67 = 16 four-row blocks + a 3-row tail;

@@ -23,7 +23,7 @@
 //! This module never replaces the exact path; callers opt in per workload
 //! (serve `--quantized`, strength tables).
 
-use crate::kernels::{gemm, write_tile, Epilogue, GemmWeights};
+use crate::kernels::{gemm, write_tile, Epilogue, GemmWeights, Tiles};
 use crate::pool::ThreadPool;
 use crate::snapshot::{BlockSnapshot, LinearSnapshot, LinearWeights, ResNetSnapshot};
 use crate::tensor::Tensor;
@@ -134,7 +134,7 @@ impl LinearWeights for QuantizedLinearSnapshot {
             self.out_features,
             out.as_mut_slice(),
             Epilogue::Bias(&self.bias),
-            pool,
+            Tiles::best(pool),
         );
     }
 
@@ -157,7 +157,7 @@ impl LinearWeights for QuantizedLinearSnapshot {
             self.out_features,
             out.as_mut_slice(),
             Epilogue::BiasAdd(&self.bias),
-            pool,
+            Tiles::best(pool),
         );
     }
 }
@@ -203,10 +203,15 @@ impl GemmWeights for QuantizedLinearSnapshot {
     /// Per-lane identical to the scalar tile: the weight bytes are widened
     /// to f32 in registers, `a·s` is one scalar multiply, and the
     /// accumulation is one `vfmadd` per `(row, column, p)` with `p`
-    /// ascending.
+    /// ascending. AVX2 has no byte mask-load, so a masked tile still loads
+    /// 16 bytes per weight row: lanes past `cols` read the next row's bytes
+    /// and are never stored (the epilogue masks the output). Only where that
+    /// window would run past the weights are the row's `cols` bytes copied
+    /// into a zeroed stack buffer first — a per-row copy cost more than the
+    /// scalar tiles it replaces.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile16<const R: usize>(
+    unsafe fn tile16<const R: usize, const MASKED: bool>(
         &self,
         a: &[f32],
         out: &mut [f32],
@@ -214,30 +219,38 @@ impl GemmWeights for QuantizedLinearSnapshot {
         j: usize,
         k: usize,
         n: usize,
+        cols: usize,
         epi: Epilogue<'_>,
     ) {
         #[allow(clippy::wildcard_imports)]
         use core::arch::x86_64::*;
         debug_assert!(k == 0 || (i + R) * k <= a.len());
-        debug_assert!(k == 0 || (k - 1) * n + j + 16 <= self.q.len());
-        let mut acc_lo = [_mm256_setzero_ps(); R];
-        let mut acc_hi = [_mm256_setzero_ps(); R];
+        debug_assert!(k == 0 || (k - 1) * n + j + cols <= self.q.len());
+        let mut tail = [0i8; 16];
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
         let mut q_off = j;
         for p in 0..k {
             let s = *self.scales.get_unchecked(p);
+            let q_ptr = if MASKED && q_off + 16 > self.q.len() {
+                tail[..cols].copy_from_slice(&self.q[q_off..q_off + cols]);
+                tail.as_ptr()
+            } else {
+                self.q.as_ptr().add(q_off)
+            };
             // Widen 16 weight bytes to two f32 octets in registers —
             // exactly `f32::from(q)` per lane.
-            let qv = _mm_loadu_si128(self.q.as_ptr().add(q_off).cast());
+            let qv = _mm_loadu_si128(q_ptr.cast());
             let w_lo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv));
             let w_hi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(qv)));
-            for r in 0..R {
+            for (r, acc) in acc.iter_mut().enumerate() {
                 let a_val = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p) * s);
-                acc_lo[r] = _mm256_fmadd_ps(a_val, w_lo, acc_lo[r]);
-                acc_hi[r] = _mm256_fmadd_ps(a_val, w_hi, acc_hi[r]);
+                acc[0] = _mm256_fmadd_ps(a_val, w_lo, acc[0]);
+                acc[1] = _mm256_fmadd_ps(a_val, w_hi, acc[1]);
             }
             q_off += n;
         }
-        crate::kernels::simd::write_tile16(&acc_lo, &acc_hi, out, i, j, n, epi);
+        let mask = crate::kernels::simd::mask16(cols);
+        crate::kernels::simd::write_tile16::<R, MASKED>(&acc, out, i, j, n, epi, mask);
     }
 }
 
@@ -266,7 +279,7 @@ impl QuantizedResNetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::gemm_rows;
+    use crate::kernels::{gemm_rows, Tier};
     use crate::layers::ResNet;
     use crate::snapshot::NetWorkspace;
     use rand::SeedableRng;
@@ -321,10 +334,10 @@ mod tests {
 
     #[test]
     fn simd_qtile_matches_scalar_qtile_bit_for_bit() {
-        if !crate::kernels::simd_tile_available() {
-            eprintln!("skipping: no AVX2/FMA on this host");
-            return;
-        }
+        // Every SIMD tier the host supports against the scalar tiles. The
+        // widths walk the masked tail alone (10, the flow's output layers),
+        // after one and two 16-lane tiles (35, 42) and after the AVX-512
+        // tier's 32-wide pairs (48, 80).
         let mut r = rng();
         for (m, k, n) in [
             (4, 32, 16),
@@ -332,22 +345,22 @@ mod tests {
             (3, 17, 35),
             (1, 64, 16),
             (8, 1, 80),
+            (67, 128, 10),
+            (6, 10, 42),
         ] {
             let snap = linear_snapshot(k, n, &mut r);
             let qsnap = QuantizedLinearSnapshot::from_snapshot(&snap);
             let x = Tensor::randn(m, k, &mut r);
-            for accumulate in [false, true] {
-                let epi = if accumulate {
-                    Epilogue::BiasAdd(&qsnap.bias)
-                } else {
-                    Epilogue::Bias(&qsnap.bias)
+            for epi in [Epilogue::Bias(&qsnap.bias), Epilogue::BiasAdd(&qsnap.bias)] {
+                let run = |tier| {
+                    let mut out = vec![1.0f32; m * n];
+                    gemm_rows(x.as_slice(), m, k, &qsnap, n, &mut out, epi, tier);
+                    out
                 };
-                let mut simd_out = vec![1.0f32; m * n];
-                let mut scalar_out = vec![1.0f32; m * n];
-                for (buf, use_simd) in [(&mut simd_out, true), (&mut scalar_out, false)] {
-                    gemm_rows(x.as_slice(), m, k, &qsnap, n, buf, epi, use_simd);
+                let scalar = run(Tier::Scalar);
+                for tier in Tier::supported() {
+                    assert_eq!(run(tier), scalar, "({m},{k},{n}) {tier:?}");
                 }
-                assert_eq!(simd_out, scalar_out, "({m},{k},{n}) acc={accumulate}");
             }
         }
     }

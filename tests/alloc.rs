@@ -11,10 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use passflow::nn::rng as nnrng;
+use passflow::nn::{rng as nnrng, Tensor};
 use passflow::{
-    Attack, DynamicParams, FlowConfig, GaussianSmoothing, GuessSession, Guesser, GuessingStrategy,
-    PassFlow,
+    Attack, DynamicParams, FlowConfig, FlowWorkspace, GaussianSmoothing, GuessSession, Guesser,
+    GuessingStrategy, PassFlow,
 };
 use rand::RngCore;
 
@@ -123,6 +123,19 @@ fn state_digest_streams_without_buffering(flow: &PassFlow) {
     );
 }
 
+fn warmed_inverse_allocates_nothing(flow: &PassFlow) {
+    let snapshot = flow.snapshot();
+    let z = Tensor::randn(1_024, flow.dim(), &mut nnrng::seeded(7));
+    let mut ws = FlowWorkspace::new();
+    let mut out = Tensor::default();
+    snapshot.inverse_into(&z, &mut ws, &mut out);
+    let (calls, bytes, ()) = counted(|| snapshot.inverse_into(&z, &mut ws, &mut out));
+    assert_eq!(
+        calls, 0,
+        "a warmed 1 024-row inverse made {calls} allocations ({bytes} bytes)"
+    );
+}
+
 fn only_persisting_attacks_compute_the_state_digest(flow: &PassFlow) {
     let targets: HashSet<String> = HashSet::new();
     let guesser = DigestCounter {
@@ -181,6 +194,7 @@ fn row_split_allocations_are_bounded_per_chunk(flow: &PassFlow, targets: &HashSe
 fn heap_traffic_pins() {
     let (evaluation, _) = flow_fixture(FlowConfig::evaluation());
     state_digest_streams_without_buffering(&evaluation);
+    warmed_inverse_allocates_nothing(&evaluation);
     only_persisting_attacks_compute_the_state_digest(&evaluation);
     // The untrained 8×64 flow's samples rarely repeat, so the campaign
     // runs on the tiny flow, whose do.
