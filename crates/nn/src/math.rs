@@ -237,6 +237,137 @@ mod tests {
         assert_eq!(c0, 1.0);
     }
 
+    /// The quadrant `match` `fast_sin_cos` used before it went
+    /// branch-free, kept verbatim as the bit-for-bit reference.
+    fn frozen_sin_cos(x: f32) -> (f32, f32) {
+        const FRAC_4_PI: f32 = 1.273_239_5;
+        const DP1: f32 = 0.785_156_25;
+        const DP2: f32 = 2.418_756_5e-4;
+        const DP3: f32 = 3.774_895e-8;
+        let mut j = (FRAC_4_PI * x) as u32;
+        j += j & 1;
+        let y = j as f32;
+        let r = ((x - y * DP1) - y * DP2) - y * DP3;
+        let z = r * r;
+        let mut ps = -1.951_529_6e-4f32;
+        ps = ps.mul_add(z, 8.332_161e-3);
+        ps = ps.mul_add(z, -1.666_665_5e-1);
+        let poly_sin = (ps * z).mul_add(r, r);
+        let mut pc = 2.443_315_7e-5f32;
+        pc = pc.mul_add(z, -1.388_731_6e-3);
+        pc = pc.mul_add(z, 4.166_664_6e-2);
+        let poly_cos = (pc * z).mul_add(z, 0.5f32.mul_add(-z, 1.0));
+        match (j / 2) & 3 {
+            0 => (poly_sin, poly_cos),
+            1 => (poly_cos, -poly_sin),
+            2 => (-poly_sin, -poly_cos),
+            _ => (-poly_cos, poly_sin),
+        }
+    }
+
+    /// The branching `m < √½` renormalisation `fast_ln` used before it
+    /// became a select, kept verbatim as the bit-for-bit reference.
+    fn frozen_ln(x: f32) -> f32 {
+        const SQRT_HALF: f32 = std::f32::consts::FRAC_1_SQRT_2;
+        const LN2_HI: f32 = 0.693_359_4;
+        const LN2_LO: f32 = -2.121_944_4e-4;
+        let bits = x.to_bits();
+        let mut e = ((bits >> 23) as i32) - 126;
+        let mut m = f32::from_bits((bits & 0x007f_ffff) | 0x3f00_0000);
+        if m < SQRT_HALF {
+            m += m;
+            e -= 1;
+        }
+        let t = m - 1.0;
+        let z = t * t;
+        let mut p = 7.037_683_6e-2f32;
+        p = p.mul_add(t, -1.151_461e-1);
+        p = p.mul_add(t, 1.167_699_9e-1);
+        p = p.mul_add(t, -1.242_014_1e-1);
+        p = p.mul_add(t, 1.424_932_3e-1);
+        p = p.mul_add(t, -1.666_805_8e-1);
+        p = p.mul_add(t, 2.000_071_5e-1);
+        p = p.mul_add(t, -2.499_999_4e-1);
+        p = p.mul_add(t, 3.333_333e-1);
+        let e = e as f32;
+        let mut y = t * z * p;
+        y = e.mul_add(LN2_LO, y);
+        y -= 0.5 * z;
+        e.mul_add(LN2_HI, t + y)
+    }
+
+    /// Bit patterns of `fast_sin_cos`'s whole domain `[0, 6.3]`.
+    const SIN_COS_BITS: std::ops::RangeInclusive<u32> = 0..=0x40c9_999a;
+    /// Bit patterns of the Box–Muller radius draw's domain `(0, 1)`.
+    const LN_BITS: std::ops::Range<u32> = 1..0x3f80_0000;
+
+    fn assert_sin_cos_matches_frozen(bits: u32) {
+        let x = f32::from_bits(bits);
+        let (s, c) = fast_sin_cos(x);
+        let (fs, fc) = frozen_sin_cos(x);
+        assert_eq!(
+            (s.to_bits(), c.to_bits()),
+            (fs.to_bits(), fc.to_bits()),
+            "fast_sin_cos({x:e}) moved"
+        );
+    }
+
+    fn assert_ln_matches_frozen(bits: u32) {
+        let x = f32::from_bits(bits);
+        assert_eq!(
+            fast_ln(x).to_bits(),
+            frozen_ln(x).to_bits(),
+            "fast_ln({x:e}) moved"
+        );
+    }
+
+    #[test]
+    fn sin_cos_matches_the_frozen_form_bit_for_bit() {
+        assert_eq!(f32::from_bits(*SIN_COS_BITS.end()), 6.3);
+        for bits in SIN_COS_BITS.step_by(64) {
+            assert_sin_cos_matches_frozen(bits);
+        }
+        // Quadrant boundaries: ±8 ulps around every multiple of π/4.
+        for k in 0..=8u32 {
+            let centre = (k as f32 * std::f32::consts::FRAC_PI_4).to_bits();
+            for bits in centre.saturating_sub(8)..=centre + 8 {
+                if SIN_COS_BITS.contains(&bits) {
+                    assert_sin_cos_matches_frozen(bits);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ln_matches_the_frozen_form_bit_for_bit() {
+        for bits in LN_BITS.step_by(256) {
+            assert_ln_matches_frozen(bits);
+        }
+        // Both sides of the √½ renormalisation, in every binade.
+        let sqrt_half = std::f32::consts::FRAC_1_SQRT_2.to_bits() & 0x007f_ffff;
+        for exponent in 1..127u32 {
+            let centre = (exponent << 23) | sqrt_half;
+            for bits in centre - 8..=centre + 8 {
+                assert_ln_matches_frozen(bits);
+            }
+        }
+    }
+
+    /// Every f32 of `fast_sin_cos`'s domain against the frozen form: a few
+    /// seconds on an optimised build, minutes on a debug one.
+    #[test]
+    #[ignore = "exhaustive; run with --release -- --ignored exhaustive"]
+    fn exhaustive_sin_cos_matches_the_frozen_form() {
+        SIN_COS_BITS.for_each(assert_sin_cos_matches_frozen);
+    }
+
+    /// Every f32 in `(0, 1)` through `fast_ln` against the frozen form.
+    #[test]
+    #[ignore = "exhaustive; run with --release -- --ignored exhaustive"]
+    fn exhaustive_ln_matches_the_frozen_form() {
+        LN_BITS.for_each(assert_ln_matches_frozen);
+    }
+
     #[test]
     fn tanh_is_odd() {
         for &x in &[0.1f32, 0.5, 1.0, 2.5, 7.0] {
