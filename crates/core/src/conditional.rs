@@ -198,17 +198,11 @@ pub fn conditional_guess<R: Rng + ?Sized>(
         // Sample around every active pivot.
         let per_pivot = (config.samples_per_round / pivots.len().max(1)).max(1);
         let mut batch = Tensor::zeros(per_pivot * pivots.len(), dim);
-        let mut row = 0usize;
+        let mut rows = batch.as_mut_slice().chunks_exact_mut(dim);
         for pivot in &pivots {
-            for _ in 0..per_pivot {
-                for (j, &c) in pivot.iter().enumerate() {
-                    batch.set(
-                        row,
-                        j,
-                        c + config.sigma * passflow_nn::rng::standard_normal(rng),
-                    );
-                }
-                row += 1;
+            for row in rows.by_ref().take(per_pivot) {
+                row.copy_from_slice(pivot);
+                passflow_nn::rng::add_normal_noise(row, config.sigma, rng);
             }
         }
         let decoded = flow.decode_batch(&flow.inverse(&batch));

@@ -527,6 +527,9 @@ impl AttackEngine {
         let mut next_due = next_due_after(state.guesses_made);
         let total = self.chunks.len();
         let mut halted = false;
+        // The cursor of the last checkpoint this run wrote, so completion
+        // does not rewrite one the last wave's cadence already saved.
+        let mut saved_at = None;
 
         // One context per worker, kept warm across epochs. Sessions are
         // started lazily inside whichever thread ends up owning the context.
@@ -616,6 +619,7 @@ impl AttackEngine {
                         chunks_done,
                     );
                     checkpoint::save(&snapshot, path)?;
+                    saved_at = Some(chunks_done);
                 }
                 next_due = next_due_after(state.guesses_made);
             }
@@ -626,8 +630,13 @@ impl AttackEngine {
 
         if !halted {
             // Completion: persist the final state (so resuming a finished
-            // checkpoint reproduces the outcome) and the guess archive.
-            if let Some(path) = attack.checkpoint_path.as_deref() {
+            // checkpoint reproduces the outcome), unless the last wave's
+            // cadence just wrote these same bytes, and the guess archive.
+            if let Some(path) = attack
+                .checkpoint_path
+                .as_deref()
+                .filter(|_| saved_at != Some(chunks_done))
+            {
                 let snapshot = self.snapshot_state(
                     &attack,
                     &state,
@@ -1249,6 +1258,69 @@ mod tests {
         let targets = targets();
         let outcome = Attack::new(&targets).budget(64).run(&cycler()).unwrap();
         assert_eq!(outcome.strategy, "cycler-Static");
+    }
+
+    /// Checkpoint writes `attack` makes on this thread, and its outcome.
+    fn counted_saves(attack: Attack<'_>, guesser: &dyn Guesser) -> (usize, AttackOutcome) {
+        let before = checkpoint::SAVES.with(std::cell::Cell::get);
+        let outcome = attack.run(guesser).unwrap();
+        (
+            checkpoint::SAVES.with(std::cell::Cell::get) - before,
+            outcome,
+        )
+    }
+
+    /// Runs `attack` with a cadence whose 4 due points end at its budget:
+    /// one write each, none repeated at completion. Resuming the finished
+    /// campaign still persists its final state, with the same bytes.
+    fn assert_one_write_per_due_point<'a>(
+        path: &Path,
+        attack: impl Fn() -> Attack<'a>,
+        guesser: &dyn Guesser,
+    ) {
+        let (writes, outcome) = counted_saves(attack().checkpoint_to(path), guesser);
+        assert_eq!(writes, 4);
+        let bytes = std::fs::read(path).unwrap();
+        let (writes, resumed) = counted_saves(attack().resume(path).checkpoint_to(path), guesser);
+        assert_eq!(writes, 1);
+        assert_eq!(resumed, outcome);
+        assert_eq!(std::fs::read(path).unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_budget_aligned_cadence_writes_once_per_due_point() {
+        let dir = std::env::temp_dir().join(format!("pf-cadence-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Static waves are 64 chunks, here 1 024 guesses.
+        let targets = targets();
+        assert_one_write_per_due_point(
+            &dir.join("static.pfa"),
+            || {
+                Attack::new(&targets)
+                    .budget(4_096)
+                    .batch_size(16)
+                    .checkpoint_every(1_024)
+            },
+            &cycler(),
+        );
+        // A Dynamic+GS wave is one 128-guess chunk at the default cadence.
+        let (flow, targets) = flow_fixture();
+        assert_one_write_per_due_point(
+            &dir.join("dynamic.pfa"),
+            || {
+                Attack::new(&targets)
+                    .budget(1_024)
+                    .batch_size(128)
+                    .strategy(GuessingStrategy::DynamicWithSmoothing {
+                        params: DynamicParams::new(0, 0.1, 8),
+                        smoothing: GaussianSmoothing::default(),
+                    })
+                    .shards(2)
+                    .checkpoint_every(256)
+            },
+            &flow,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

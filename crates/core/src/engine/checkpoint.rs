@@ -348,8 +348,16 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     file_bytes.extend_from_slice(&payload);
     file_bytes.extend_from_slice(&fnv1a(FNV_SEED, &payload).to_le_bytes());
 
+    #[cfg(test)]
+    SAVES.with(|n| n.set(n.get() + 1));
     passflow_store::write_atomic(path, &file_bytes)
         .map_err(|e| persist_err(format!("writing checkpoint {path:?}: {e}")))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Checkpoint writes started on this thread, for the engine's tests.
+    pub(crate) static SAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Reads and fully validates a `PFATTACK v1` file (magic, version, payload

@@ -309,10 +309,9 @@ impl PassFlow {
             .latent_of(pivot)
             .ok_or_else(|| FlowError::UnencodablePassword(pivot.to_string()))?;
         let mut z = Tensor::zeros(n, self.dim());
-        for i in 0..n {
-            for (j, &c) in center.iter().enumerate() {
-                z.set(i, j, c + sigma * nnrng::standard_normal(rng));
-            }
+        for row in z.as_mut_slice().chunks_exact_mut(center.len()) {
+            row.copy_from_slice(&center);
+            nnrng::add_normal_noise(row, sigma, rng);
         }
         let x = self.inverse(&z);
         Ok(self.decode_batch(&x))

@@ -93,6 +93,10 @@ pub struct GaussianMixturePrior {
     centers: Vec<Vec<f32>>,
     sigmas: Vec<f32>,
     weights: Vec<f32>,
+    /// `weights.iter().sum()`, the range each component pick draws from.
+    total: f32,
+    /// Indices of the nonzero-weight components, ascending.
+    active: Vec<usize>,
 }
 
 impl GaussianMixturePrior {
@@ -131,13 +135,34 @@ impl GaussianMixturePrior {
             "at least one component must have positive weight"
         );
         let sigmas = vec![sigma; centers.len()];
-        let weights = weights.into_iter().map(|w| w / total).collect();
+        let weights: Vec<f32> = weights.into_iter().map(|w| w / total).collect();
+        let active = (0..weights.len()).filter(|&k| weights[k] > 0.0).collect();
         GaussianMixturePrior {
             dim,
             centers,
             sigmas,
+            total: weights.iter().sum(),
             weights,
+            active,
         }
+    }
+
+    /// Draws one component index, consuming the RNG and returning exactly
+    /// what [`nnrng::sample_discrete`] over the full weight list would, in
+    /// O(active components): a zero weight never satisfies `target < w`
+    /// and subtracting it leaves `target` unchanged, so skipping expired
+    /// components cannot change the pick, and a fall-through still returns
+    /// the full list's last index.
+    fn pick_component<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let mut target = rng.gen_range(0.0..self.total);
+        for &k in &self.active {
+            let w = self.weights[k];
+            if target < w {
+                return k;
+            }
+            target -= w;
+        }
+        self.weights.len() - 1
     }
 
     /// Number of mixture components.
@@ -160,13 +185,10 @@ impl GaussianMixturePrior {
     /// results to fresh allocations.
     pub fn sample_into<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, out: &mut Tensor) {
         out.resize(n, self.dim);
-        for i in 0..n {
-            let k = nnrng::sample_discrete(&self.weights, rng);
-            let center = &self.centers[k];
-            let sigma = self.sigmas[k];
-            for (j, &c) in center.iter().enumerate() {
-                out.set(i, j, c + sigma * nnrng::standard_normal(rng));
-            }
+        for row in out.as_mut_slice().chunks_exact_mut(self.dim) {
+            let k = self.pick_component(rng);
+            row.copy_from_slice(&self.centers[k]);
+            nnrng::add_normal_noise(row, self.sigmas[k], rng);
         }
     }
 }
@@ -177,15 +199,8 @@ impl Prior for GaussianMixturePrior {
     }
 
     fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Tensor {
-        let mut out = Tensor::zeros(n, self.dim);
-        for i in 0..n {
-            let k = nnrng::sample_discrete(&self.weights, rng);
-            let center = &self.centers[k];
-            let sigma = self.sigmas[k];
-            for (j, &c) in center.iter().enumerate() {
-                out.set(i, j, c + sigma * nnrng::standard_normal(rng));
-            }
-        }
+        let mut out = Tensor::default();
+        self.sample_into(n, rng, &mut out);
         out
     }
 
@@ -196,10 +211,8 @@ impl Prior for GaussianMixturePrior {
                 let row = z.row_slice(i);
                 // log Σ_k w_k N(row; c_k, σ_k² I) via log-sum-exp.
                 let mut terms = Vec::with_capacity(self.centers.len());
-                for (k, center) in self.centers.iter().enumerate() {
-                    if self.weights[k] == 0.0 {
-                        continue;
-                    }
+                for &k in &self.active {
+                    let center = &self.centers[k];
                     let sigma = self.sigmas[k];
                     let sq: f32 = row
                         .iter()
@@ -281,6 +294,54 @@ mod tests {
         }
         assert_eq!(prior.num_components(), 2);
         assert_eq!(prior.weights(), &[1.0, 0.0]);
+    }
+
+    /// An RNG whose every draw is the largest it can return, so each
+    /// component pick draws the top of its range.
+    struct Topmost;
+
+    impl rand::RngCore for Topmost {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn component_pick_matches_the_full_weight_scan() {
+        let mut fell_through = 0;
+        let mut weights_rng = nnrng::seeded(9);
+        for case in 0..2_000u64 {
+            // Mostly expired components, often trailing ones.
+            let k = 1 + (case % 23) as usize;
+            let weights: Vec<f32> = (0..k)
+                .map(|_| {
+                    let w: f32 = weights_rng.gen_range(0.0..1.0);
+                    if w < 0.6 {
+                        0.0
+                    } else {
+                        w
+                    }
+                })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                continue;
+            }
+            let prior = GaussianMixturePrior::new(vec![vec![0.0]; k], 1.0, weights);
+            let top = prior.pick_component(&mut Topmost);
+            assert_eq!(top, nnrng::sample_discrete(prior.weights(), &mut Topmost));
+            fell_through += usize::from(prior.weights()[top] == 0.0);
+            let (mut a, mut b) = (nnrng::seeded(case), nnrng::seeded(case));
+            for _ in 0..8 {
+                assert_eq!(
+                    prior.pick_component(&mut a),
+                    nnrng::sample_discrete(prior.weights(), &mut b)
+                );
+            }
+        }
+        assert!(fell_through > 0, "no case reached the fall-through index");
     }
 
     #[test]

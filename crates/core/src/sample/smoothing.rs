@@ -62,9 +62,7 @@ impl GaussianSmoothing {
     /// form the attack engine's smoothing loop uses; RNG consumption is
     /// identical to [`perturb`](Self::perturb)).
     pub fn perturb_in_place<R: Rng + ?Sized>(&self, features: &mut [f32], rng: &mut R) {
-        for v in features {
-            *v += self.sigma * nnrng::standard_normal(rng);
-        }
+        nnrng::add_normal_noise(features, self.sigma, rng);
     }
 
     /// Incrementally perturbs `features` until `accept` returns true or

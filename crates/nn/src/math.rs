@@ -9,6 +9,16 @@
 //! (relative error ≲ 3e-7), far inside every tolerance the reproduction
 //! uses.
 //!
+//! The Box-Muller pair ([`fast_ln`], [`fast_sin_cos`]) keeps that rule too,
+//! though its inputs are uniform draws that would mispredict any branch on
+//! most calls: `fast_ln` renormalises its mantissa with a select, and
+//! `fast_sin_cos` picks its quadrant by swapping the `(sin, cos)` bit
+//! patterns under a mask built from the quadrant's low bit and flipping
+//! their sign bits by XOR. The tests below check both bit for bit against
+//! frozen `match`/`if` references: sampled by default, and over every input
+//! of their domains in the `#[ignore]`d sweeps that CI runs on the optimised
+//! build.
+//!
 //! **Consistency rule:** all tensor ops ([`Tensor::exp`](crate::Tensor::exp),
 //! [`Tensor::tanh`](crate::Tensor::tanh), [`Tensor::sigmoid`](crate::Tensor::sigmoid)),
 //! the in-place kernels and the fused coupling kernels call *these*
@@ -92,13 +102,14 @@ pub fn fast_ln(x: f32) -> f32 {
     const LN2_LO: f32 = -2.121_944_4e-4;
     debug_assert!(x > 0.0 && x.is_finite(), "fast_ln domain");
     let bits = x.to_bits();
-    let mut e = ((bits >> 23) as i32) - 126;
+    let e = ((bits >> 23) as i32) - 126;
     // Mantissa remapped into [0.5, 1), then normalized into [√0.5, √2).
-    let mut m = f32::from_bits((bits & 0x007f_ffff) | 0x3f00_0000);
-    if m < SQRT_HALF {
-        m += m;
-        e -= 1;
-    }
+    let m = f32::from_bits((bits & 0x007f_ffff) | 0x3f00_0000);
+    // A select, not a branch: the Box-Muller draws land on either side at
+    // random.
+    let low = m < SQRT_HALF;
+    let m = if low { m + m } else { m };
+    let e = e - i32::from(low);
     let t = m - 1.0;
     let z = t * t;
     let mut p = 7.037_683_6e-2f32;
@@ -140,13 +151,20 @@ pub fn fast_sin_cos(x: f32) -> (f32, f32) {
     pc = pc.mul_add(z, -1.388_731_6e-3);
     pc = pc.mul_add(z, 4.166_664_6e-2);
     let poly_cos = (pc * z).mul_add(z, 0.5f32.mul_add(-z, 1.0));
-    // j is even; each quadrant step rotates (sin, cos) by π/2.
-    match (j / 2) & 3 {
-        0 => (poly_sin, poly_cos),
-        1 => (poly_cos, -poly_sin),
-        2 => (-poly_sin, -poly_cos),
-        _ => (-poly_cos, poly_sin),
-    }
+    // j is even; each quadrant step q rotates (sin, cos) by π/2:
+    // q = 0 → (s, c), 1 → (c, −s), 2 → (−s, −c), 3 → (−c, s). An odd q
+    // swaps the pair; the sine is negated for q ∈ {2, 3} and the cosine for
+    // q ∈ {1, 2}. Swap and negations act on the bits, so no quadrant
+    // branches.
+    let q = (j >> 1) & 3;
+    let (sb, cb) = (poly_sin.to_bits(), poly_cos.to_bits());
+    let swap = (sb ^ cb) & 0u32.wrapping_sub(q & 1);
+    let sin_sign = (q >> 1) << 31;
+    let cos_sign = ((q ^ (q >> 1)) & 1) << 31;
+    (
+        f32::from_bits(sb ^ swap ^ sin_sign),
+        f32::from_bits(cb ^ swap ^ cos_sign),
+    )
 }
 
 #[cfg(test)]
@@ -353,19 +371,37 @@ mod tests {
         }
     }
 
-    /// Every f32 of `fast_sin_cos`'s domain against the frozen form: a few
-    /// seconds on an optimised build, minutes on a debug one.
+    /// Runs `check` on every bit pattern in `lo..=hi`, split into one
+    /// contiguous block per available core (at most eight).
+    fn sweep(lo: u32, hi: u32, check: fn(u32)) {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8)) as u64;
+        let (lo, len) = (u64::from(lo), u64::from(hi) - u64::from(lo) + 1);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (start, end) = (lo + len * t / threads, lo + len * (t + 1) / threads);
+                scope.spawn(move || (start..end).for_each(|bits| check(bits as u32)));
+            }
+        });
+    }
+
+    /// Every f32 of `fast_sin_cos`'s domain against the frozen form. A
+    /// third of them square to subnormals, which the FPU takes slowly: this
+    /// runs about 80 core-seconds on an optimised build.
     #[test]
     #[ignore = "exhaustive; run with --release -- --ignored exhaustive"]
     fn exhaustive_sin_cos_matches_the_frozen_form() {
-        SIN_COS_BITS.for_each(assert_sin_cos_matches_frozen);
+        sweep(
+            *SIN_COS_BITS.start(),
+            *SIN_COS_BITS.end(),
+            assert_sin_cos_matches_frozen,
+        );
     }
 
     /// Every f32 in `(0, 1)` through `fast_ln` against the frozen form.
     #[test]
     #[ignore = "exhaustive; run with --release -- --ignored exhaustive"]
     fn exhaustive_ln_matches_the_frozen_form() {
-        LN_BITS.for_each(assert_ln_matches_frozen);
+        sweep(LN_BITS.start, LN_BITS.end - 1, assert_ln_matches_frozen);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use passflow::core::GaussianMixturePrior;
 use passflow::nn::{rng as nnrng, Tensor};
 use passflow::{
     Attack, DynamicParams, FlowConfig, FlowWorkspace, GaussianSmoothing, GuessSession, Guesser,
@@ -136,6 +137,39 @@ fn warmed_inverse_allocates_nothing(flow: &PassFlow) {
     );
 }
 
+fn warmed_mixture_sampling_allocates_nothing(flow: &PassFlow) {
+    // Mostly expired components, as the step penalization leaves them.
+    let centers: Vec<Vec<f32>> = (0..32).map(|k| vec![k as f32 * 0.1; flow.dim()]).collect();
+    let weights = (0..32)
+        .map(|k| if k % 5 == 0 { 1.0 } else { 0.0 })
+        .collect();
+    let prior = GaussianMixturePrior::new(centers, 0.1, weights);
+    let mut rng = nnrng::seeded(8);
+    let mut out = Tensor::default();
+    prior.sample_into(1_024, &mut rng, &mut out);
+    let (calls, bytes, ()) = counted(|| prior.sample_into(1_024, &mut rng, &mut out));
+    assert_eq!(
+        calls, 0,
+        "a warmed 1 024-row mixture draw made {calls} allocations ({bytes} bytes)"
+    );
+}
+
+fn smoothing_perturbation_allocates_nothing(flow: &PassFlow) {
+    let smoothing = GaussianSmoothing::default();
+    let mut rng = nnrng::seeded(9);
+    // One flow-width row, and one long enough to cross the draw batches.
+    let mut row = vec![0.5f32; flow.dim()];
+    let mut long = vec![0.5f32; 1_000];
+    let (calls, bytes, ()) = counted(|| {
+        smoothing.perturb_in_place(&mut row, &mut rng);
+        smoothing.perturb_in_place(&mut long, &mut rng);
+    });
+    assert_eq!(
+        calls, 0,
+        "smoothing perturbations made {calls} allocations ({bytes} bytes)"
+    );
+}
+
 fn only_persisting_attacks_compute_the_state_digest(flow: &PassFlow) {
     let targets: HashSet<String> = HashSet::new();
     let guesser = DigestCounter {
@@ -195,6 +229,8 @@ fn heap_traffic_pins() {
     let (evaluation, _) = flow_fixture(FlowConfig::evaluation());
     state_digest_streams_without_buffering(&evaluation);
     warmed_inverse_allocates_nothing(&evaluation);
+    warmed_mixture_sampling_allocates_nothing(&evaluation);
+    smoothing_perturbation_allocates_nothing(&evaluation);
     only_persisting_attacks_compute_the_state_digest(&evaluation);
     // The untrained 8×64 flow's samples rarely repeat, so the campaign
     // runs on the tiny flow, whose do.
