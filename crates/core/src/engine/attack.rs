@@ -920,31 +920,28 @@ fn generate_latent_chunk<'g>(
     let mut local: Option<HashSet<String>> = smoothing.map(|_| HashSet::new());
     let mut guesses = Vec::with_capacity(chunk.len);
     let mut matched_latents = Vec::new();
-    for i in 0..chunk.len {
-        let features = x.row_slice(i);
+    let dim = x.cols();
+    for (i, features) in x.as_mut_slice().chunks_exact_mut(dim).enumerate() {
         let mut guess = lg.decode_features(features);
 
         // Data-space Gaussian smoothing: if this guess collides with one
         // already generated (in the shared snapshot or earlier in this
-        // chunk), incrementally perturb the data-space point until it
-        // decodes to something new (Section III-C).
+        // chunk), incrementally perturb the data-space point, in place in
+        // the wave buffer, until it decodes to something new
+        // (Section III-C).
         if let (Some(smoothing), Some(local)) = (smoothing, local.as_mut()) {
             if generated.contains(&guess) || local.contains(&guess) {
                 // The accepting attempt's decode is captured inside the
                 // predicate, so a successful perturbation costs no second
                 // decode.
-                let mut accepted: Option<String> = None;
-                let found = smoothing.perturb_until(features, rng, |candidate| {
+                smoothing.perturb_until(features, rng, |candidate| {
                     let decoded = lg.decode_features(candidate);
                     let fresh = !generated.contains(&decoded) && !local.contains(&decoded);
                     if fresh {
-                        accepted = Some(decoded);
+                        guess = decoded;
                     }
                     fresh
                 });
-                if let (Some(_), Some(decoded)) = (found, accepted) {
-                    guess = decoded;
-                }
             }
             local.insert(guess.clone());
         }

@@ -59,34 +59,29 @@ impl GaussianSmoothing {
     }
 
     /// Adds `ε ~ N(0, σ² I)` to `features` in place (the allocation-free
-    /// form the attack engine's smoothing loop uses; RNG consumption is
-    /// identical to [`perturb`](Self::perturb)).
+    /// step each [`perturb_until`](Self::perturb_until) attempt takes; RNG
+    /// consumption is identical to [`perturb`](Self::perturb)).
     pub fn perturb_in_place<R: Rng + ?Sized>(&self, features: &mut [f32], rng: &mut R) {
         nnrng::add_normal_noise(features, self.sigma, rng);
     }
 
-    /// Incrementally perturbs `features` until `accept` returns true or
-    /// `max_attempts` is exhausted; returns the accepted vector, or `None`
-    /// if every attempt was rejected.
+    /// Incrementally perturbs `features` in place until `accept` returns
+    /// true or `max_attempts` is exhausted; returns whether an attempt was
+    /// accepted, in which case `features` holds it.
     ///
     /// "Incrementally" follows the paper: each attempt adds noise to the
     /// *previous* attempt, drifting further from the original point the
-    /// longer the collision persists. One scratch vector is reused across
-    /// attempts.
+    /// longer the collision persists.
     pub fn perturb_until<R: Rng + ?Sized>(
         &self,
-        features: &[f32],
+        features: &mut [f32],
         rng: &mut R,
         mut accept: impl FnMut(&[f32]) -> bool,
-    ) -> Option<Vec<f32>> {
-        let mut current = features.to_vec();
-        for _ in 0..self.max_attempts {
-            self.perturb_in_place(&mut current, rng);
-            if accept(&current) {
-                return Some(current);
-            }
-        }
-        None
+    ) -> bool {
+        (0..self.max_attempts).any(|_| {
+            self.perturb_in_place(features, rng);
+            accept(features)
+        })
     }
 }
 
@@ -153,28 +148,37 @@ mod tests {
     fn perturb_until_respects_the_acceptance_predicate() {
         let smoothing = GaussianSmoothing::new(0.05, 10);
         let mut rng = nnrng::seeded(3);
-        let features = vec![0.3f32; 4];
-        // Accept anything: first attempt succeeds.
-        let accepted = smoothing.perturb_until(&features, &mut rng, |_| true);
-        assert!(accepted.is_some());
-        // Accept nothing: exhausts attempts and returns None.
-        let rejected = smoothing.perturb_until(&features, &mut rng, |_| false);
-        assert!(rejected.is_none());
+        let mut features = vec![0.3f32; 4];
+        // Accept anything: the first attempt succeeds.
+        let mut attempts = 0;
+        assert!(smoothing.perturb_until(&mut features, &mut rng, |_| {
+            attempts += 1;
+            true
+        }));
+        assert_eq!(attempts, 1);
+        // Accept nothing: exhausts every attempt.
+        attempts = 0;
+        assert!(!smoothing.perturb_until(&mut features, &mut rng, |_| {
+            attempts += 1;
+            false
+        }));
+        assert_eq!(attempts, 10);
     }
 
     #[test]
     fn perturb_until_drifts_incrementally() {
         let smoothing = GaussianSmoothing::new(0.05, 50);
         let mut rng = nnrng::seeded(4);
-        let features = vec![0.0f32; 8];
+        let mut features = vec![0.0f32; 8];
         let mut attempts = 0;
-        let result = smoothing.perturb_until(&features, &mut rng, |candidate| {
+        let drifted = |candidate: &[f32]| candidate.iter().map(|v| v.abs()).sum::<f32>() > 0.5;
+        let accepted = smoothing.perturb_until(&mut features, &mut rng, |candidate| {
             attempts += 1;
             // Only accept once the point has drifted measurably, which
             // requires accumulating several increments.
-            candidate.iter().map(|v| v.abs()).sum::<f32>() > 0.5
+            drifted(candidate)
         });
-        assert!(result.is_some());
+        assert!(accepted && drifted(&features), "the accepted point is kept");
         assert!(attempts > 1, "acceptance happened suspiciously early");
     }
 
