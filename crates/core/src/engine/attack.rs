@@ -1,7 +1,9 @@
 //! The [`Attack`] builder and the [`AttackEngine`] executing it.
 
 use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -860,44 +862,116 @@ fn latent_session<'s, 'g>(
     .as_mut()
 }
 
-/// The inverse of a latent chunk's `z` into `x`: the rows are cut into one
-/// contiguous block per context, the blocks are claimed through
-/// [`passflow_nn::fan_out`] and inverted by the claiming context's own
-/// session into its own buffers, and the results are joined back in row
-/// order. Row `i` of a [`LatentSession`]'s output depends only on row `i`
-/// of its input, so this is bit-identical to one whole-batch inverse.
-fn split_inverse<'g>(
+/// Rows per block of a latent chunk's inverse: small enough that the calling
+/// thread's decode and smoothing of one block overlaps the other contexts'
+/// inversion of the next, large enough that every block's GEMMs still run
+/// on full row tiles. On the 2-vCPU `guess` set-up, 64–256 measured alike
+/// and 512 left the second core idle longer.
+const INVERSE_BLOCK_ROWS: usize = 128;
+
+/// Inverts a latent chunk's `z` into `x` in blocks of
+/// [`INVERSE_BLOCK_ROWS`] rows and hands each block to `consume` on the
+/// calling thread, in row order, as soon as it is ready, with the index of
+/// its first row.
+///
+/// Every context but the first gets a scoped worker that claims the next
+/// unclaimed block and inverts it through that context's own session. The
+/// calling thread consumes ready blocks in order, and inverts the next
+/// unclaimed block itself (through the first context) whenever the block it
+/// needs is not ready yet. So decode and smoothing run while the other
+/// contexts invert, and `consume` still sees the rows in order and may draw
+/// from one sequential RNG stream. Row `i` of a [`LatentSession`]'s output
+/// depends only on row `i` of its input, so the result is bit-identical to
+/// one whole-batch inverse, whatever the block size or the context that
+/// inverted a block. A panic in a worker is re-raised here with its
+/// original payload.
+fn invert_in_row_order<'g>(
     lg: &'g dyn LatentGuesser,
     ctxs: &mut [WorkerCtx<'g>],
     z: &Tensor,
     x: &mut Tensor,
+    mut consume: impl FnMut(usize, &mut [f32]),
 ) {
     let (rows, cols) = z.shape();
-    let blocks = ctxs.len().min(rows).max(1);
-    let features = passflow_nn::fan_out(blocks, ctxs, |b, ctx| {
-        let (lo, hi) = (b * rows / blocks, (b + 1) * rows / blocks);
+    x.resize(rows, cols);
+    let blocks = rows.div_ceil(INVERSE_BLOCK_ROWS);
+    let unclaimed = Mutex::new(
+        x.as_mut_slice()
+            .chunks_mut(INVERSE_BLOCK_ROWS * cols)
+            .enumerate(),
+    );
+    let claim = || unclaimed.lock().expect("no claim panics").next();
+    let invert = |ctx: &mut WorkerCtx<'g>, b: usize, out: &mut [f32]| {
+        let lo = b * INVERSE_BLOCK_ROWS;
+        let hi = rows.min(lo + INVERSE_BLOCK_ROWS);
         ctx.z.resize(hi - lo, cols);
         ctx.z
             .as_mut_slice()
             .copy_from_slice(&z.as_slice()[lo * cols..hi * cols]);
         latent_session(&mut ctx.latent, lg).latents_to_features_into(&ctx.z, &mut ctx.x);
-        std::mem::take(&mut ctx.x)
+        assert_eq!(
+            ctx.x.shape(),
+            (hi - lo, cols),
+            "a latent session returns one feature row per latent row, as wide as the latent"
+        );
+        out.copy_from_slice(ctx.x.as_slice());
+    };
+    let (own, others) = ctxs.split_first_mut().expect("at least one context");
+    let panicked = Mutex::new(None);
+    std::thread::scope(|scope| {
+        let (done, inverted) = mpsc::channel();
+        for ctx in others.iter_mut().take(blocks.saturating_sub(1)) {
+            let (done, claim, invert, panicked) = (done.clone(), &claim, &invert, &panicked);
+            scope.spawn(move || {
+                let work = || {
+                    while let Some((b, out)) = claim() {
+                        invert(ctx, b, out);
+                        if done.send((b, out)).is_err() {
+                            return;
+                        }
+                    }
+                };
+                // Kept for the caller, as in `fan_out`: a scoped thread's
+                // own panic would surface only as "a scoped thread panicked".
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+                    panicked
+                        .lock()
+                        .expect("no payload write panics")
+                        .get_or_insert(payload);
+                }
+            });
+        }
+        drop(done);
+        let mut ready: Vec<Option<&mut [f32]>> = (0..blocks).map(|_| None).collect();
+        let mut next = 0;
+        while next < blocks {
+            while let Ok((b, out)) = inverted.try_recv() {
+                ready[b] = Some(out);
+            }
+            if let Some(block) = ready[next].take() {
+                consume(next * INVERSE_BLOCK_ROWS, block);
+                next += 1;
+            } else if let Some((b, out)) = claim() {
+                invert(own, b, out);
+                ready[b] = Some(out);
+            } else if let Ok((b, out)) = inverted.recv() {
+                ready[b] = Some(out);
+            } else {
+                // Every worker is gone and a claimed block never came: a
+                // worker panicked, and its payload is re-raised below.
+                break;
+            }
+        }
     });
-    x.resize(rows, features[0].cols());
-    let mut at = 0;
-    // Each block's buffer goes back to a context, so the next chunk's
-    // blocks reuse the allocations whichever context claims them.
-    for (ctx, block) in ctxs.iter_mut().zip(features) {
-        x.as_mut_slice()[at..at + block.len()].copy_from_slice(block.as_slice());
-        at += block.len();
-        ctx.x = block;
+    if let Some(payload) = panicked.into_inner().expect("no payload write panics") {
+        resume_unwind(payload);
     }
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into
-/// the latent buffer, map it through the row-split inverse over `ctxs` into
-/// the feature buffer, decode, and (optionally) smooth collisions away in
-/// data space.
+/// the latent buffer, then invert it block by block over `ctxs` into the
+/// feature buffer while this thread decodes and (optionally) smooths
+/// collisions away in data space, in row order.
 #[allow(clippy::too_many_arguments)]
 fn generate_latent_chunk<'g>(
     lg: &'g dyn LatentGuesser,
@@ -913,44 +987,46 @@ fn generate_latent_chunk<'g>(
     rng: &mut dyn RngCore,
 ) -> ChunkOutput {
     prior.sample_into(chunk.len, rng, z);
-    split_inverse(lg, ctxs, z, x);
+    let z = &*z;
 
     // The chunk-local dedup view is only consulted by smoothing; skip the
     // per-guess clone + hash entirely for strategies without it.
     let mut local: Option<HashSet<String>> = smoothing.map(|_| HashSet::new());
     let mut guesses = Vec::with_capacity(chunk.len);
     let mut matched_latents = Vec::new();
-    let dim = x.cols();
-    for (i, features) in x.as_mut_slice().chunks_exact_mut(dim).enumerate() {
-        let mut guess = lg.decode_features(features);
+    invert_in_row_order(lg, ctxs, z, x, |first_row, block| {
+        for (r, features) in block.chunks_exact_mut(z.cols()).enumerate() {
+            let mut guess = lg.decode_features(features);
 
-        // Data-space Gaussian smoothing: if this guess collides with one
-        // already generated (in the shared snapshot or earlier in this
-        // chunk), incrementally perturb the data-space point, in place in
-        // the wave buffer, until it decodes to something new
-        // (Section III-C).
-        if let (Some(smoothing), Some(local)) = (smoothing, local.as_mut()) {
-            if generated.contains(&guess) || local.contains(&guess) {
-                // The accepting attempt's decode is captured inside the
-                // predicate, so a successful perturbation costs no second
-                // decode.
-                smoothing.perturb_until(features, rng, |candidate| {
-                    let decoded = lg.decode_features(candidate);
-                    let fresh = !generated.contains(&decoded) && !local.contains(&decoded);
-                    if fresh {
-                        guess = decoded;
-                    }
-                    fresh
-                });
+            // Data-space Gaussian smoothing: if this guess collides with one
+            // already generated (in the shared snapshot or earlier in this
+            // chunk), incrementally perturb the data-space point, in place
+            // in the wave buffer, until it decodes to something new
+            // (Section III-C).
+            if let (Some(smoothing), Some(local)) = (smoothing, local.as_mut()) {
+                if generated.contains(&guess) || local.contains(&guess) {
+                    // The accepting attempt's decode is captured inside the
+                    // predicate, so a successful perturbation costs no
+                    // second decode.
+                    smoothing.perturb_until(features, rng, |candidate| {
+                        let decoded = lg.decode_features(candidate);
+                        let fresh = !generated.contains(&decoded) && !local.contains(&decoded);
+                        if fresh {
+                            guess = decoded;
+                        }
+                        fresh
+                    });
+                }
+                local.insert(guess.clone());
             }
-            local.insert(guess.clone());
-        }
 
-        if track_latents && targets.contains(&guess) {
-            matched_latents.push((i, z.row_slice(i).to_vec()));
+            let i = first_row + r;
+            if track_latents && targets.contains(&guess) {
+                matched_latents.push((i, z.row_slice(i).to_vec()));
+            }
+            guesses.push(guess);
         }
-        guesses.push(guess);
-    }
+    });
     ChunkOutput {
         guesses,
         matched_latents,
@@ -1198,23 +1274,79 @@ mod tests {
                 t.as_slice().iter().map(|v| v.to_bits()).collect(),
             )
         };
-        for rows in [1usize, 5, 17, 1023, 1024] {
+        for rows in [1usize, 5, 17, 129, 1023, 1024] {
             let z = Tensor::randn(rows, flow.dim(), &mut nnrng::seeded(rows as u64));
             let mut expected = Tensor::default();
             whole.latents_to_features_into(&z, &mut expected);
             let expected: ((usize, usize), Vec<u32>) = bits(&expected);
-            // `fan_out` takes the contexts as given, so this covers 1–4
-            // workers on any host.
+            let in_order: Vec<(usize, usize)> = (0..rows)
+                .step_by(INVERSE_BLOCK_ROWS)
+                .map(|lo| (lo, (rows.min(lo + INVERSE_BLOCK_ROWS) - lo) * flow.dim()))
+                .collect();
+            // One worker per context beyond the first, whatever the host,
+            // so this covers 1–4 workers.
             for contexts in 1..=4 {
                 let mut ctxs: Vec<WorkerCtx<'_>> =
                     (0..contexts).map(|_| WorkerCtx::new()).collect();
                 let mut x = Tensor::default();
-                // Twice: the second pass runs on the handed-back buffers.
+                // Twice: the second pass runs on the warmed buffers.
                 for _ in 0..2 {
-                    split_inverse(&flow, &mut ctxs, &z, &mut x);
+                    let mut consumed = Vec::new();
+                    invert_in_row_order(&flow, &mut ctxs, &z, &mut x, |first_row, block| {
+                        consumed.push((first_row, block.len()));
+                    });
                     assert_eq!(bits(&x), expected, "rows={rows} contexts={contexts}");
+                    assert_eq!(consumed, in_order, "every block once, in row order");
                 }
             }
+        }
+    }
+
+    /// A dimension-preserving latent guesser whose inverse panics on any
+    /// batch holding [`Tripwire::MARK`].
+    struct Tripwire;
+
+    impl Tripwire {
+        const MARK: f32 = 1e9;
+    }
+
+    impl Guesser for Tripwire {
+        fn name(&self) -> &str {
+            "tripwire"
+        }
+        fn generate_batch(&self, n: usize, _rng: &mut dyn RngCore) -> Vec<String> {
+            vec![String::new(); n]
+        }
+    }
+
+    impl LatentGuesser for Tripwire {
+        fn latent_dim(&self) -> usize {
+            2
+        }
+        fn latents_to_features(&self, z: &Tensor) -> Tensor {
+            assert!(!z.as_slice().contains(&Self::MARK), "induced failure");
+            z.clone()
+        }
+        fn decode_features(&self, _features: &[f32]) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn a_panic_while_inverting_reaches_the_caller_with_its_payload() {
+        let mut z = Tensor::zeros(1_000, 2);
+        z.set(700, 1, Tripwire::MARK);
+        for contexts in 1..=3 {
+            let mut ctxs: Vec<WorkerCtx<'_>> = (0..contexts).map(|_| WorkerCtx::new()).collect();
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                invert_in_row_order(&Tripwire, &mut ctxs, &z, &mut Tensor::default(), |_, _| {})
+            }));
+            let payload = result.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"induced failure"),
+                "contexts={contexts}"
+            );
         }
     }
 
