@@ -197,8 +197,9 @@ impl<'a> Attack<'a> {
     /// own deterministic RNG stream keyed by the chunk index, so
     /// `shards(1)` and `shards(8)` produce byte-identical reports for the
     /// same seed. A static attack's chunks run one per worker. A Dynamic
-    /// strategy (with or without smoothing) runs its chunks in order and
-    /// splits each chunk's flow inverse into one row block per shard.
+    /// strategy (with or without smoothing) runs its chunks in order: the
+    /// shards invert each chunk in row blocks while the calling thread
+    /// decodes and smooths the finished blocks.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         // Repo-wide thread discipline: clamp to the host (results are
@@ -865,8 +866,9 @@ fn latent_session<'s, 'g>(
 /// Rows per block of a latent chunk's inverse: small enough that the calling
 /// thread's decode and smoothing of one block overlaps the other contexts'
 /// inversion of the next, large enough that every block's GEMMs still run
-/// on full row tiles. On the 2-vCPU `guess` set-up, 64–256 measured alike
-/// and 512 left the second core idle longer.
+/// on full row tiles. On the 2-vCPU `guess` set-up, pairs of runs at 64,
+/// 128, 256 and 512 rows were within noise of each other, and 128 had the
+/// highest mean.
 const INVERSE_BLOCK_ROWS: usize = 128;
 
 /// Inverts a latent chunk's `z` into `x` in blocks of

@@ -38,9 +38,8 @@
 //! [`fan_out`] is the coarse-grained sibling of the pool: one worker per
 //! caller-supplied context (the calling thread, then scoped threads),
 //! pulling item indices from a shared counter and returning outputs in
-//! index order. Attack chunks, a narrow attack wave's inverse row blocks,
-//! gradient micro-batches, strength-table chunks and trace replay clients
-//! all run through it.
+//! index order. Static attack chunks, gradient micro-batches,
+//! strength-table chunks and trace replay clients all run through it.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
