@@ -1,7 +1,6 @@
 //! The [`Attack`] builder and the [`AttackEngine`] executing it.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 
@@ -871,13 +870,22 @@ fn latent_session<'s, 'g>(
 /// highest mean.
 const INVERSE_BLOCK_ROWS: usize = 128;
 
+/// The block height [`invert_in_row_order`] uses for `rows` rows over
+/// `contexts` contexts: [`INVERSE_BLOCK_ROWS`], or less when the chunk is
+/// too short to give every context a block of that size, so that a short
+/// chunk is still inverted on every context.
+fn inverse_block_rows(rows: usize, contexts: usize) -> usize {
+    INVERSE_BLOCK_ROWS.min(rows.div_ceil(contexts)).max(1)
+}
+
 /// Inverts a latent chunk's `z` into `x` in blocks of
-/// [`INVERSE_BLOCK_ROWS`] rows and hands each block to `consume` on the
+/// [`inverse_block_rows`] rows and hands each block to `consume` on the
 /// calling thread, in row order, as soon as it is ready, with the index of
 /// its first row.
 ///
-/// Every context but the first gets a scoped worker that claims the next
-/// unclaimed block and inverts it through that context's own session. The
+/// Every context but the first, up to one per block after the first, gets
+/// a scoped worker that claims the next unclaimed block and inverts it
+/// through that context's own session. The
 /// calling thread consumes ready blocks in order, and inverts the next
 /// unclaimed block itself (through the first context) whenever the block it
 /// needs is not ready yet. So decode and smoothing run while the other
@@ -895,17 +903,14 @@ fn invert_in_row_order<'g>(
     mut consume: impl FnMut(usize, &mut [f32]),
 ) {
     let (rows, cols) = z.shape();
+    let block_rows = inverse_block_rows(rows, ctxs.len());
     x.resize(rows, cols);
-    let blocks = rows.div_ceil(INVERSE_BLOCK_ROWS);
-    let unclaimed = Mutex::new(
-        x.as_mut_slice()
-            .chunks_mut(INVERSE_BLOCK_ROWS * cols)
-            .enumerate(),
-    );
+    let blocks = rows.div_ceil(block_rows);
+    let unclaimed = Mutex::new(x.as_mut_slice().chunks_mut(block_rows * cols).enumerate());
     let claim = || unclaimed.lock().expect("no claim panics").next();
     let invert = |ctx: &mut WorkerCtx<'g>, b: usize, out: &mut [f32]| {
-        let lo = b * INVERSE_BLOCK_ROWS;
-        let hi = rows.min(lo + INVERSE_BLOCK_ROWS);
+        let lo = b * block_rows;
+        let hi = rows.min(lo + block_rows);
         ctx.z.resize(hi - lo, cols);
         ctx.z
             .as_mut_slice()
@@ -918,32 +923,26 @@ fn invert_in_row_order<'g>(
         );
         out.copy_from_slice(ctx.x.as_slice());
     };
+    let (claim, invert) = (&claim, &invert);
     let (own, others) = ctxs.split_first_mut().expect("at least one context");
-    let panicked = Mutex::new(None);
-    std::thread::scope(|scope| {
-        let (done, inverted) = mpsc::channel();
-        for ctx in others.iter_mut().take(blocks.saturating_sub(1)) {
-            let (done, claim, invert, panicked) = (done.clone(), &claim, &invert, &panicked);
-            scope.spawn(move || {
-                let work = || {
-                    while let Some((b, out)) = claim() {
-                        invert(ctx, b, out);
-                        if done.send((b, out)).is_err() {
-                            return;
-                        }
+    let helpers = others.len().min(blocks.saturating_sub(1));
+    let (done, inverted) = mpsc::channel();
+    // One sender per worker, the last of them `done` itself: once every
+    // worker is gone, panicked or not, the channel disconnects.
+    let workers = others
+        .iter_mut()
+        .zip(std::iter::repeat_n(done, helpers))
+        .map(|(ctx, done)| {
+            move || {
+                while let Some((b, out)) = claim() {
+                    invert(ctx, b, out);
+                    if done.send((b, out)).is_err() {
+                        return;
                     }
-                };
-                // Kept for the caller, as in `fan_out`: a scoped thread's
-                // own panic would surface only as "a scoped thread panicked".
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
-                    panicked
-                        .lock()
-                        .expect("no payload write panics")
-                        .get_or_insert(payload);
                 }
-            });
-        }
-        drop(done);
+            }
+        });
+    passflow_nn::with_scoped_workers(workers, || {
         let mut ready: Vec<Option<&mut [f32]>> = (0..blocks).map(|_| None).collect();
         let mut next = 0;
         while next < blocks {
@@ -951,7 +950,7 @@ fn invert_in_row_order<'g>(
                 ready[b] = Some(out);
             }
             if let Some(block) = ready[next].take() {
-                consume(next * INVERSE_BLOCK_ROWS, block);
+                consume(next * block_rows, block);
                 next += 1;
             } else if let Some((b, out)) = claim() {
                 invert(own, b, out);
@@ -960,14 +959,11 @@ fn invert_in_row_order<'g>(
                 ready[b] = Some(out);
             } else {
                 // Every worker is gone and a claimed block never came: a
-                // worker panicked, and its payload is re-raised below.
+                // worker panicked, and its payload is re-raised on return.
                 break;
             }
         }
     });
-    if let Some(payload) = panicked.into_inner().expect("no payload write panics") {
-        resume_unwind(payload);
-    }
 }
 
 /// Generates one chunk through the latent path: sample the epoch prior into
@@ -1009,7 +1005,9 @@ fn generate_latent_chunk<'g>(
                 if generated.contains(&guess) || local.contains(&guess) {
                     // The accepting attempt's decode is captured inside the
                     // predicate, so a successful perturbation costs no
-                    // second decode.
+                    // second decode. If every attempt is rejected, the
+                    // colliding guess is kept while the buffer row holds the
+                    // last rejected attempt; nothing reads the row again.
                     smoothing.perturb_until(features, rng, |candidate| {
                         let decoded = lg.decode_features(candidate);
                         let fresh = !generated.contains(&decoded) && !local.contains(&decoded);
@@ -1239,25 +1237,33 @@ mod tests {
             params: DynamicParams::new(0, 0.1, 8),
             smoothing: GaussianSmoothing::default(),
         };
-        let run = |shards: usize| {
-            Attack::new(&targets)
-                .budget(1_500)
-                .batch_size(128)
-                .checkpoints(vec![512, 1_024])
-                .strategy(strategy.clone())
-                .seed(11)
-                .shards(shards)
-                .sync_every(4)
-                .run(&flow)
-                .unwrap()
-        };
-        let sequential = run(1);
-        assert!(
-            sequential.final_report().matched > 0,
-            "fixture must produce matches to exercise the dynamic path"
-        );
-        for shards in [2, 8] {
-            assert_eq!(run(shards), sequential, "shards={shards} diverged");
+        // 128-row chunks give each of 2 shards one 64-row block; 512-row
+        // chunks are cut into 128-row blocks that the shards take in turn.
+        for batch in [128, 512] {
+            let run = |shards: usize| {
+                Attack::new(&targets)
+                    .budget(1_500)
+                    .batch_size(batch)
+                    .checkpoints(vec![512, 1_024])
+                    .strategy(strategy.clone())
+                    .seed(11)
+                    .shards(shards)
+                    .sync_every(4)
+                    .run(&flow)
+                    .unwrap()
+            };
+            let sequential = run(1);
+            assert!(
+                sequential.final_report().matched > 0,
+                "fixture must produce matches to exercise the dynamic path"
+            );
+            for shards in [2, 8] {
+                assert_eq!(
+                    run(shards),
+                    sequential,
+                    "batch={batch} shards={shards} diverged"
+                );
+            }
         }
     }
 
@@ -1276,18 +1282,19 @@ mod tests {
                 t.as_slice().iter().map(|v| v.to_bits()).collect(),
             )
         };
-        for rows in [1usize, 5, 17, 129, 1023, 1024] {
+        for rows in [1usize, 5, 17, 128, 129, 1023, 1024] {
             let z = Tensor::randn(rows, flow.dim(), &mut nnrng::seeded(rows as u64));
             let mut expected = Tensor::default();
             whole.latents_to_features_into(&z, &mut expected);
             let expected: ((usize, usize), Vec<u32>) = bits(&expected);
-            let in_order: Vec<(usize, usize)> = (0..rows)
-                .step_by(INVERSE_BLOCK_ROWS)
-                .map(|lo| (lo, (rows.min(lo + INVERSE_BLOCK_ROWS) - lo) * flow.dim()))
-                .collect();
             // One worker per context beyond the first, whatever the host,
             // so this covers 1–4 workers.
             for contexts in 1..=4 {
+                let block_rows = inverse_block_rows(rows, contexts);
+                let in_order: Vec<(usize, usize)> = (0..rows)
+                    .step_by(block_rows)
+                    .map(|lo| (lo, (rows.min(lo + block_rows) - lo) * flow.dim()))
+                    .collect();
                 let mut ctxs: Vec<WorkerCtx<'_>> =
                     (0..contexts).map(|_| WorkerCtx::new()).collect();
                 let mut x = Tensor::default();
@@ -1340,7 +1347,7 @@ mod tests {
         z.set(700, 1, Tripwire::MARK);
         for contexts in 1..=3 {
             let mut ctxs: Vec<WorkerCtx<'_>> = (0..contexts).map(|_| WorkerCtx::new()).collect();
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 invert_in_row_order(&Tripwire, &mut ctxs, &z, &mut Tensor::default(), |_, _| {})
             }));
             let payload = result.expect_err("the panic must reach the caller");
@@ -1348,6 +1355,63 @@ mod tests {
                 payload.downcast_ref::<&str>(),
                 Some(&"induced failure"),
                 "contexts={contexts}"
+            );
+        }
+    }
+
+    /// A dimension-preserving latent guesser whose inverse waits, up to a
+    /// deadline, until two inverses are running at once, and records any
+    /// call that waited in vain.
+    #[derive(Default)]
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        both_in: std::sync::Condvar,
+        alone: std::sync::atomic::AtomicBool,
+    }
+
+    impl Guesser for Rendezvous {
+        fn name(&self) -> &str {
+            "rendezvous"
+        }
+        fn generate_batch(&self, n: usize, _rng: &mut dyn RngCore) -> Vec<String> {
+            vec![String::new(); n]
+        }
+    }
+
+    impl LatentGuesser for Rendezvous {
+        fn latent_dim(&self) -> usize {
+            2
+        }
+        fn latents_to_features(&self, z: &Tensor) -> Tensor {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.both_in.notify_all();
+            let (_arrived, wait) = self
+                .both_in
+                .wait_timeout_while(arrived, std::time::Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+            if wait.timed_out() {
+                self.alone.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            z.clone()
+        }
+        fn decode_features(&self, _features: &[f32]) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn two_contexts_invert_a_chunk_together_whatever_its_length() {
+        // A chunk of at most `INVERSE_BLOCK_ROWS` rows is still cut into
+        // one block per context, so the worker inverts one of them.
+        for rows in [2, INVERSE_BLOCK_ROWS, 4 * INVERSE_BLOCK_ROWS] {
+            let guesser = Rendezvous::default();
+            let mut ctxs: Vec<WorkerCtx<'_>> = (0..2).map(|_| WorkerCtx::new()).collect();
+            let z = Tensor::zeros(rows, 2);
+            invert_in_row_order(&guesser, &mut ctxs, &z, &mut Tensor::default(), |_, _| {});
+            assert!(
+                !guesser.alone.load(std::sync::atomic::Ordering::Relaxed),
+                "rows={rows}: an inverse ran with no other context working"
             );
         }
     }

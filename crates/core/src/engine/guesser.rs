@@ -104,6 +104,11 @@ pub trait LatentGuesser: Guesser {
     /// Maps a batch of latent rows to data-space feature rows (the flow's
     /// inverse pass).
     ///
+    /// The output has one row per input row and
+    /// [`latent_dim`](Self::latent_dim) columns, as a flow's data space is
+    /// as wide as its latent space; the engine inverts into a buffer of
+    /// that shape and panics on any other.
+    ///
     /// Row `i` of the output must depend only on row `i` of the input, bit
     /// for bit, whatever the batch around it: the engine splits a batch
     /// into row blocks across workers and joins the results.
@@ -126,9 +131,10 @@ pub trait LatentGuesser: Guesser {
 /// A per-worker latent-inference context created by
 /// [`LatentGuesser::start_latent_session`].
 ///
-/// As with [`LatentGuesser::latents_to_features`], row `i` of the output
-/// depends only on row `i` of the input: the engine may invert one batch
-/// as contiguous row blocks, each through a different worker's session.
+/// As with [`LatentGuesser::latents_to_features`], the output is as wide as
+/// the latent, and row `i` of it depends only on row `i` of the input: the
+/// engine may invert one batch as contiguous row blocks, each through a
+/// different worker's session.
 pub trait LatentSession: Send {
     /// Maps a batch of latent rows to data-space feature rows, writing into
     /// `out` and reusing session scratch buffers.

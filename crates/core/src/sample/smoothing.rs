@@ -67,7 +67,8 @@ impl GaussianSmoothing {
 
     /// Incrementally perturbs `features` in place until `accept` returns
     /// true or `max_attempts` is exhausted; returns whether an attempt was
-    /// accepted, in which case `features` holds it.
+    /// accepted, in which case `features` holds it. On `false`, `features`
+    /// holds the last rejected attempt, not the original point.
     ///
     /// "Incrementally" follows the paper: each attempt adds noise to the
     /// *previous* attempt, drifting further from the original point the

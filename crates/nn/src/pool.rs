@@ -40,6 +40,9 @@
 //! pulling item indices from a shared counter and returning outputs in
 //! index order. Static attack chunks, gradient micro-batches,
 //! strength-table chunks and trace replay clients all run through it.
+//! [`with_scoped_workers`] is the worker set-up it shares with the attack
+//! engine's block-pipelined inverse: one scoped thread per extra worker,
+//! with a worker's panic re-raised on the caller with its payload.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -139,7 +142,6 @@ where
     // reach this thread through the slot mutex and the scope's join.
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let panicked = Mutex::new(None);
     let work = |ctx: &mut C| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
@@ -151,14 +153,39 @@ where
     let (own, others) = ctxs[..workers]
         .split_first_mut()
         .expect("at least two workers");
-    std::thread::scope(|scope| {
-        for ctx in others {
-            let (work, panicked) = (&work, &panicked);
+    let work = &work;
+    with_scoped_workers(others.iter_mut().map(|ctx| move || work(ctx)), || work(own));
+    slots
+        .into_inner()
+        .expect("no slot write panics")
+        .into_iter()
+        .map(|slot| slot.expect("every index produced"))
+        .collect()
+}
+
+/// Runs every closure of `workers` on its own scoped thread while the
+/// calling thread runs `own`, and returns `own`'s result once every worker
+/// has finished.
+///
+/// A worker's panic is caught, and the first payload is re-raised here
+/// after the scope: a scoped thread's own panic would surface only as "a
+/// scoped thread panicked". A panicking worker's closure is dropped as it
+/// unwinds, so anything it owns (a channel sender, say) is released before
+/// `own` could wait on it.
+///
+/// # Panics
+///
+/// Re-raises the first worker panic with its original payload, or `own`'s.
+pub fn with_scoped_workers<W, R>(workers: impl IntoIterator<Item = W>, own: impl FnOnce() -> R) -> R
+where
+    W: FnOnce() + Send,
+{
+    let panicked = Mutex::new(None);
+    let result = std::thread::scope(|scope| {
+        for worker in workers {
+            let panicked = &panicked;
             scope.spawn(move || {
-                // The payload is kept for the caller: a scoped thread's
-                // own panic would surface only as "a scoped thread
-                // panicked".
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(ctx))) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(worker)) {
                     panicked
                         .lock()
                         .expect("no payload write panics")
@@ -166,17 +193,12 @@ where
                 }
             });
         }
-        work(own);
+        own()
     });
     if let Some(payload) = panicked.into_inner().expect("no payload write panics") {
         resume_unwind(payload);
     }
-    slots
-        .into_inner()
-        .expect("no slot write panics")
-        .into_iter()
-        .map(|slot| slot.expect("every index produced"))
-        .collect()
+    result
 }
 
 // ---------------------------------------------------------------------------

@@ -193,35 +193,39 @@ fn only_persisting_attacks_compute_the_state_digest(flow: &PassFlow) {
 
 fn row_split_allocations_are_bounded_per_chunk(flow: &PassFlow, targets: &HashSet<String>) {
     const BUDGET: u64 = 8_192;
-    const BATCH: usize = 64;
-    let campaign = |shards: usize| {
-        counted(|| {
-            Attack::new(targets)
-                .budget(BUDGET)
-                .batch_size(BATCH)
-                .strategy(GuessingStrategy::DynamicWithSmoothing {
-                    params: DynamicParams::new(0, 0.1, 8),
-                    smoothing: GaussianSmoothing::default(),
-                })
-                .seed(5)
-                .shards(shards)
-                .sync_every(1)
-                .run(flow)
-                .unwrap()
-        })
-    };
-    let (serial_calls, _, serial) = campaign(1);
-    let (split_calls, _, split) = campaign(2);
-    assert!(
-        serial.final_report().matched > 0,
-        "the mixture must activate"
-    );
-    assert_eq!(split, serial);
-    let chunks = BUDGET / BATCH as u64;
-    assert!(
-        split_calls <= serial_calls + 8 * chunks,
-        "2 shards made {split_calls} allocations, 1 shard {serial_calls}, over {chunks} chunks"
-    );
+    // A 64-row chunk is one block per shard; a 512-row chunk is four
+    // 128-row blocks that the shards take in turn.
+    for batch in [64, 512] {
+        let campaign = |shards: usize| {
+            counted(|| {
+                Attack::new(targets)
+                    .budget(BUDGET)
+                    .batch_size(batch)
+                    .strategy(GuessingStrategy::DynamicWithSmoothing {
+                        params: DynamicParams::new(0, 0.1, 8),
+                        smoothing: GaussianSmoothing::default(),
+                    })
+                    .seed(5)
+                    .shards(shards)
+                    .sync_every(1)
+                    .run(flow)
+                    .unwrap()
+            })
+        };
+        let (serial_calls, _, serial) = campaign(1);
+        let (split_calls, _, split) = campaign(2);
+        assert!(
+            serial.final_report().matched > 0,
+            "batch={batch}: the mixture must activate"
+        );
+        assert_eq!(split, serial, "batch={batch}");
+        let chunks = BUDGET / batch as u64;
+        assert!(
+            split_calls <= serial_calls + 8 * chunks,
+            "batch={batch}: 2 shards made {split_calls} allocations, 1 shard {serial_calls}, \
+             over {chunks} chunks"
+        );
+    }
 }
 
 #[test]

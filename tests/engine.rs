@@ -161,13 +161,14 @@ fn narrow_dynamic_waves_are_shard_invariant() {
             smoothing: GaussianSmoothing::default(),
         },
     ];
-    for strategy in strategies {
-        // `sync_every(1)` makes every wave one chunk, so only the row
-        // split of each chunk's inverse puts the second shard to work.
+    // `sync_every(1)` makes every wave one chunk, so only the row split of
+    // each chunk's inverse puts the second shard to work: one 64-row block
+    // per shard at batch 128, and four 128-row blocks taken in turn at 512.
+    for (strategy, batch) in strategies.iter().flat_map(|s| [(s, 128), (s, 512)]) {
         let run = |shards: usize| {
             Attack::new(&targets)
                 .budget(1_500)
-                .batch_size(128)
+                .batch_size(batch)
                 .checkpoints(vec![512, 1_024])
                 .strategy(strategy.clone())
                 .seed(12)
@@ -179,10 +180,15 @@ fn narrow_dynamic_waves_are_shard_invariant() {
         let serial = run(1);
         assert!(
             serial.final_report().matched > 0,
-            "{}: the mixture prior must activate",
+            "{} at batch {batch}: the mixture prior must activate",
             strategy.label()
         );
-        assert_eq!(run(2), serial, "{} diverged", strategy.label());
+        assert_eq!(
+            run(2),
+            serial,
+            "{} at batch {batch} diverged",
+            strategy.label()
+        );
     }
 }
 

@@ -203,30 +203,39 @@ fn halted_and_resumed_dynamic_gs_attacks_reproduce_uninterrupted_outcomes() {
 fn narrow_wave_resume_on_two_shards_reproduces_one_shard() {
     let scratch = Scratch::new("narrow");
     let (flow, targets) = flow_fixture();
-    // One chunk per wave: the 2-shard runs split each chunk's inverse.
-    let attack = |shards: usize| dynamic_attack(&targets).sync_every(1).shards(shards);
+    // One chunk per wave: the 2-shard runs split each chunk's inverse, into
+    // one 64-row block per shard at batch 128 and four 128-row blocks at 512.
+    for batch in [128, 512] {
+        let attack = |shards: usize| {
+            dynamic_attack(&targets)
+                .batch_size(batch)
+                .sync_every(1)
+                .shards(shards)
+        };
 
-    let reference_archive = scratch.path("reference.pfg");
-    let reference = attack(1).archive_to(&reference_archive).run(&flow).unwrap();
-    assert!(reference.final_report().matched > 0);
+        let reference_archive = scratch.path(&format!("reference-{batch}.pfg"));
+        let reference = attack(1).archive_to(&reference_archive).run(&flow).unwrap();
+        assert!(reference.final_report().matched > 0, "batch={batch}");
 
-    let cp = scratch.path("halt.pfa");
-    attack(2)
-        .checkpoint_to(&cp)
-        .halt_after(600)
-        .run(&flow)
-        .unwrap();
-    let resumed_archive = scratch.path("resumed.pfg");
-    let resumed = attack(2)
-        .resume(&cp)
-        .archive_to(&resumed_archive)
-        .run(&flow)
-        .unwrap();
-    assert_eq!(resumed, reference);
-    assert_eq!(
-        std::fs::read(&resumed_archive).unwrap(),
-        std::fs::read(&reference_archive).unwrap()
-    );
+        let cp = scratch.path(&format!("halt-{batch}.pfa"));
+        attack(2)
+            .checkpoint_to(&cp)
+            .halt_after(600)
+            .run(&flow)
+            .unwrap();
+        let resumed_archive = scratch.path(&format!("resumed-{batch}.pfg"));
+        let resumed = attack(2)
+            .resume(&cp)
+            .archive_to(&resumed_archive)
+            .run(&flow)
+            .unwrap();
+        assert_eq!(resumed, reference, "batch={batch}");
+        assert_eq!(
+            std::fs::read(&resumed_archive).unwrap(),
+            std::fs::read(&reference_archive).unwrap(),
+            "batch={batch}"
+        );
+    }
 }
 
 #[test]
