@@ -27,45 +27,23 @@ pub fn derived(seed: u64, stream: u64) -> StdRng {
 
 /// Draws a single standard-normal sample.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    let (u1, u2) = box_muller_uniforms(rng);
-    box_muller(u1, u2)
-}
-
-/// The uniform pair one Box-Muller draw consumes, in stream order.
-#[inline]
-fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
     let u2: f32 = rng.gen_range(0.0..1.0);
-    (u1, u2)
-}
-
-/// The cosine branch of the Box-Muller transform of `(u1, u2)`.
-#[inline]
-fn box_muller(u1: f32, u2: f32) -> f32 {
     let theta = 2.0 * std::f32::consts::PI * u2;
     (-2.0 * crate::math::fast_ln(u1)).sqrt() * crate::math::fast_sin_cos(theta).1
 }
 
-/// Adds `sigma · N(0, 1)` to every element of `values` in place.
+/// Adds `sigma · N(0, 1)` to every element of `values` in place, one
+/// [`standard_normal`] per element in order, allocating nothing.
 ///
-/// **Stream contract:** the result and the RNG's end state are bit-identical
-/// to `for v in values { *v += sigma * standard_normal(rng) }` — and so, for
-/// `values` filled with a centre `c`, to `c + sigma * standard_normal(rng)`
-/// per element. Elements go in blocks of 16 through a stack buffer: each
-/// block first draws its uniform pairs in element order (the RNG is called
-/// for nothing else), then transforms them in a branch-free loop the
-/// compiler can vectorize. Nothing is allocated.
+/// **Stream contract:** for `values` filled with a centre `c`, the result
+/// and the RNG's end state are bit-identical to `c + sigma *
+/// standard_normal(rng)` per element, so every sampler that adds Gaussian
+/// noise (the mixture prior, smoothing, `sample_near`, conditional
+/// guessing) shares this one loop without moving a bit.
 pub fn add_normal_noise<R: Rng + ?Sized>(values: &mut [f32], sigma: f32, rng: &mut R) {
-    const BLOCK: usize = 16;
-    let (mut u1, mut u2) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
-    for block in values.chunks_mut(BLOCK) {
-        let n = block.len();
-        for (a, b) in u1[..n].iter_mut().zip(&mut u2[..n]) {
-            (*a, *b) = box_muller_uniforms(rng);
-        }
-        for ((v, &a), &b) in block.iter_mut().zip(&u1).zip(&u2) {
-            *v += sigma * box_muller(a, b);
-        }
+    for v in values {
+        *v += sigma * standard_normal(rng);
     }
 }
 
@@ -160,23 +138,6 @@ mod tests {
         let samples: Vec<f32> = (0..20_000).map(|_| normal(3.0, 0.5, &mut rng)).collect();
         let mean = samples.iter().sum::<f32>() / samples.len() as f32;
         assert!((mean - 3.0).abs() < 0.03, "mean={mean}");
-    }
-
-    #[test]
-    fn normal_noise_matches_one_standard_normal_per_element() {
-        // Lengths around the 16-element block, and a centred row.
-        for len in [0usize, 1, 10, 15, 16, 17, 33, 100] {
-            let mut batched: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 3.0).collect();
-            let mut serial = batched.clone();
-            let (mut a, mut b) = (seeded(len as u64), seeded(len as u64));
-            add_normal_noise(&mut batched, 0.3, &mut a);
-            for v in &mut serial {
-                *v += 0.3 * standard_normal(&mut b);
-            }
-            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&batched), bits(&serial), "len {len}");
-            assert_eq!(a.next_u64(), b.next_u64(), "len {len}: streams diverged");
-        }
     }
 
     #[test]
