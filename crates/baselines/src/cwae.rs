@@ -422,6 +422,31 @@ mod tests {
     }
 
     #[test]
+    fn generation_bits_are_pinned() {
+        let cwae = Cwae::train(
+            &corpus(400),
+            PasswordEncoder::default(),
+            CwaeConfig::tiny().with_epochs(1),
+        );
+        let samples = cwae.sample_passwords(64, &mut nnrng::seeded(12));
+        let passwords = ["monkey7", "jessica1", "123456", "p@ssw0rd"];
+        let latents: Vec<f32> = passwords
+            .iter()
+            .flat_map(|p| cwae.latent_of(p).unwrap())
+            .collect();
+        let reconstructed: Vec<String> = passwords
+            .iter()
+            .map(|p| cwae.reconstruct(p).unwrap())
+            .collect();
+        assert_eq!(crate::digest::strings(&samples), 16_245_838_397_036_368_972);
+        assert_eq!(crate::digest::floats(&latents), 12_246_313_164_469_154_213);
+        assert_eq!(
+            crate::digest::strings(&reconstructed),
+            15_949_514_087_364_453_196
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "no training password could be encoded")]
     fn unencodable_corpus_rejected() {
         let _ = Cwae::train(

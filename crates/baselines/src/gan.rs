@@ -388,6 +388,17 @@ mod tests {
     }
 
     #[test]
+    fn generation_bits_are_pinned() {
+        let gan = PassGan::train(
+            &corpus(400),
+            PasswordEncoder::default(),
+            PassGanConfig::tiny().with_iterations(5).with_seed(3),
+        );
+        let samples = gan.sample_passwords(64, &mut nnrng::seeded(11));
+        assert_eq!(crate::digest::strings(&samples), 17_053_994_180_017_700_383);
+    }
+
+    #[test]
     #[should_panic(expected = "no training password could be encoded")]
     fn unencodable_corpus_rejected() {
         let _ = PassGan::train(

@@ -34,3 +34,33 @@ pub use gan::{PassGan, PassGanConfig};
 pub use guesser::Guesser;
 pub use markov::MarkovModel;
 pub use pcfg::PcfgModel;
+
+/// FNV-1a-64 digests of generated strings and float bits, for the
+/// generation pins in the GAN and CWAE tests.
+#[cfg(test)]
+mod digest {
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+    pub(crate) fn strings<S: AsRef<str>>(strings: &[S]) -> u64 {
+        let hash = fnv1a(FNV_SEED, &(strings.len() as u64).to_le_bytes());
+        strings.iter().fold(hash, |h, s| {
+            let s = s.as_ref();
+            fnv1a(fnv1a(h, &(s.len() as u64).to_le_bytes()), s.as_bytes())
+        })
+    }
+
+    pub(crate) fn floats(values: &[f32]) -> u64 {
+        let hash = fnv1a(FNV_SEED, &(values.len() as u64).to_le_bytes());
+        values
+            .iter()
+            .fold(hash, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
+    }
+}

@@ -236,17 +236,37 @@ mod tests {
     }
 
     #[test]
-    fn taped_forward_matches_tensor_forward() {
-        let l = layer(8, 9);
-        let mut rng = nnrng::seeded(10);
-        let x = Tensor::randn(5, 8, &mut rng);
-        let (z_t, log_det_t) = l.forward(&x);
+    fn taped_forward_is_bit_exact_with_snapshot() {
+        let mut rng = nnrng::seeded(9);
+        let masks = [
+            MaskStrategy::CharRun(1),
+            MaskStrategy::CharRun(2),
+            MaskStrategy::Horizontal,
+        ];
+        let shapes = [(10, 16, 1024), (18, 61, 67), (10, 256, 5), (18, 64, 1)];
+        for (i, &(dim, hidden, rows)) in shapes.iter().enumerate() {
+            for (m, strategy) in masks.iter().enumerate() {
+                let mask = strategy.mask_for_layer(i + m, dim);
+                let l = CouplingLayer::new(dim, hidden, 1, &mask, &mut rng);
+                let x = Tensor::randn(rows, dim, &mut rng);
 
-        let tape = Tape::new();
-        let xv = tape.constant(x);
-        let (z_v, log_det_elems) = l.forward_var(&tape, &xv);
-        assert!(z_v.value().approx_eq(&z_t, 1e-5));
-        assert!(log_det_elems.value().sum_rows().approx_eq(&log_det_t, 1e-4));
+                let tape = Tape::new();
+                let (z_v, log_det_elems) = l.forward_var(&tape, &tape.constant(x.clone()));
+
+                let mut ws = crate::FlowWorkspace::new();
+                let mut z = Tensor::default();
+                let mut log_det = Tensor::zeros(rows, 1);
+                l.snapshot().forward_into(&x, &mut ws, &mut z, &mut log_det);
+
+                let case = format!("dim {dim} hidden {hidden} rows {rows} {strategy}");
+                assert_eq!(z_v.value().as_slice(), z.as_slice(), "{case}");
+                assert_eq!(
+                    log_det_elems.value().sum_rows().as_slice(),
+                    log_det.as_slice(),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -595,25 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_tensor_matches_taped_forward() {
-        let mut r = rng();
-        let net = ResNet::new(6, 16, 6, 2, true, &mut r);
-        let x = Tensor::randn(5, 6, &mut r);
-        let tape = Tape::new();
-        let taped = net.forward(&tape, &tape.constant(x.clone())).value();
-        let direct = net.forward_tensor(&x);
-        assert!(taped.approx_eq(&direct, 1e-6));
-
-        let seq = Sequential::new()
-            .push(Linear::new(6, 12, &mut r))
-            .push(Activation::new(ActivationKind::Tanh))
-            .push(Linear::new(12, 3, &mut r));
-        let tape = Tape::new();
-        let taped = seq.forward(&tape, &tape.constant(x.clone())).value();
-        assert!(taped.approx_eq(&seq.forward_tensor(&x), 1e-6));
-    }
-
-    #[test]
     fn zero_grad_resets_all_parameters() {
         let mut r = rng();
         let net = ResNet::new(4, 8, 4, 1, false, &mut r);

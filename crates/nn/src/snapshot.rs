@@ -332,6 +332,7 @@ impl WeightSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autograd::Tape;
     use crate::layers::{Activation, Linear, Module, ResNet, Sequential};
     use rand::SeedableRng;
 
@@ -339,18 +340,30 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(123)
     }
 
+    /// The reference forward: the module's autograd pass on a throwaway tape.
+    fn taped(module: &dyn Module, x: &Tensor) -> Tensor {
+        let tape = Tape::new();
+        module.forward(&tape, &tape.constant(x.clone())).value()
+    }
+
     #[test]
-    fn resnet_snapshot_is_bit_exact_with_forward_tensor() {
+    fn resnet_snapshot_is_bit_exact_with_taped_forward() {
         let mut r = rng();
-        for bounded in [false, true] {
-            let net = ResNet::new(10, 48, 10, 2, bounded, &mut r);
-            let x = Tensor::randn(33, 10, &mut r);
-            let reference = net.forward_tensor(&x);
-            let snap = net.snapshot();
-            let mut ws = NetWorkspace::new();
-            let mut out = Tensor::zeros(0, 0);
-            snap.forward_into(&x, &mut ws, &mut out);
-            assert_eq!(out.as_slice(), reference.as_slice());
+        for (hidden, rows) in [(16, 1024), (48, 33), (61, 67), (64, 1), (256, 130)] {
+            for bounded in [false, true] {
+                let net = ResNet::new(10, hidden, 10, 2, bounded, &mut r);
+                let x = Tensor::randn(rows, 10, &mut r);
+                let reference = taped(&net, &x);
+                let snap = net.snapshot();
+                let mut ws = NetWorkspace::new();
+                let mut out = Tensor::zeros(0, 0);
+                snap.forward_into(&x, &mut ws, &mut out);
+                assert_eq!(
+                    out.as_slice(),
+                    reference.as_slice(),
+                    "hidden {hidden} rows {rows} bounded {bounded}"
+                );
+            }
         }
     }
 
@@ -373,20 +386,30 @@ mod tests {
     }
 
     #[test]
-    fn sequential_snapshot_matches_forward_tensor() {
+    fn sequential_snapshot_matches_taped_forward() {
         let mut r = rng();
-        let seq = Sequential::new()
-            .push(Linear::new(8, 24, &mut r))
-            .push(Activation::new(ActivationKind::Tanh))
-            .push(Linear::new(24, 24, &mut r))
-            .push(Activation::new(ActivationKind::Relu))
-            .push(Linear::new(24, 3, &mut r));
-        let x = Tensor::randn(17, 8, &mut r);
-        let snap = seq.export_snapshot().expect("sequential stack snapshots");
-        assert_eq!(
-            snap.forward(&x).as_slice(),
-            seq.forward_tensor(&x).as_slice()
-        );
+        for kind in [
+            ActivationKind::Relu,
+            ActivationKind::Tanh,
+            ActivationKind::Sigmoid,
+        ] {
+            let seq = Sequential::new()
+                .push(Linear::new(8, 24, &mut r))
+                .push(Activation::new(kind))
+                .push(Linear::new(24, 24, &mut r))
+                .push(Activation::new(kind))
+                .push(Linear::new(24, 3, &mut r));
+            let snap = seq.export_snapshot().expect("sequential stack snapshots");
+            for rows in [1, 17, 300] {
+                // Scaled inputs reach the saturating ends of tanh and sigmoid.
+                let x = Tensor::randn(rows, 8, &mut r).scale(3.0);
+                assert_eq!(
+                    snap.forward(&x).as_slice(),
+                    taped(&seq, &x).as_slice(),
+                    "{kind:?} rows {rows}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -400,7 +423,7 @@ mod tests {
         let after = snap.forward(&x);
         assert_eq!(before.as_slice(), after.as_slice());
         assert_ne!(
-            layer.forward_tensor(&x).as_slice(),
+            taped(&layer, &x).as_slice(),
             after.as_slice(),
             "live module must see the update"
         );

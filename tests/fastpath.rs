@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use passflow::nn::rng as nnrng;
-use passflow::nn::{Module, NetWorkspace, ResNet, Tensor, ThreadPool};
+use passflow::nn::{Module, NetWorkspace, ResNet, Tape, Tensor, ThreadPool};
 use passflow::{
     train, Attack, AttackOutcome, CorpusConfig, DynamicParams, FlowConfig, FlowScorer,
     FlowWorkspace, GaussianSmoothing, Guesser, GuessingStrategy, PassFlow, QuantizedScorer,
@@ -27,6 +27,7 @@ fn configs() -> Vec<FlowConfig> {
         FlowConfig::tiny()
             .with_coupling_layers(6)
             .with_hidden_size(24),
+        FlowConfig::evaluation(),
     ]
 }
 
@@ -72,7 +73,7 @@ fn fast_forward_matches_reference_to_zero_ulp() {
 }
 
 #[test]
-fn resnet_snapshot_matches_forward_tensor_to_zero_ulp() {
+fn resnet_snapshot_matches_taped_forward_to_zero_ulp() {
     let mut rng = nnrng::seeded(500);
     for (blocks, bounded) in [(1, false), (2, true), (3, false)] {
         let net = ResNet::new(10, 48, 10, blocks, bounded, &mut rng);
@@ -81,7 +82,9 @@ fn resnet_snapshot_matches_forward_tensor_to_zero_ulp() {
         let mut ws = NetWorkspace::new();
         let mut out = Tensor::default();
         snap.forward_into(&x, &mut ws, &mut out);
-        assert_eq!(out.as_slice(), net.forward_tensor(&x).as_slice());
+        let tape = Tape::new();
+        let taped = net.forward(&tape, &tape.constant(x.clone())).value();
+        assert_eq!(out.as_slice(), taped.as_slice());
         // The generic Module-level snapshot agrees too.
         let generic = net.export_snapshot().expect("resnets snapshot");
         assert_eq!(generic.forward(&x).as_slice(), out.as_slice());
