@@ -265,22 +265,23 @@ impl Cwae {
     pub fn latent_of(&self, password: &str) -> Option<Vec<f32>> {
         let features = self.password_encoder.encode(password)?;
         let x = Tensor::from_rows(&[features]);
-        Some(self.encoder_net.forward_tensor(&x).row_slice(0).to_vec())
+        let z = self.encoder_net.export_snapshot().forward(&x);
+        Some(z.row_slice(0).to_vec())
     }
 
     /// Reconstructs a password through the autoencoder (encode then decode).
     pub fn reconstruct(&self, password: &str) -> Option<String> {
         let features = self.password_encoder.encode(password)?;
         let x = Tensor::from_rows(&[features]);
-        let z = self.encoder_net.forward_tensor(&x);
-        let out = self.decoder_net.forward_tensor(&z);
+        let z = self.encoder_net.export_snapshot().forward(&x);
+        let out = self.decoder_net.export_snapshot().forward(&z);
         Some(self.password_encoder.decode(out.row_slice(0)))
     }
 
     /// Generates `n` passwords by sampling the Gaussian prior and decoding.
     pub fn sample_passwords<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<String> {
         let z = Tensor::randn(n, self.config.latent_dim, rng);
-        let features = self.decoder_net.forward_tensor(&z);
+        let features = self.decoder_net.export_snapshot().forward(&z);
         (0..features.rows())
             .map(|i| self.password_encoder.decode(features.row_slice(i)))
             .collect()

@@ -295,7 +295,7 @@ impl PassGan {
     /// output feature vectors.
     pub fn sample_passwords<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<String> {
         let noise = Tensor::randn(n, self.config.noise_dim, rng);
-        let features = self.generator.forward_tensor(&noise);
+        let features = self.generator.export_snapshot().forward(&noise);
         (0..features.rows())
             .map(|i| self.encoder.decode(features.row_slice(i)))
             .collect()

@@ -100,13 +100,12 @@ impl CouplingLayer {
         out
     }
 
-    // ------------------------------------------------------------------
-    // Training path (autograd)
-    // ------------------------------------------------------------------
-
     /// Forward transform on the tape: returns `(z, log_det_elements)` where
     /// `log_det_elements` is a `batch × dim` tensor whose row sums are the
     /// per-sample log-determinants.
+    ///
+    /// This is the layer's one reference forward: training differentiates
+    /// it, and [`CouplingSnapshot`] is pinned to it bit for bit.
     pub fn forward_var(&self, tape: &Tape, x: &Var) -> (Var, Var) {
         let (rows, cols) = x.shape();
         assert_eq!(cols, self.dim, "input width must equal coupling dimension");
@@ -124,26 +123,13 @@ impl CouplingLayer {
         (z, log_det_elements)
     }
 
-    // ------------------------------------------------------------------
-    // Inference path (raw tensors)
-    // ------------------------------------------------------------------
-
-    /// Forward transform without autograd: returns `(z, log_det)` where
-    /// `log_det` is a `batch × 1` column of per-sample log-determinants.
+    /// [`forward_var`](Self::forward_var) on a throwaway tape: returns
+    /// `(z, log_det)` where `log_det` is a `batch × 1` column of per-sample
+    /// log-determinants.
     pub fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
-        assert_eq!(
-            x.cols(),
-            self.dim,
-            "input width must equal coupling dimension"
-        );
-        let masked_x = x.mul_row_broadcast(&self.mask);
-        let s = self.s_net.forward_tensor(&masked_x);
-        let t = self.t_net.forward_tensor(&masked_x);
-
-        let transformed = x.mul(&s.exp()).add(&t).mul_row_broadcast(&self.inv_mask);
-        let z = masked_x.add(&transformed);
-        let log_det = s.mul_row_broadcast(&self.inv_mask).sum_rows();
-        (z, log_det)
+        let tape = Tape::new();
+        let (z, log_det_elements) = self.forward_var(&tape, &tape.constant(x.clone()));
+        (z.value(), log_det_elements.value().sum_rows())
     }
 
     /// Inverse transform: recovers `x` from `z`.
@@ -152,21 +138,27 @@ impl CouplingLayer {
     /// so the same conditioning input is available and the affine transform
     /// can be undone exactly:
     /// `x = b ⊙ z + (1 − b) ⊙ (z − t(b ⊙ z)) ⊙ exp(−s(b ⊙ z))`.
+    ///
+    /// The `s`/`t` networks run their taped forward on a throwaway tape;
+    /// the combine is the tensor-op chain that
+    /// [`affine_coupling_inverse_into`](passflow_nn::kernels::affine_coupling_inverse_into)
+    /// fuses.
     pub fn inverse(&self, z: &Tensor) -> Tensor {
         assert_eq!(
             z.cols(),
             self.dim,
             "input width must equal coupling dimension"
         );
-        let masked_z = z.mul_row_broadcast(&self.mask);
-        let s = self.s_net.forward_tensor(&masked_z);
-        let t = self.t_net.forward_tensor(&masked_z);
+        let tape = Tape::new();
+        let masked_z = tape.constant(z.mul_row_broadcast(&self.mask));
+        let s = self.s_net.forward(&tape, &masked_z).value();
+        let t = self.t_net.forward(&tape, &masked_z).value();
 
         let restored = z
             .sub(&t)
             .mul(&s.neg().exp())
             .mul_row_broadcast(&self.inv_mask);
-        masked_z.add(&restored)
+        masked_z.value().add(&restored)
     }
 }
 

@@ -10,9 +10,11 @@
 //! how many batches are processed.
 //!
 //! All fast-path transforms are **bit-exact** (0 ULP) with the reference
-//! implementations on [`CouplingLayer`] and `PassFlow::*_reference`; the
-//! conformance suite in `tests/fastpath.rs` and the engine's
-//! shard-invariance tests are the oracle.
+//! implementations: the taped training forward
+//! ([`CouplingLayer::forward_var`]), the inverse on [`CouplingLayer`] and
+//! `PassFlow::*_reference`. The conformance suite in `tests/fastpath.rs`,
+//! the coupling and flow unit tests and the engine's shard-invariance tests
+//! are the oracle.
 //!
 //! The snapshots are generic over the linear layers' weight format
 //! ([`LinearWeights`]): f32 by default, or the opt-in int8 tier
@@ -147,8 +149,9 @@ impl<L: LinearWeights> CouplingSnapshot<L> {
     /// each row's log-determinant to `log_det_acc` (a `rows × 1` tensor),
     /// matching how the flow accumulates log-determinants across layers.
     ///
-    /// Bit-exact with [`CouplingLayer::forward`](crate::CouplingLayer::forward)
-    /// for f32 weights.
+    /// Bit-exact with the taped
+    /// [`CouplingLayer::forward_var`](crate::CouplingLayer::forward_var) for
+    /// f32 weights.
     pub fn forward_into(
         &self,
         x: &Tensor,

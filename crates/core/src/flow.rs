@@ -189,9 +189,9 @@ impl PassFlow {
         self.snapshot().inverse(z)
     }
 
-    /// Reference forward implementation: chains
-    /// [`CouplingLayer::forward`] with per-layer tensor allocation. Kept as
-    /// the oracle the fast path is tested against to 0 ULP.
+    /// Reference forward implementation: chains [`CouplingLayer::forward`],
+    /// the taped training forward of each layer. Kept as the oracle the
+    /// fast path is tested against to 0 ULP.
     pub fn forward_reference(&self, x: &Tensor) -> (Tensor, Tensor) {
         assert_eq!(
             x.cols(),
@@ -208,9 +208,9 @@ impl PassFlow {
         (z, log_det)
     }
 
-    /// Reference inverse implementation: chains
-    /// [`CouplingLayer::inverse`] with per-layer tensor allocation. Kept as
-    /// the oracle the fast path is tested against to 0 ULP.
+    /// Reference inverse implementation: chains [`CouplingLayer::inverse`],
+    /// whose `s`/`t` networks run their taped forward. Kept as the oracle
+    /// the fast path is tested against to 0 ULP.
     pub fn inverse_reference(&self, z: &Tensor) -> Tensor {
         assert_eq!(
             z.cols(),
@@ -237,10 +237,9 @@ impl PassFlow {
         out.as_slice().to_vec()
     }
 
-    /// Reference log-density implementation: [`forward_reference`]
-    /// (per-layer tensor allocation) plus the prior's per-row scoring. Kept
-    /// as the oracle the fused [`log_prob`](Self::log_prob) path is tested
-    /// against to 0 ULP.
+    /// Reference log-density implementation: [`forward_reference`] plus the
+    /// prior's per-row scoring. Kept as the oracle the fused
+    /// [`log_prob`](Self::log_prob) path is tested against to 0 ULP.
     ///
     /// [`forward_reference`]: Self::forward_reference
     pub fn log_prob_reference(&self, x: &Tensor) -> Vec<f32> {

@@ -17,7 +17,10 @@ use crate::tensor::Tensor;
 /// A differentiable network component.
 ///
 /// A module owns its [`Parameter`]s and maps an input [`Var`] to an output
-/// [`Var`] on the same tape.
+/// [`Var`] on the same tape. [`Module::forward`] is the one reference
+/// definition of the network's function: training differentiates it, and
+/// inference runs the [`WeightSnapshot`] from [`Module::export_snapshot`],
+/// which the tests pin to it bit for bit.
 ///
 /// `Send + Sync` are supertraits so trained models (which store layers as
 /// `Box<dyn Module>`) can be shared across the attack engine's shard
@@ -25,14 +28,6 @@ use crate::tensor::Tensor;
 pub trait Module: Send + Sync {
     /// Runs the forward pass, recording operations on `tape`.
     fn forward(&self, tape: &Tape, input: &Var) -> Var;
-
-    /// Runs the forward pass directly on tensors without recording a tape.
-    ///
-    /// This is the inference path used by the flow's sampling loops, where
-    /// millions of guesses are generated and autograd bookkeeping would be
-    /// pure overhead. The result must be numerically identical to
-    /// [`Module::forward`].
-    fn forward_tensor(&self, input: &Tensor) -> Tensor;
 
     /// Returns handles to every trainable parameter of the module.
     fn parameters(&self) -> Vec<Parameter>;
@@ -50,17 +45,12 @@ pub trait Module: Send + Sync {
     }
 
     /// Exports an owned, immutable snapshot of the module's weights for the
-    /// inference fast path, or `None` if the module does not support
-    /// snapshotting.
+    /// inference fast path.
     ///
-    /// The snapshot's `forward_into` is bit-exact with
-    /// [`Module::forward_tensor`] but reads weights directly (no per-call
-    /// lock/clone) and writes activations into reusable scratch buffers.
-    /// All built-in layers snapshot; the default keeps custom modules
-    /// compiling without one.
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        None
-    }
+    /// The snapshot's `forward_into` gives the same bits as
+    /// [`Module::forward`] but reads weights directly (no tape, no per-call
+    /// lock or clone) and writes activations into reusable scratch buffers.
+    fn export_snapshot(&self) -> WeightSnapshot;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,18 +146,12 @@ impl Module for Linear {
         input.linear(&self.weight, &self.bias)
     }
 
-    fn forward_tensor(&self, input: &Tensor) -> Tensor {
-        input
-            .matmul(&self.weight.value())
-            .add_row_broadcast(&self.bias.value())
-    }
-
     fn parameters(&self) -> Vec<Parameter> {
         vec![self.weight.clone(), self.bias.clone()]
     }
 
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        Some(WeightSnapshot::Linear(self.snapshot()))
+    fn export_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::Linear(self.snapshot())
     }
 }
 
@@ -213,20 +197,12 @@ impl Module for Activation {
         }
     }
 
-    fn forward_tensor(&self, input: &Tensor) -> Tensor {
-        match self.kind {
-            ActivationKind::Relu => input.relu(),
-            ActivationKind::Tanh => input.tanh(),
-            ActivationKind::Sigmoid => input.sigmoid(),
-        }
-    }
-
     fn parameters(&self) -> Vec<Parameter> {
         Vec::new()
     }
 
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        Some(WeightSnapshot::Activation(self.kind))
+    fn export_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::Activation(self.kind)
     }
 }
 
@@ -280,21 +256,14 @@ impl Module for ResidualBlock {
         input.add(&out)
     }
 
-    fn forward_tensor(&self, input: &Tensor) -> Tensor {
-        let hidden = self.fc1.forward_tensor(input);
-        let hidden = self.activation.forward_tensor(&hidden);
-        let out = self.fc2.forward_tensor(&hidden);
-        input.add(&out)
-    }
-
     fn parameters(&self) -> Vec<Parameter> {
         let mut params = self.fc1.parameters();
         params.extend(self.fc2.parameters());
         params
     }
 
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        Some(WeightSnapshot::Residual(Box::new(self.snapshot())))
+    fn export_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::Residual(Box::new(self.snapshot()))
     }
 }
 
@@ -382,19 +351,6 @@ impl Module for ResNet {
         }
     }
 
-    fn forward_tensor(&self, input: &Tensor) -> Tensor {
-        let mut x = self.input.forward_tensor(input).relu();
-        for block in &self.blocks {
-            x = block.forward_tensor(&x);
-        }
-        let out = self.output.forward_tensor(&x);
-        if self.output_tanh {
-            out.tanh()
-        } else {
-            out
-        }
-    }
-
     fn parameters(&self) -> Vec<Parameter> {
         let mut params = self.input.parameters();
         for block in &self.blocks {
@@ -404,8 +360,8 @@ impl Module for ResNet {
         params
     }
 
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        Some(WeightSnapshot::Net(Box::new(self.snapshot())))
+    fn export_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::Net(Box::new(self.snapshot()))
     }
 }
 
@@ -463,24 +419,12 @@ impl Module for Sequential {
         x
     }
 
-    fn forward_tensor(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = layer.forward_tensor(&x);
-        }
-        x
-    }
-
     fn parameters(&self) -> Vec<Parameter> {
         self.layers.iter().flat_map(|l| l.parameters()).collect()
     }
 
-    fn export_snapshot(&self) -> Option<WeightSnapshot> {
-        self.layers
-            .iter()
-            .map(|l| l.export_snapshot())
-            .collect::<Option<Vec<_>>>()
-            .map(WeightSnapshot::Stack)
+    fn export_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::Stack(self.layers.iter().map(|l| l.export_snapshot()).collect())
     }
 }
 

@@ -1,17 +1,18 @@
 //! Immutable weight snapshots for the inference fast path.
 //!
-//! [`Parameter`](crate::Parameter) storage lives behind an `Arc<RwLock>` so
-//! training can share weights with optimizers, but that means every
-//! `forward_tensor` call clones each weight matrix through a lock — pure
-//! overhead once a model is only being *evaluated*. A snapshot exports an
-//! owned, immutable copy of a module's weights **once**; its `forward_into`
-//! methods then read the weights directly and write activations into
-//! caller-provided scratch buffers, so steady-state inference performs no
-//! locking and no allocation.
+//! The reference forward pass of every [`Module`](crate::Module) is its
+//! autograd pass, [`Module::forward`](crate::Module::forward), which records
+//! each operation on a tape and reads each [`Parameter`](crate::Parameter)
+//! through its `Arc<RwLock>` — bookkeeping that is pure overhead once a
+//! model is only being *evaluated*. A snapshot exports an owned, immutable
+//! copy of a module's weights **once**; its `forward_into` methods then read
+//! the weights directly and write activations into caller-provided scratch
+//! buffers, so steady-state inference performs no locking and no
+//! allocation.
 //!
-//! All snapshot forward passes are bit-exact (0 ULP) with the corresponding
-//! [`Module::forward_tensor`](crate::Module::forward_tensor) chain; see
-//! [`crate::kernels`] for the operation-order argument.
+//! All snapshot forward passes are bit-exact (0 ULP) with the taped
+//! forward of the module they were exported from; see [`crate::kernels`]
+//! for the operation-order argument.
 
 use crate::kernels::{
     activate_in_place, matmul_bias_add_into_with, matmul_bias_into_with, relu_in_place,
@@ -237,7 +238,7 @@ impl<L: LinearWeights> ResNetSnapshot<L> {
     /// Runs the forward pass into `out`, using `ws` for hidden activations
     /// (and its thread pool, if one is installed).
     ///
-    /// Bit-exact with `ResNet::forward_tensor` at any thread count.
+    /// Bit-exact with the taped `ResNet` forward at any thread count.
     pub fn forward_into(&self, x: &Tensor, ws: &mut NetWorkspace, out: &mut Tensor) {
         let mut h = ws.take();
         let mut tmp = ws.take();
@@ -263,9 +264,8 @@ impl<L: LinearWeights> ResNetSnapshot<L> {
 // Generic module snapshots
 // ---------------------------------------------------------------------------
 
-/// An owned, immutable snapshot of an arbitrary snapshot-capable
-/// [`Module`](crate::Module) stack (see
-/// [`Module::export_snapshot`](crate::Module::export_snapshot)).
+/// An owned, immutable snapshot of an arbitrary [`Module`](crate::Module)
+/// stack (see [`Module::export_snapshot`](crate::Module::export_snapshot)).
 #[derive(Clone, Debug)]
 pub enum WeightSnapshot {
     /// A fully connected layer.
@@ -282,7 +282,7 @@ pub enum WeightSnapshot {
 
 impl WeightSnapshot {
     /// Runs the snapshot forward pass into `out`, bit-exact with the source
-    /// module's `forward_tensor`.
+    /// module's taped [`Module::forward`](crate::Module::forward).
     pub fn forward_into(&self, x: &Tensor, ws: &mut NetWorkspace, out: &mut Tensor) {
         match self {
             WeightSnapshot::Linear(l) => l.forward_into_with(x, out, ws.thread_pool()),
@@ -399,7 +399,7 @@ mod tests {
                 .push(Linear::new(24, 24, &mut r))
                 .push(Activation::new(kind))
                 .push(Linear::new(24, 3, &mut r));
-            let snap = seq.export_snapshot().expect("sequential stack snapshots");
+            let snap = seq.export_snapshot();
             for rows in [1, 17, 300] {
                 // Scaled inputs reach the saturating ends of tanh and sigmoid.
                 let x = Tensor::randn(rows, 8, &mut r).scale(3.0);
@@ -417,7 +417,7 @@ mod tests {
         let mut r = rng();
         let layer = Linear::new(4, 4, &mut r);
         let x = Tensor::randn(3, 4, &mut r);
-        let snap = layer.export_snapshot().unwrap();
+        let snap = layer.export_snapshot();
         let before = snap.forward(&x);
         layer.weight().set_value(Tensor::zeros(4, 4));
         let after = snap.forward(&x);

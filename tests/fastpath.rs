@@ -86,7 +86,7 @@ fn resnet_snapshot_matches_taped_forward_to_zero_ulp() {
         let taped = net.forward(&tape, &tape.constant(x.clone())).value();
         assert_eq!(out.as_slice(), taped.as_slice());
         // The generic Module-level snapshot agrees too.
-        let generic = net.export_snapshot().expect("resnets snapshot");
+        let generic = net.export_snapshot();
         assert_eq!(generic.forward(&x).as_slice(), out.as_slice());
     }
 }
