@@ -13,8 +13,8 @@
 //! implementations: the taped training forward
 //! ([`CouplingLayer::forward_var`]), the inverse on [`CouplingLayer`] and
 //! `PassFlow::*_reference`. The conformance suite in `tests/fastpath.rs`,
-//! the coupling and flow unit tests and the engine's shard-invariance tests
-//! are the oracle.
+//! the coupling unit tests and the engine's shard-invariance tests are the
+//! oracle.
 //!
 //! The snapshots are generic over the linear layers' weight format
 //! ([`LinearWeights`]): f32 by default, or the opt-in int8 tier
