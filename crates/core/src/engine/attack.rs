@@ -1,13 +1,14 @@
 //! The [`Attack`] builder and the [`AttackEngine`] executing it.
 
 use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use passflow_nn::rng as nnrng;
-use passflow_nn::Tensor;
+use passflow_nn::{Tensor, ThreadPool};
 use rand::RngCore;
 
 use passflow_store::{GuessArchiveWriter, GuessConfig};
@@ -533,8 +534,10 @@ impl AttackEngine {
         // does not rewrite one the last wave's cadence already saved.
         let mut saved_at = None;
 
-        // One context per worker, kept warm across epochs. Sessions are
-        // started lazily inside whichever thread ends up owning the context.
+        // One pool thread and one context per shard, kept warm across
+        // epochs. Sessions are started lazily inside whichever thread ends
+        // up owning the context.
+        let pool = ThreadPool::new(self.shards);
         let mut worker_ctxs: Vec<WorkerCtx<'_>> =
             (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
         // The latent and feature buffers of the latent chunks, which run on
@@ -569,6 +572,7 @@ impl AttackEngine {
                     .iter()
                     .map(|chunk| {
                         generate_latent_chunk(
+                            &pool,
                             lg,
                             &mut worker_ctxs,
                             &mut wave_z,
@@ -586,7 +590,7 @@ impl AttackEngine {
                 // Plain chunks are claimed dynamically by `shards` workers
                 // and folded back in chunk order, so the schedule never
                 // shows in results.
-                _ => passflow_nn::fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
+                _ => pool.fan_out(epoch.len(), &mut worker_ctxs, |i, ctx| {
                     let chunk = &epoch[i];
                     let session = ctx.plain.get_or_insert_with(|| {
                         guesser
@@ -883,9 +887,9 @@ fn inverse_block_rows(rows: usize, contexts: usize) -> usize {
 /// calling thread, in row order, as soon as it is ready, with the index of
 /// its first row.
 ///
-/// Every context but the first, up to one per block after the first, gets
-/// a scoped worker that claims the next unclaimed block and inverts it
-/// through that context's own session. The
+/// Every context but the first, up to one per block after the first, is a
+/// helper block of `pool`: the pool thread that takes it up claims the next
+/// unclaimed block and inverts it through that context's own session. The
 /// calling thread consumes ready blocks in order, and inverts the next
 /// unclaimed block itself (through the first context) whenever the block it
 /// needs is not ready yet. So decode and smoothing run while the other
@@ -893,9 +897,10 @@ fn inverse_block_rows(rows: usize, contexts: usize) -> usize {
 /// from one sequential RNG stream. Row `i` of a [`LatentSession`]'s output
 /// depends only on row `i` of its input, so the result is bit-identical to
 /// one whole-batch inverse, whatever the block size or the context that
-/// inverted a block. A panic in a worker is re-raised here with its
+/// inverted a block. A panic in a helper is re-raised here with its
 /// original payload.
 fn invert_in_row_order<'g>(
+    pool: &ThreadPool,
     lg: &'g dyn LatentGuesser,
     ctxs: &mut [WorkerCtx<'g>],
     z: &Tensor,
@@ -923,30 +928,28 @@ fn invert_in_row_order<'g>(
         );
         out.copy_from_slice(ctx.x.as_slice());
     };
-    let (claim, invert) = (&claim, &invert);
     let (own, others) = ctxs.split_first_mut().expect("at least one context");
     let helpers = others.len().min(blocks.saturating_sub(1));
+    let others = Mutex::new(others.iter_mut());
+    // A helper reports every block it claimed, inverted or with the panic
+    // that cut its inverse short: the pool thread running it outlives this
+    // call, so nothing else would wake a consumer waiting for that block.
     let (done, inverted) = mpsc::channel();
-    // One sender per worker, the last of them `done` itself: once every
-    // worker is gone, panicked or not, the channel disconnects.
-    let workers = others
-        .iter_mut()
-        .zip(std::iter::repeat_n(done, helpers))
-        .map(|(ctx, done)| {
-            move || {
-                while let Some((b, out)) = claim() {
-                    invert(ctx, b, out);
-                    if done.send((b, out)).is_err() {
-                        return;
-                    }
-                }
-            }
-        });
-    passflow_nn::with_scoped_workers(workers, || {
+    let helper = |_: usize| {
+        let ctx = others.lock().expect("no context claim panics").next();
+        let ctx = ctx.expect("one context per helper");
+        while let Some((b, out)) = claim() {
+            let report = catch_unwind(AssertUnwindSafe(|| invert(ctx, b, &mut *out)));
+            let _ = done.send(report.map(|()| (b, out)));
+        }
+    };
+    pool.run_beside(helpers, &helper, || {
+        let reported = |report: std::thread::Result<_>| report.unwrap_or_else(|p| resume_unwind(p));
         let mut ready: Vec<Option<&mut [f32]>> = (0..blocks).map(|_| None).collect();
         let mut next = 0;
         while next < blocks {
-            while let Ok((b, out)) = inverted.try_recv() {
+            while let Ok(report) = inverted.try_recv() {
+                let (b, out) = reported(report);
                 ready[b] = Some(out);
             }
             if let Some(block) = ready[next].take() {
@@ -955,12 +958,9 @@ fn invert_in_row_order<'g>(
             } else if let Some((b, out)) = claim() {
                 invert(own, b, out);
                 ready[b] = Some(out);
-            } else if let Ok((b, out)) = inverted.recv() {
-                ready[b] = Some(out);
             } else {
-                // Every worker is gone and a claimed block never came: a
-                // worker panicked, and its payload is re-raised on return.
-                break;
+                let (b, out) = reported(inverted.recv().expect("the sender outlives this loop"));
+                ready[b] = Some(out);
             }
         }
     });
@@ -972,6 +972,7 @@ fn invert_in_row_order<'g>(
 /// collisions away in data space, in row order.
 #[allow(clippy::too_many_arguments)]
 fn generate_latent_chunk<'g>(
+    pool: &ThreadPool,
     lg: &'g dyn LatentGuesser,
     ctxs: &mut [WorkerCtx<'g>],
     z: &mut Tensor,
@@ -992,7 +993,7 @@ fn generate_latent_chunk<'g>(
     let mut local: Option<HashSet<String>> = smoothing.map(|_| HashSet::new());
     let mut guesses = Vec::with_capacity(chunk.len);
     let mut matched_latents = Vec::new();
-    invert_in_row_order(lg, ctxs, z, x, |first_row, block| {
+    invert_in_row_order(pool, lg, ctxs, z, x, |first_row, block| {
         for (r, features) in block.chunks_exact_mut(z.cols()).enumerate() {
             let mut guess = lg.decode_features(features);
 
@@ -1295,13 +1296,14 @@ mod tests {
                     .step_by(block_rows)
                     .map(|lo| (lo, (rows.min(lo + block_rows) - lo) * flow.dim()))
                     .collect();
+                let pool = ThreadPool::new(contexts);
                 let mut ctxs: Vec<WorkerCtx<'_>> =
                     (0..contexts).map(|_| WorkerCtx::new()).collect();
                 let mut x = Tensor::default();
                 // Twice: the second pass runs on the warmed buffers.
                 for _ in 0..2 {
                     let mut consumed = Vec::new();
-                    invert_in_row_order(&flow, &mut ctxs, &z, &mut x, |first_row, block| {
+                    invert_in_row_order(&pool, &flow, &mut ctxs, &z, &mut x, |first_row, block| {
                         consumed.push((first_row, block.len()));
                     });
                     assert_eq!(bits(&x), expected, "rows={rows} contexts={contexts}");
@@ -1346,9 +1348,17 @@ mod tests {
         let mut z = Tensor::zeros(1_000, 2);
         z.set(700, 1, Tripwire::MARK);
         for contexts in 1..=3 {
+            let pool = ThreadPool::new(contexts);
             let mut ctxs: Vec<WorkerCtx<'_>> = (0..contexts).map(|_| WorkerCtx::new()).collect();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                invert_in_row_order(&Tripwire, &mut ctxs, &z, &mut Tensor::default(), |_, _| {})
+                invert_in_row_order(
+                    &pool,
+                    &Tripwire,
+                    &mut ctxs,
+                    &z,
+                    &mut Tensor::default(),
+                    |_, _| {},
+                )
             }));
             let payload = result.expect_err("the panic must reach the caller");
             assert_eq!(
@@ -1406,14 +1416,77 @@ mod tests {
         // one block per context, so the worker inverts one of them.
         for rows in [2, INVERSE_BLOCK_ROWS, 4 * INVERSE_BLOCK_ROWS] {
             let guesser = Rendezvous::default();
+            let pool = ThreadPool::new(2);
             let mut ctxs: Vec<WorkerCtx<'_>> = (0..2).map(|_| WorkerCtx::new()).collect();
             let z = Tensor::zeros(rows, 2);
-            invert_in_row_order(&guesser, &mut ctxs, &z, &mut Tensor::default(), |_, _| {});
+            invert_in_row_order(
+                &pool,
+                &guesser,
+                &mut ctxs,
+                &z,
+                &mut Tensor::default(),
+                |_, _| {},
+            );
             assert!(
                 !guesser.alone.load(std::sync::atomic::Ordering::Relaxed),
                 "rows={rows}: an inverse ran with no other context working"
             );
         }
+    }
+
+    /// A dimension-preserving latent guesser that records the thread of
+    /// every inverse. Each inverse sleeps for a millisecond, so another
+    /// context has time to claim the chunk's other block.
+    #[derive(Default)]
+    struct ThreadLog {
+        threads: Mutex<HashSet<std::thread::ThreadId>>,
+    }
+
+    impl Guesser for ThreadLog {
+        fn name(&self) -> &str {
+            "thread-log"
+        }
+        fn generate_batch(&self, n: usize, _rng: &mut dyn RngCore) -> Vec<String> {
+            vec![String::new(); n]
+        }
+        fn as_latent(&self) -> Option<&dyn LatentGuesser> {
+            Some(self)
+        }
+    }
+
+    impl LatentGuesser for ThreadLog {
+        fn latent_dim(&self) -> usize {
+            2
+        }
+        fn latents_to_features(&self, z: &Tensor) -> Tensor {
+            let thread = std::thread::current().id();
+            self.threads.lock().unwrap().insert(thread);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            z.clone()
+        }
+        fn decode_features(&self, features: &[f32]) -> String {
+            format!("{:08x}{:08x}", features[0].to_bits(), features[1].to_bits())
+        }
+    }
+
+    #[test]
+    fn a_campaign_inverts_every_chunk_on_the_same_two_threads() {
+        let guesser = ThreadLog::default();
+        // 32 chunks of 64 rows: two 32-row blocks per chunk, one per shard.
+        let outcome = Attack::new(&HashSet::new())
+            .budget(2_048)
+            .batch_size(64)
+            .strategy(GuessingStrategy::DynamicWithSmoothing {
+                params: DynamicParams::default(),
+                smoothing: GaussianSmoothing::default(),
+            })
+            .shards(2)
+            .sync_every(1)
+            .run(&guesser)
+            .unwrap();
+        assert_eq!(outcome.final_report().guesses, 2_048);
+        let threads = guesser.threads.into_inner().unwrap().len();
+        assert!(threads <= 2, "32 chunks inverted on {threads} threads");
     }
 
     #[test]

@@ -13,9 +13,9 @@ const NUM_SHARDS: usize = 16;
 ///
 /// The guessing attack inserts hundreds of millions of strings into this set
 /// at paper scale; sharding keeps rehash pauses short (each shard rehashes
-/// independently at 1/16 of the size) and gives shard-local membership
-/// queries an embarrassingly parallel layout for the engine's worker
-/// threads, which only ever read the set while generation is in flight.
+/// independently at 1/16 of the size). Only the engine's calling thread
+/// touches the set: it folds chunks into it, and smoothing's membership
+/// queries run there too; the pool threads never read it.
 ///
 /// Shard selection is deterministic (a fixed-seed SipHash of the string), so
 /// unique counts never depend on thread scheduling.

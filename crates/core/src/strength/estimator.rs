@@ -173,8 +173,8 @@ impl SampleTable {
         shards: usize,
     ) -> SampleTable {
         let num_chunks = samples.div_ceil(BUILD_CHUNK);
-        let mut workers = vec![(); passflow_nn::clamp_threads(shards)];
-        let chunk_scores = passflow_nn::fan_out(num_chunks, &mut workers, |chunk, _| {
+        let pool = passflow_nn::ThreadPool::new(passflow_nn::clamp_threads(shards));
+        let chunk_scores = pool.fan_out(num_chunks, &mut vec![(); pool.threads()], |chunk, _| {
             let len = BUILD_CHUNK.min(samples - chunk * BUILD_CHUNK);
             let mut rng = nnrng::derived(seed, chunk as u64);
             let rng: &mut dyn RngCore = &mut rng;

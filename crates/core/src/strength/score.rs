@@ -44,8 +44,8 @@ pub fn score_wordlist(
 ) -> Vec<PasswordStrength> {
     assert!(!table.is_empty(), "cannot score against an empty table");
     let chunks: Vec<&[String]> = wordlist.chunks(SCORE_CHUNK).collect();
-    let mut workers = vec![(); passflow_nn::clamp_threads(shards)];
-    passflow_nn::fan_out(chunks.len(), &mut workers, |i, _| {
+    let pool = passflow_nn::ThreadPool::new(passflow_nn::clamp_threads(shards));
+    pool.fan_out(chunks.len(), &mut vec![(); pool.threads()], |i, _| {
         let chunk = chunks[i];
         let scores = model.password_log_probs(chunk);
         chunk

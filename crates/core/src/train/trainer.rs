@@ -29,7 +29,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use passflow_nn::rng as nnrng;
-use passflow_nn::{Adam, GradBatch, Optimizer, Parameter, Tensor};
+use passflow_nn::{Adam, GradBatch, Optimizer, Parameter, Tensor, ThreadPool};
 
 use crate::config::TrainConfig;
 use crate::error::{FlowError, Result};
@@ -197,12 +197,12 @@ impl<'a> Trainer<'a> {
 
         // Worker count is a pure throughput knob (results are invariant),
         // so it goes through the repo-wide clamp (see `passflow_nn::pool`).
-        let effective_workers = passflow_nn::clamp_threads(config.grad_workers);
+        let grad_workers = ThreadPool::new(passflow_nn::clamp_threads(config.grad_workers));
 
         let mut driver = FlowDriver {
             flow: self.flow,
             config,
-            effective_workers,
+            grad_workers,
             corpus_digest,
             parameters,
             optimizer,
@@ -290,8 +290,9 @@ impl<'a> Trainer<'a> {
 struct FlowDriver<'a> {
     flow: &'a PassFlow,
     config: &'a TrainConfig,
-    /// `config.grad_workers` clamped to the host's core count.
-    effective_workers: usize,
+    /// The gradient workers: `config.grad_workers` clamped to the host's
+    /// core count.
+    grad_workers: ThreadPool,
     /// Digest of the encoded corpus, serialized into checkpoints.
     corpus_digest: u64,
     parameters: Vec<Parameter>,
@@ -376,7 +377,7 @@ impl EpochDriver for FlowDriver<'_> {
             self.flow,
             &batch,
             self.config.micro_batch,
-            self.effective_workers,
+            &self.grad_workers,
         );
 
         // Deterministic fixed-order reduction: merge in micro-batch index
@@ -450,7 +451,7 @@ impl EpochDriver for FlowDriver<'_> {
 // ---------------------------------------------------------------------------
 
 /// Computes `(loss_sum, gradients)` for every micro-batch of `batch`,
-/// farming micro-batches out to `workers` threads.
+/// farming micro-batches out to every thread of `workers`.
 ///
 /// The partition is a pure function of `(batch.rows(), micro_batch)` and
 /// each micro-batch is differentiated on a private tape, so the returned
@@ -460,10 +461,10 @@ fn compute_micro_grads(
     flow: &PassFlow,
     batch: &Tensor,
     micro_batch: usize,
-    workers: usize,
+    workers: &ThreadPool,
 ) -> Vec<(f32, GradBatch)> {
     let ranges = micro_ranges(batch.rows(), micro_batch);
-    passflow_nn::fan_out(ranges.len(), &mut vec![(); workers.max(1)], |i, _| {
+    workers.fan_out(ranges.len(), &mut vec![(); workers.threads()], |i, _| {
         let (start, len) = ranges[i];
         grad_of_micro(flow, batch, start, len)
     })
@@ -575,7 +576,7 @@ mod tests {
         // (the summation tree differs, so this is approximate equality; the
         // bit-exactness guarantee is across *worker counts*, not against
         // the monolithic tape).
-        let outputs = compute_micro_grads(&flow, &x, 16, 1);
+        let outputs = compute_micro_grads(&flow, &x, 16, &ThreadPool::new(1));
         let mut merged = GradBatch::new();
         let mut loss = 0.0f32;
         for (l, g) in &outputs {
@@ -599,9 +600,9 @@ mod tests {
     fn micro_grads_are_worker_count_invariant_bitwise() {
         let flow = tiny_flow(4);
         let x = flow.encode_batch(&tiny_corpus(96)).unwrap();
-        let reference = compute_micro_grads(&flow, &x, 16, 1);
+        let reference = compute_micro_grads(&flow, &x, 16, &ThreadPool::new(1));
         for workers in [2, 3, 4, 8] {
-            let parallel = compute_micro_grads(&flow, &x, 16, workers);
+            let parallel = compute_micro_grads(&flow, &x, 16, &ThreadPool::new(workers));
             assert_eq!(reference.len(), parallel.len());
             for ((l1, g1), (l2, g2)) in reference.iter().zip(parallel.iter()) {
                 assert_eq!(l1.to_bits(), l2.to_bits(), "workers={workers}");

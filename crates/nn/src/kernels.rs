@@ -120,7 +120,9 @@ pub(crate) struct Tiles<'p> {
 }
 
 impl<'p> Tiles<'p> {
-    /// The scalar tiles alone, single-threaded (the conformance oracle).
+    /// The scalar tiles alone, single-threaded: the conformance oracle the
+    /// kernel tests hold every SIMD tier and the threaded driver to.
+    #[cfg(test)]
     const SCALAR: Tiles<'static> = Tiles {
         tier: Tier::Scalar,
         pool: None,
@@ -707,13 +709,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// thread count (see the GEMM driver's invariance argument).
 pub fn matmul_into_with(a: &Tensor, b: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
     product(a, b, out, Tiles::best(pool));
-}
-
-/// [`matmul_into`] forced onto the scalar inner tiles (no explicit SIMD,
-/// single-threaded) — the conformance oracle every SIMD tier and the
-/// threaded driver are tested against. Production code never needs this.
-pub fn matmul_into_scalar_tile(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    product(a, b, out, Tiles::SCALAR);
 }
 
 /// `out = a × b` (resized as needed) on the chosen tiles.

@@ -1,20 +1,32 @@
-//! A small persistent worker pool for data-parallel kernels, plus the
-//! repo-wide thread-count discipline.
+//! The one worker runtime: a persistent worker pool, plus the repo-wide
+//! thread-count discipline.
 //!
-//! The pool exists for exactly one job shape: "run `blocks` independent
-//! pieces of work, each writing a disjoint output region, and do not return
-//! until every piece is done". That is what the threaded GEMM needs — output
-//! row blocks are fully independent, so any assignment of blocks to threads
-//! produces bit-identical results — and it keeps the pool std-only: a bounded
-//! channel per worker for job hand-off, an atomic block counter for dynamic
-//! load balancing, and a mutex/condvar latch for completion.
+//! Every piece of short-lived parallel work in the repo runs on a
+//! [`ThreadPool`]: GEMM row blocks, static attack chunks and the attack
+//! engine's pipelined inverse, gradient micro-batches, strength-table
+//! chunks and trace replay clients. Each owner (an attack, a trainer, a
+//! table build, a replay, a serve batcher) builds its pool once from the
+//! thread count it already resolves.
+//!
+//! The pool has one primitive, [`ThreadPool::run_beside`]: the calling
+//! thread runs its own closure while the parked workers claim `blocks`
+//! independent pieces of work from an atomic counter (dynamic load
+//! balancing); the calling thread then runs any block still unclaimed, waits
+//! for the rest, and re-raises the first panic with its original payload.
+//! Two job shapes are built on it:
+//!
+//! * [`ThreadPool::run`] — no closure of the caller's own: `blocks`
+//!   disjoint pieces of work, such as the threaded GEMM's output row blocks.
+//!   Any assignment of blocks to threads produces bit-identical results.
+//! * [`ThreadPool::fan_out`] — ordered claiming over per-worker contexts:
+//!   one block per context beyond the first, each block pulling item
+//!   indices from a shared counter, outputs returned in index order.
 //!
 //! Workers are **persistent**: spawning a thread costs tens of microseconds,
-//! which would dwarf a mid-sized GEMM, so a [`ThreadPool`] spawns its workers
-//! once and parks them on a channel between jobs. `ThreadPool::new(1)` spawns
-//! no workers at all and [`ThreadPool::run`] degenerates to an inline loop —
-//! the single-threaded code path is exactly the code that ran before the pool
-//! existed.
+//! which would dwarf a mid-sized GEMM or an attack chunk's inverse, so a
+//! [`ThreadPool`] spawns its workers once and parks them on a channel
+//! between jobs. `ThreadPool::new(1)` spawns no workers at all, and every
+//! job runs inline on the calling thread.
 //!
 //! ## Thread-count discipline
 //!
@@ -29,23 +41,14 @@
 //!   everywhere in this repo (results are invariant), so oversubscribing the
 //!   host is pure scheduling overhead.
 //!
-//! Benchmarks that sweep thread counts construct [`ThreadPool`]s directly
-//! (the constructor never clamps) so the scaling curve can be recorded even
-//! where it degenerates to a tie.
-//!
-//! ## Ordered fan-out
-//!
-//! [`fan_out`] is the coarse-grained sibling of the pool: one worker per
-//! caller-supplied context (the calling thread, then scoped threads),
-//! pulling item indices from a shared counter and returning outputs in
-//! index order. Static attack chunks, gradient micro-batches,
-//! strength-table chunks and trace replay clients all run through it.
-//! [`with_scoped_workers`] is the worker set-up it shares with the attack
-//! engine's block-pipelined inverse: one scoped thread per extra worker,
-//! with a worker's panic re-raised on the caller with its payload.
+//! The pool constructor never clamps. Benchmarks that sweep thread counts
+//! construct [`ThreadPool`]s directly so the scaling curve can be recorded
+//! even where it degenerates to a tie, and I/O-bound callers (one replay
+//! client per connection) size their pool by the connection count.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -101,119 +104,21 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Ordered fan-out
-// ---------------------------------------------------------------------------
-
-/// Runs `produce(i, ctx)` for every `i in 0..n` and returns the outputs in
-/// index order.
-///
-/// Each context in `ctxs` backs one worker (at most `n` of them). The
-/// calling thread works the first context itself and each other one gets
-/// a scoped thread, so one context runs the whole loop inline. Workers
-/// claim the next unclaimed index from a shared counter, so a slow item
-/// never stalls the others, and a context keeps its state across every
-/// index its worker claims. Outputs are re-assembled by index, so as long
-/// as each output depends only on its index, the result is identical for
-/// any number of contexts.
-///
-/// The worker count is `ctxs.len()` as given: callers whose count is a
-/// CPU-bound throughput knob clamp it through [`clamp_threads`] first;
-/// I/O-bound callers (one context per client connection) do not.
-///
-/// # Panics
-///
-/// Panics if `n > 0` and `ctxs` is empty. A panic inside `produce` is
-/// re-raised on the calling thread with its original payload.
-pub fn fan_out<C, T, F>(n: usize, ctxs: &mut [C], produce: F) -> Vec<T>
-where
-    C: Send,
-    T: Send,
-    F: Fn(usize, &mut C) -> T + Sync,
-{
-    let workers = ctxs.len().min(n);
-    if workers <= 1 {
-        return match ctxs.first_mut() {
-            Some(ctx) => (0..n).map(|i| produce(i, ctx)).collect(),
-            None if n == 0 => Vec::new(),
-            None => panic!("fan_out needs at least one context for {n} items"),
-        };
-    }
-    // Relaxed suffices: the counter only hands out indices; the outputs
-    // reach this thread through the slot mutex and the scope's join.
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let work = |ctx: &mut C| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let output = produce(i, ctx);
-        slots.lock().expect("no slot write panics")[i] = Some(output);
-    };
-    let (own, others) = ctxs[..workers]
-        .split_first_mut()
-        .expect("at least two workers");
-    let work = &work;
-    with_scoped_workers(others.iter_mut().map(|ctx| move || work(ctx)), || work(own));
-    slots
-        .into_inner()
-        .expect("no slot write panics")
-        .into_iter()
-        .map(|slot| slot.expect("every index produced"))
-        .collect()
-}
-
-/// Runs every closure of `workers` on its own scoped thread while the
-/// calling thread runs `own`, and returns `own`'s result once every worker
-/// has finished.
-///
-/// A worker's panic is caught, and the first payload is re-raised here
-/// after the scope: a scoped thread's own panic would surface only as "a
-/// scoped thread panicked". A panicking worker's closure is dropped as it
-/// unwinds, so anything it owns (a channel sender, say) is released before
-/// `own` could wait on it.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic with its original payload, or `own`'s.
-pub fn with_scoped_workers<W, R>(workers: impl IntoIterator<Item = W>, own: impl FnOnce() -> R) -> R
-where
-    W: FnOnce() + Send,
-{
-    let panicked = Mutex::new(None);
-    let result = std::thread::scope(|scope| {
-        for worker in workers {
-            let panicked = &panicked;
-            scope.spawn(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(worker)) {
-                    panicked
-                        .lock()
-                        .expect("no payload write panics")
-                        .get_or_insert(payload);
-                }
-            });
-        }
-        own()
-    });
-    if let Some(payload) = panicked.into_inner().expect("no payload write panics") {
-        resume_unwind(payload);
-    }
-    result
-}
-
-// ---------------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------------
+
+/// A panic payload, carried from the thread that panicked to the caller.
+type Payload = Box<dyn Any + Send>;
 
 /// One broadcast job: a type-erased `Fn(block_index)` plus the bookkeeping
 /// that lets any number of threads drain the block counter and lets the
 /// submitting thread block until the last block completes.
 struct Job {
     /// The work closure. The `'static` here is a lie told to the type
-    /// system: the pointer borrows from [`ThreadPool::run`]'s caller, and
-    /// soundness rests on `run` not returning until [`Job::is_done`] — after
-    /// which no worker can observe a block index below `blocks` and
-    /// therefore never dereferences `task` again.
+    /// system: the pointer borrows from [`ThreadPool::run_beside`]'s caller,
+    /// and soundness rests on `run_beside` not returning (or unwinding)
+    /// until [`Job::is_done`] — after which no worker can observe a block
+    /// index below `blocks` and therefore never dereferences `task` again.
     task: *const (dyn Fn(usize) + Sync + 'static),
     /// Next block index to claim (dynamic load balancing).
     next: AtomicUsize,
@@ -221,9 +126,9 @@ struct Job {
     blocks: usize,
     /// Completed blocks; the job is done when this reaches `blocks`.
     done: AtomicUsize,
-    /// Set when any block panicked (the panic itself is swallowed in the
-    /// worker and re-raised on the submitting thread).
-    panicked: AtomicBool,
+    /// The first panic payload of the job (a block's, or the submitting
+    /// thread's own closure's), re-raised on the submitting thread.
+    panicked: Mutex<Option<Payload>>,
     /// Latch for the submitting thread to sleep on.
     latch: Mutex<()>,
     complete: Condvar,
@@ -231,13 +136,21 @@ struct Job {
 
 // SAFETY: `task` points at a `Sync` closure, so sharing the pointer across
 // threads is sound for the duration of the job; lifetime soundness is argued
-// at the field and in `ThreadPool::run`.
+// at the field and in `ThreadPool::run_beside`.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
     fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire) >= self.blocks
+    }
+
+    /// Keeps `payload` unless an earlier panic was recorded.
+    fn record_panic(&self, payload: Payload) {
+        self.panicked
+            .lock()
+            .expect("no payload write panics")
+            .get_or_insert(payload);
     }
 
     /// Drains the block counter, running claimed blocks until none remain.
@@ -248,11 +161,11 @@ impl Job {
                 return;
             }
             // SAFETY: `block < blocks`, so the job is not yet done and the
-            // submitting thread is still inside `run`, keeping the borrow
-            // behind `task` alive.
+            // submitting thread is still inside `run_beside`, keeping the
+            // borrow behind `task` alive.
             let task = unsafe { &*self.task };
-            if catch_unwind(AssertUnwindSafe(|| task(block))).is_err() {
-                self.panicked.store(true, Ordering::Release);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(block))) {
+                self.record_panic(payload);
             }
             if self.done.fetch_add(1, Ordering::AcqRel) + 1 >= self.blocks {
                 // Last block: wake the submitting thread. Taking the lock
@@ -310,7 +223,7 @@ impl ThreadPool {
             senders.push(sender);
             workers.push(
                 std::thread::Builder::new()
-                    .name(format!("passflow-gemm-{worker}"))
+                    .name(format!("passflow-worker-{worker}"))
                     .spawn(move || {
                         while let Ok(job) = receiver.recv() {
                             job.work();
@@ -332,38 +245,43 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs `blocks` independent work items, calling `task(block_index)`
-    /// exactly once for each `block_index in 0..blocks`, and returns only
-    /// after every item has completed.
+    /// Runs `own` on the calling thread while the pool's workers claim
+    /// `blocks` work items, calling `task(block_index)` exactly once for
+    /// each `block_index in 0..blocks`. Once `own` returns, the calling
+    /// thread runs every block no worker has claimed yet, waits for the
+    /// claimed ones, and returns `own`'s result.
     ///
     /// Blocks are claimed dynamically, so the assignment of blocks to
-    /// threads is nondeterministic — callers must ensure items are
-    /// independent (in this crate: each GEMM block writes a disjoint output
-    /// row range, so any assignment computes identical bytes).
+    /// threads is nondeterministic, and a block the workers leave unclaimed
+    /// runs only after `own`. Callers must ensure the result does not
+    /// depend on either. A one-thread pool runs `own` and then every block
+    /// inline.
     ///
     /// # Panics
     ///
-    /// Re-raises (as a new panic) if any work item panicked.
-    pub fn run(&self, blocks: usize, task: &(dyn Fn(usize) + Sync)) {
-        if blocks == 0 {
-            return;
+    /// Re-raises the first panic of `own` or of any block with its original
+    /// payload, never before every block that started has finished.
+    pub fn run_beside<R>(
+        &self,
+        blocks: usize,
+        task: &(dyn Fn(usize) + Sync),
+        own: impl FnOnce() -> R,
+    ) -> R {
+        if blocks == 0 || self.senders.is_empty() {
+            let result = own();
+            (0..blocks).for_each(task);
+            return result;
         }
-        if self.senders.is_empty() || blocks == 1 {
-            for block in 0..blocks {
-                task(block);
-            }
-            return;
-        }
-        // SAFETY: erase the caller's lifetime; `run` does not return until
-        // `job.wait()` observes all blocks complete, after which no thread
-        // dereferences the pointer again (see `Job::work`).
+        // SAFETY: erase the caller's lifetime; `run_beside` neither returns
+        // nor unwinds until `job.wait()` observes all blocks complete, after
+        // which no thread dereferences the pointer again (see `Job::work`).
         let task: &(dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(task) };
         let job = Arc::new(Job {
             task: task as *const _,
             next: AtomicUsize::new(0),
             blocks,
             done: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
+            panicked: Mutex::new(None),
             latch: Mutex::new(()),
             complete: Condvar::new(),
         });
@@ -372,11 +290,91 @@ impl ThreadPool {
             // participants; the job still completes via the other threads.
             let _ = sender.send(Arc::clone(&job));
         }
+        let result =
+            catch_unwind(AssertUnwindSafe(own)).map_err(|payload| job.record_panic(payload));
         job.work();
         job.wait();
-        if job.panicked.load(Ordering::Acquire) {
-            panic!("a pool worker panicked while running a parallel job");
+        if let Some(payload) = job.panicked.lock().expect("no payload write panics").take() {
+            resume_unwind(payload);
         }
+        result.expect("a panic of `own` was re-raised above")
+    }
+
+    /// Runs `blocks` independent work items, calling `task(block_index)`
+    /// exactly once for each `block_index in 0..blocks`, and returns only
+    /// after every item has completed: [`run_beside`](Self::run_beside)
+    /// with nothing of the caller's own, so the calling thread claims
+    /// blocks alongside the workers.
+    ///
+    /// In this crate each GEMM block writes a disjoint output row range, so
+    /// any assignment of blocks to threads computes identical bytes.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any work item with its original payload.
+    pub fn run(&self, blocks: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.run_beside(blocks, task, || ());
+    }
+
+    /// Runs `produce(i, ctx)` for every `i in 0..n` and returns the outputs
+    /// in index order.
+    ///
+    /// Each context in `ctxs` backs one worker (at most `n` of them). The
+    /// calling thread works the first context itself, and each other one
+    /// is a block of [`run_beside`](Self::run_beside), so one context runs
+    /// the whole loop inline. Workers claim the next unclaimed index from a
+    /// shared counter, so a slow item never stalls the others, and a
+    /// context keeps its state across every index its worker claims.
+    /// Outputs are re-assembled by index, so as long as each output depends
+    /// only on its index, the result is identical for any number of
+    /// contexts and any pool size. A context that no pool thread took up
+    /// while indices remained finds none left when the calling thread runs
+    /// its block.
+    ///
+    /// The worker count is `ctxs.len()` as given: callers whose count is a
+    /// CPU-bound throughput knob clamp it through [`clamp_threads`] first;
+    /// I/O-bound callers (one context per client connection) do not, and
+    /// size the pool to match.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 0` and `ctxs` is empty. A panic inside `produce` is
+    /// re-raised on the calling thread with its original payload.
+    pub fn fan_out<C, T, F>(&self, n: usize, ctxs: &mut [C], produce: F) -> Vec<T>
+    where
+        C: Send,
+        T: Send,
+        F: Fn(usize, &mut C) -> T + Sync,
+    {
+        let workers = ctxs.len().min(n);
+        let Some((own, others)) = ctxs[..workers].split_first_mut() else {
+            assert_eq!(n, 0, "fan_out needs at least one context for {n} items");
+            return Vec::new();
+        };
+        // Relaxed suffices: the counter only hands out indices; the outputs
+        // reach this thread through the slot mutex and the job's latch.
+        let next = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+        let work = |ctx: &mut C| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return;
+            }
+            let output = produce(i, ctx);
+            slots.lock().expect("no slot write panics")[i] = Some(output);
+        };
+        let others = Mutex::new(others.iter_mut());
+        let other = |_: usize| {
+            let ctx = others.lock().expect("no context claim panics").next();
+            work(ctx.expect("one context per block"));
+        };
+        self.run_beside(workers - 1, &other, || work(own));
+        slots
+            .into_inner()
+            .expect("no slot write panics")
+            .into_iter()
+            .map(|slot| slot.expect("every index produced"))
+            .collect()
     }
 }
 
@@ -460,7 +458,12 @@ mod tests {
                 assert_ne!(i, 3, "induced failure");
             });
         }));
-        assert!(result.is_err(), "the panic must propagate to the caller");
+        let payload = result.expect_err("the panic must propagate to the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("induced failure"), "{message:?}");
         // The pool is still usable after a panicked job.
         let hits = AtomicUsize::new(0);
         pool.run(4, &|_| {
@@ -478,7 +481,7 @@ mod tests {
                 // one, so the claims interleave across workers.
                 let barrier = std::sync::Barrier::new(workers.min(n));
                 let mut waited = vec![false; workers];
-                let out = fan_out(n, &mut waited, |i, waited| {
+                let out = ThreadPool::new(workers).fan_out(n, &mut waited, |i, waited| {
                     if !std::mem::replace(waited, true) {
                         barrier.wait();
                     }
@@ -498,7 +501,7 @@ mod tests {
     fn fan_out_contexts_keep_state_across_their_claims() {
         for workers in 1..=4 {
             let mut ctxs: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            fan_out(50, &mut ctxs, |i, claimed| claimed.push(i));
+            ThreadPool::new(workers).fan_out(50, &mut ctxs, |i, claimed| claimed.push(i));
             // Claims come from one monotone counter, so each context saw
             // its indices in ascending order, and together they saw each
             // index once.
@@ -513,7 +516,7 @@ mod tests {
     fn fan_out_reraises_a_worker_panic() {
         for workers in 1..=3 {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                fan_out(20, &mut vec![(); workers], |i, _| {
+                ThreadPool::new(workers).fan_out(20, &mut vec![(); workers], |i, _| {
                     assert_ne!(i, 13, "induced failure");
                 })
             }));
@@ -523,6 +526,59 @@ mod tests {
                 .map(String::as_str)
                 .unwrap_or_default();
             assert!(message.contains("induced failure"), "{message:?}");
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_on_the_pools_persistent_threads() {
+        let pool = ThreadPool::new(2);
+        let seen = Mutex::new(std::collections::HashSet::new());
+        for _ in 0..200 {
+            // Both contexts hold their first item until each has claimed
+            // one, so every call runs on two threads.
+            let barrier = std::sync::Barrier::new(2);
+            pool.fan_out(4, &mut [false, false], |_, waited| {
+                if !std::mem::replace(waited, true) {
+                    barrier.wait();
+                }
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+        }
+        let seen = seen.into_inner().unwrap().len();
+        assert!(
+            seen <= 2,
+            "200 fan-outs on a 2-thread pool ran on {seen} threads"
+        );
+    }
+
+    #[test]
+    fn run_beside_runs_own_and_every_block_and_reraises_owns_panic() {
+        for threads in 1..=3 {
+            let pool = ThreadPool::new(threads);
+            let hits = AtomicUsize::new(0);
+            let own = pool.run_beside(
+                5,
+                &|_| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                },
+                || 7,
+            );
+            assert_eq!(
+                (own, hits.load(Ordering::Relaxed)),
+                (7, 5),
+                "threads={threads}"
+            );
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_beside(
+                    3,
+                    &|_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    },
+                    || panic!("own failure"),
+                )
+            }));
+            let payload = result.expect_err("own's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"own failure"));
         }
     }
 

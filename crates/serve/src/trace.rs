@@ -41,7 +41,7 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use passflow_nn::fan_out;
+use passflow_nn::ThreadPool;
 use passflow_store::io::splitmix64;
 
 use crate::client::Connection;
@@ -369,8 +369,9 @@ pub fn replay(
     let mut conns = (0..clients.max(1))
         .map(|_| Connection::open(addr, Duration::from_secs(30)).map(Some))
         .collect::<std::io::Result<Vec<_>>>()?;
+    let pool = ThreadPool::new(conns.len());
     let start = Instant::now();
-    let outcomes = fan_out(trace.records.len(), &mut conns, |index, conn| {
+    let outcomes = pool.fan_out(trace.records.len(), &mut conns, |index, conn| {
         // Claims are handed out in increasing order, so a claim failed
         // here comes after the error that closed this client.
         let Some(live) = conn.as_mut() else {

@@ -220,8 +220,14 @@ fn row_split_allocations_are_bounded_per_chunk(flow: &PassFlow, targets: &HashSe
         );
         assert_eq!(split, serial, "batch={batch}");
         let chunks = BUDGET / batch as u64;
+        // Per chunk the pool's job handle, and at most one block of the
+        // inverse's report channel and one waiter entry on it, plus the
+        // second context's one-time warm-up spread over the chunks: 1.9-2.2
+        // per chunk at batch 64 and 3.3-4.25 at 512 in debug and optimised
+        // builds. The attack's pool starts its worker once, so no chunk pays
+        // for a thread.
         assert!(
-            split_calls <= serial_calls + 8 * chunks,
+            split_calls <= serial_calls + 5 * chunks,
             "batch={batch}: 2 shards made {split_calls} allocations, 1 shard {serial_calls}, \
              over {chunks} chunks"
         );
