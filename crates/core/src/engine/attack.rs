@@ -539,7 +539,7 @@ impl AttackEngine {
         // up owning the context.
         let pool = ThreadPool::new(self.shards);
         let mut worker_ctxs: Vec<WorkerCtx<'_>> =
-            (0..self.shards.max(1)).map(|_| WorkerCtx::new()).collect();
+            (0..pool.threads()).map(|_| WorkerCtx::new()).collect();
         // The latent and feature buffers of the latent chunks, which run on
         // this thread while the worker contexts invert row blocks.
         let (mut wave_z, mut wave_x) = (Tensor::default(), Tensor::default());
@@ -1369,6 +1369,81 @@ mod tests {
         }
     }
 
+    /// A dimension-preserving latent guesser whose inverse panics on any
+    /// thread but `caller`, while an inverse on `caller` first waits, up to
+    /// a deadline, for that panic to start.
+    struct HelperTripwire {
+        caller: std::thread::ThreadId,
+        helper_in: Mutex<bool>,
+        arrived: std::sync::Condvar,
+    }
+
+    impl Guesser for HelperTripwire {
+        fn name(&self) -> &str {
+            "helper-tripwire"
+        }
+        fn generate_batch(&self, n: usize, _rng: &mut dyn RngCore) -> Vec<String> {
+            vec![String::new(); n]
+        }
+    }
+
+    impl LatentGuesser for HelperTripwire {
+        fn latent_dim(&self) -> usize {
+            2
+        }
+        fn latents_to_features(&self, z: &Tensor) -> Tensor {
+            if std::thread::current().id() != self.caller {
+                *self.helper_in.lock().unwrap() = true;
+                self.arrived.notify_all();
+                panic!("induced failure in a helper");
+            }
+            let helper_in = self.helper_in.lock().unwrap();
+            let deadline = std::time::Duration::from_secs(10);
+            drop(
+                self.arrived
+                    .wait_timeout_while(helper_in, deadline, |helper_in| !*helper_in),
+            );
+            z.clone()
+        }
+        fn decode_features(&self, _features: &[f32]) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn a_helpers_panic_reaches_the_caller_waiting_for_its_block() {
+        // The caller inverts block 0 while the pool's worker panics on
+        // block 1, so the caller then waits for a block no helper will
+        // deliver. It runs on a thread of its own so a hang fails the test.
+        let (sent, received) = mpsc::channel();
+        std::thread::spawn(move || {
+            let guesser = HelperTripwire {
+                caller: std::thread::current().id(),
+                helper_in: Mutex::new(false),
+                arrived: std::sync::Condvar::new(),
+            };
+            let pool = ThreadPool::new(2);
+            let mut ctxs: Vec<WorkerCtx<'_>> = (0..2).map(|_| WorkerCtx::new()).collect();
+            let z = Tensor::zeros(2, 2);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                invert_in_row_order(
+                    &pool,
+                    &guesser,
+                    &mut ctxs,
+                    &z,
+                    &mut Tensor::default(),
+                    |_, _| {},
+                )
+            }));
+            let payload = result.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            sent.send(payload).unwrap();
+        });
+        let payload = received
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the caller must not hang on a helper's panic");
+        assert_eq!(payload, Some("induced failure in a helper"));
+    }
+
     /// A dimension-preserving latent guesser whose inverse waits, up to a
     /// deadline, until two inverses are running at once, and records any
     /// call that waited in vain.
@@ -1435,11 +1510,16 @@ mod tests {
     }
 
     /// A dimension-preserving latent guesser that records the thread of
-    /// every inverse. Each inverse sleeps for a millisecond, so another
-    /// context has time to claim the chunk's other block.
+    /// every inverse. Inverses pair up: each odd-numbered one waits, up to
+    /// a deadline, for the next to arrive, so a chunk's two blocks are
+    /// inverted at once, on two threads. A call that waited in vain is
+    /// recorded.
     #[derive(Default)]
     struct ThreadLog {
         threads: Mutex<HashSet<std::thread::ThreadId>>,
+        arrived: Mutex<usize>,
+        paired: std::sync::Condvar,
+        alone: std::sync::atomic::AtomicBool,
     }
 
     impl Guesser for ThreadLog {
@@ -1461,7 +1541,16 @@ mod tests {
         fn latents_to_features(&self, z: &Tensor) -> Tensor {
             let thread = std::thread::current().id();
             self.threads.lock().unwrap().insert(thread);
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.paired.notify_all();
+            let (_arrived, wait) = self
+                .paired
+                .wait_timeout_while(arrived, std::time::Duration::from_secs(10), |n| *n % 2 == 1)
+                .unwrap();
+            if wait.timed_out() {
+                self.alone.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
             z.clone()
         }
         fn decode_features(&self, features: &[f32]) -> String {
@@ -1485,6 +1574,10 @@ mod tests {
             .run(&guesser)
             .unwrap();
         assert_eq!(outcome.final_report().guesses, 2_048);
+        assert!(
+            !guesser.alone.load(std::sync::atomic::Ordering::Relaxed),
+            "an inverse ran with no other context working"
+        );
         let threads = guesser.threads.into_inner().unwrap().len();
         assert!(threads <= 2, "32 chunks inverted on {threads} threads");
     }

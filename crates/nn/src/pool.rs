@@ -107,9 +107,6 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 // The pool
 // ---------------------------------------------------------------------------
 
-/// A panic payload, carried from the thread that panicked to the caller.
-type Payload = Box<dyn Any + Send>;
-
 /// One broadcast job: a type-erased `Fn(block_index)` plus the bookkeeping
 /// that lets any number of threads drain the block counter and lets the
 /// submitting thread block until the last block completes.
@@ -128,7 +125,7 @@ struct Job {
     done: AtomicUsize,
     /// The first panic payload of the job (a block's, or the submitting
     /// thread's own closure's), re-raised on the submitting thread.
-    panicked: Mutex<Option<Payload>>,
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
     /// Latch for the submitting thread to sleep on.
     latch: Mutex<()>,
     complete: Condvar,
@@ -146,7 +143,7 @@ impl Job {
     }
 
     /// Keeps `payload` unless an earlier panic was recorded.
-    fn record_panic(&self, payload: Payload) {
+    fn record_panic(&self, payload: Box<dyn Any + Send>) {
         self.panicked
             .lock()
             .expect("no payload write panics")
