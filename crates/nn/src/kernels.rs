@@ -120,8 +120,7 @@ pub(crate) struct Tiles<'p> {
 }
 
 impl<'p> Tiles<'p> {
-    /// The scalar tiles alone, single-threaded: the conformance oracle the
-    /// kernel tests hold every SIMD tier and the threaded driver to.
+    /// The scalar tiles alone, single-threaded (the conformance oracle).
     #[cfg(test)]
     const SCALAR: Tiles<'static> = Tiles {
         tier: Tier::Scalar,
