@@ -15,18 +15,27 @@
 //! × one column tile is accumulated in registers while `p` streams through
 //! the shared dimension, with single-row tails for ragged row counts. The
 //! column tiles come from the widest `Tier` the host has, chosen once by a
-//! cached CPUID probe: 32-wide AVX-512F tiles (two zmm accumulators per row),
-//! then 16-wide AVX2/FMA tiles, then **one masked 16-lane tile** for the last
-//! `n mod 16` columns. Masked lanes are never read or written, so no operand
-//! needs padding, and a 10-wide output layer — the flow's `s`/`t` heads —
-//! stays on SIMD instead of falling to scalar tiles. Hosts without AVX2 run
-//! the portable 16/8/4/1-wide scalar tiles. Register blocking re-tiles the
-//! *independent* i/j loops only, and every lane computes `fma(a[i][p],
-//! b[p][j], acc)` from `0.0` with `p` ascending, so no tier reassociates the
-//! `p` accumulation order and every tier gives the same bits. Weights stay
-//! row-major `k × n`, which the i-k-j kernel streams with unit stride; a
-//! dot-product inner loop over a transposed operand could only vectorize by
-//! reassociating the reduction, which would break bit-exactness.
+//! cached CPUID probe. On AVX-512F the full tiles are 4×64 (four zmm
+//! accumulators per row, so each `a[i][p]` broadcast feeds 64 columns), then
+//! at most one 4×32 and one 4×16, and the last `n mod 16` columns run as
+//! **8-row blocks with one `__mmask16`-masked zmm per row**, which keeps 8
+//! FMA chains in flight. On AVX2/FMA the tiles are 4×16 and the last
+//! `n mod 16` columns run as one masked 16-lane tile. Masked lanes are never
+//! read or written, so no operand needs padding, and a 10-wide output layer
+//! — the flow's `s`/`t` heads — stays on SIMD instead of falling to scalar
+//! tiles. Hosts without AVX2 run the portable 16/8/4/1-wide scalar tiles.
+//! Register blocking re-tiles the *independent* i/j loops only, and every
+//! lane computes `fma(a[i][p], b[p][j], acc)` from `0.0` with `p` ascending,
+//! so no tier reassociates the `p` accumulation order and every tier gives
+//! the same bits. Weights stay row-major `k × n`, which the i-k-j kernel
+//! streams with unit stride; a dot-product inner loop over a transposed
+//! operand could only vectorize by reassociating the reduction, which would
+//! break bit-exactness.
+//!
+//! A finished tile goes through one of four epilogues: store, `+ bias`,
+//! `out += acc + bias` (the residual branch) and `relu(acc + bias)`, which
+//! fuses a linear layer's ReLU into its GEMM with the bits of
+//! [`relu_in_place`] (`+0.0` for NaN and `−0.0`).
 //!
 //! The training backward pass needs the two transposed products of a linear
 //! layer, `G·Wᵀ` and `Xᵀ·G`. [`matmul_nt_into`] (`a·bᵀ`) and
@@ -37,8 +46,9 @@
 //! accumulates `p` ascending from `0.0`, so both are 0-ULP equal to
 //! `matmul_into` on a materialised `transpose()` — only the per-call
 //! allocation is gone. An output narrower than one 16-wide tile is computed
-//! in the flipped orientation and transposed back; `fma(x, y, acc)` equals
-//! `fma(y, x, acc)`, so that changes no bit either.
+//! in the flipped orientation and transposed back when that packs the
+//! smaller operand; `fma(x, y, acc)` equals `fma(y, x, acc)`, so that
+//! changes no bit either.
 
 use crate::pool::ThreadPool;
 use crate::tensor::Tensor;
@@ -53,6 +63,8 @@ pub(crate) enum Epilogue<'a> {
     Bias(&'a [f32]),
     /// `out += acc + bias[j]` (fused residual branch).
     BiasAdd(&'a [f32]),
+    /// `out = relu(acc + bias[j])` (fused linear layer and [`relu`]).
+    BiasRelu(&'a [f32]),
 }
 
 /// Whether the explicit AVX2/FMA tiles (with their masked column tail) are
@@ -77,8 +89,8 @@ pub(crate) enum Tier {
     /// 16-wide AVX2/FMA tiles and one masked 16-lane column tail.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 32-wide AVX-512F tiles, then the AVX2 tiles for the last `n mod 32`
-    /// columns.
+    /// 64-, 32- and 16-wide AVX-512F tiles, and the masked column tail on
+    /// 8-row blocks.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -143,11 +155,13 @@ impl<'p> Tiles<'p> {
 /// The driver owns everything above the inner tile — row blocks, the column
 /// walk with its masked tail, and the pool row partition — so a format
 /// supplies only its tiles: a scalar tile, a 16-lane SIMD tile that can run
-/// masked, and optionally a 32-wide AVX-512 tile (by default two 16-lane
-/// tiles). Each tile accumulates `Σ_p fma(a[i][p]·…, w[p][j], acc)` from
-/// `0.0` with `p` ascending and finishes through the shared epilogue
-/// ([`write_tile`], `simd::write_tile16` or `simd::write_tile32`), which is
-/// what keeps a format's tiers, and every thread count, bit-identical.
+/// masked, and optionally the AVX-512 tier's 32- and 64-wide tiles (by
+/// default two tiles of half the width) and its masked tail (by default the
+/// masked 16-lane tile). Each tile accumulates `Σ_p fma(a[i][p]·…, w[p][j],
+/// acc)` from `0.0` with `p` ascending and finishes through the shared
+/// epilogue ([`write_tile`], `simd::write_tile16` or `simd::write_tile512`),
+/// which is what keeps a format's tiers, and every thread count,
+/// bit-identical.
 pub(crate) trait GemmWeights: Sync {
     /// One register tile: `R` output rows × `W` output columns at `(i, j)`.
     #[allow(clippy::too_many_arguments)]
@@ -208,6 +222,72 @@ pub(crate) trait GemmWeights: Sync {
         self.tile16::<R, false>(a, out, i, j, k, n, 16, epi);
         self.tile16::<R, false>(a, out, i, j + 16, k, n, 16, epi);
     }
+
+    /// The 64-wide tile of the AVX-512 tier for `R` rows at `(i, j)`; by
+    /// default two 32-wide tiles.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::tile32`], for an `R`×64 tile.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile64<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        self.tile32::<R>(a, out, i, j, k, n, epi);
+        self.tile32::<R>(a, out, i, j + 32, k, n, epi);
+    }
+
+    /// The masked column tail of the AVX-512 tier: the last `cols`
+    /// (`1..16`) columns of `R` rows at `(i, j)`. By default the masked
+    /// 16-lane tile, on 4-row blocks and then single rows.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::tile32`], for the `R`×`cols` tile at `(i, j)`.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tail512<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        cols: usize,
+        epi: Epilogue<'_>,
+    ) {
+        let mut r = 0;
+        while r + 4 <= R {
+            self.tile16::<4, true>(a, out, i + r, j, k, n, cols, epi);
+            r += 4;
+        }
+        while r < R {
+            self.tile16::<1, true>(a, out, i + r, j, k, n, cols, epi);
+            r += 1;
+        }
+    }
+}
+
+/// Rectified linear unit, `max(v, 0)`: `+0.0` for NaN and for `−0.0`, as
+/// the `maxps` instruction with `0` as its second operand gives, in every
+/// build profile. (`f32::max` leaves the sign of a zero result open: a
+/// release build gives `+0.0` for `(-0.0).max(0.0)`, a debug build `−0.0`.)
+#[inline(always)]
+pub(crate) fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
 }
 
 /// Writes an `R`×`W` accumulator tile at `(i, j)` under `epi`. The bias is
@@ -234,6 +314,11 @@ pub(crate) fn write_tile<const R: usize, const W: usize>(
             Epilogue::BiasAdd(bias) => {
                 for c in 0..W {
                     out_row[c] += acc[r][c] + bias[j + c];
+                }
+            }
+            Epilogue::BiasRelu(bias) => {
+                for c in 0..W {
+                    out_row[c] = relu(acc[r][c] + bias[j + c]);
                 }
             }
         }
@@ -311,9 +396,13 @@ impl GemmWeights for [f32] {
     }
 
     /// Two 16-lane zmm accumulators per row, with the same per-lane
-    /// operations as the 16-lane tile.
+    /// operations as the 16-lane tile. `#[inline(always)]` and no
+    /// `#[target_feature]` of its own: it inlines into
+    /// `simd::row_walk_avx512`, which enables AVX-512F. (Left to the
+    /// inliner, the 64-wide tile stayed a call per tile, which cost more
+    /// than its FMAs at `k = 10`.)
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
+    #[inline(always)]
     unsafe fn tile32<const R: usize>(
         &self,
         a: &[f32],
@@ -324,29 +413,55 @@ impl GemmWeights for [f32] {
         n: usize,
         epi: Epilogue<'_>,
     ) {
-        use std::arch::x86_64::{
-            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        };
-        debug_assert!((i + R) * k <= a.len());
-        debug_assert!(k == 0 || (k - 1) * n + j + 32 <= self.len());
-        let mut acc = [[_mm512_setzero_ps(); 2]; R];
-        let mut b_off = j;
-        for p in 0..k {
-            let b_lo = _mm512_loadu_ps(self.as_ptr().add(b_off));
-            let b_hi = _mm512_loadu_ps(self.as_ptr().add(b_off + 16));
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let a_val = _mm512_set1_ps(*a.get_unchecked((i + r) * k + p));
-                acc[0] = _mm512_fmadd_ps(a_val, b_lo, acc[0]);
-                acc[1] = _mm512_fmadd_ps(a_val, b_hi, acc[1]);
-            }
-            b_off += n;
-        }
-        simd::write_tile32(&acc, out, i, j, n, epi);
+        simd::f32_tile512::<R, 2, false>(self, a, out, i, j, k, n, 0, epi);
+    }
+
+    /// Four zmm accumulators per row, so each `a[i][p]` broadcast feeds 64
+    /// columns; inlined as [`Self::tile32`] is.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn tile64<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        simd::f32_tile512::<R, 4, false>(self, a, out, i, j, k, n, 0, epi);
+    }
+
+    /// One `__mmask16`-masked zmm accumulator per row: with the 8-row
+    /// blocks the driver hands it, 8 independent FMA chains per `p`, where
+    /// the 4-row 16-lane tile has 4 rows of half-empty octets. Eight chains
+    /// of a 4-cycle FMA on two ports leave no slack, so the order of the
+    /// FMAs matters: compiled on its own, LLVM issues them `p` by `p`;
+    /// inlined into the row walk, it grouped them row by row, and the
+    /// 1024×64×10 product took ~26 µs instead of ~19 µs. Hence
+    /// `#[inline(never)]`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline(never)]
+    unsafe fn tail512<const R: usize>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        cols: usize,
+        epi: Epilogue<'_>,
+    ) {
+        simd::f32_tile512::<R, 1, true>(self, a, out, i, j, k, n, simd::mask512(cols), epi);
     }
 }
 
 /// The SIMD support shared by every format's tiles (`x86_64` only): the
-/// tier probe, the 16-lane loads, stores and masks, and the epilogues.
+/// tier probe, the AVX-512 row walk, the 16-lane and zmm loads, stores
+/// and masks, the f32 zmm tiles, and the epilogues.
 ///
 /// SIMD re-tiles the *independent* row/column loops only — the `p`
 /// reduction order per output element is untouched — so every tier agrees
@@ -354,12 +469,13 @@ impl GemmWeights for [f32] {
 /// `simd_tile_matches_scalar_tile_bit_for_bit` test).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod simd {
-    use super::{Epilogue, Tier};
+    use super::{Epilogue, GemmWeights, Tier};
     use std::arch::x86_64::{
-        __m256, __m256i, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps,
-        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
+        __m256, __m256i, __m512, __mmask16, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
     };
     use std::sync::OnceLock;
 
@@ -438,8 +554,10 @@ pub(crate) mod simd {
     /// Writes `R` rows × 16 columns of accumulators (two octets per row) at
     /// `(i, j)` under `epi` — the SIMD form of [`super::write_tile`], with
     /// the same operation order: `acc + bias`, then (for `BiasAdd`)
-    /// `out + (acc + bias)`. With `MASKED`, the bias and output are read and
-    /// written only in the lanes `mask` selects.
+    /// `out + (acc + bias)` or (for `BiasRelu`) `max(acc + bias, 0)`, which
+    /// `maxps` with `0` second gives as [`super::relu`] does. With `MASKED`,
+    /// the bias and output are read and written only in the lanes `mask`
+    /// selects.
     ///
     /// # Safety
     ///
@@ -460,7 +578,7 @@ pub(crate) mod simd {
     ) {
         let bias = match epi {
             Epilogue::Store => [_mm256_setzero_ps(); 2],
-            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => {
+            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) | Epilogue::BiasRelu(bias) => {
                 load16::<MASKED>(bias.as_ptr().add(j), mask)
             }
         };
@@ -479,53 +597,225 @@ pub(crate) mod simd {
                         _mm256_add_ps(cur[1], _mm256_add_ps(acc[1], bias[1])),
                     ]
                 }
+                Epilogue::BiasRelu(_) => [
+                    _mm256_max_ps(_mm256_add_ps(acc[0], bias[0]), _mm256_setzero_ps()),
+                    _mm256_max_ps(_mm256_add_ps(acc[1], bias[1]), _mm256_setzero_ps()),
+                ],
             };
             store16::<MASKED>(out_ptr, v, mask);
         }
     }
 
-    /// [`write_tile16`] for `R` rows × 32 columns held as two 16-lane zmm
-    /// accumulators per row, in the same operation order.
+    /// [`super::row_walk`] on the AVX-512 tiles, compiled with AVX-512F so
+    /// that the `#[inline(always)]` zmm tiles inline into it with their
+    /// intrinsics.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F is available and that the `R`×32 tile at
-    /// `(i, j)` is in bounds for `out` (and `bias`) with row stride `n`.
-    #[target_feature(enable = "avx512f")]
+    /// AVX-512F, AVX2 and FMA must be available; shapes as
+    /// [`super::gemm_rows`] checks them.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn row_walk_avx512<B: GemmWeights + ?Sized>(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &B,
+        n: usize,
+        out: &mut [f32],
+        epi: Epilogue<'_>,
+    ) {
+        super::row_walk(a, m, k, b, n, out, epi, Tier::Avx512);
+    }
+
+    /// The lane mask selecting the first `cols` of 16 columns.
     #[inline]
-    pub(super) unsafe fn write_tile32<const R: usize>(
-        acc: &[[__m512; 2]; R],
+    pub(super) fn mask512(cols: usize) -> __mmask16 {
+        debug_assert!((1..=16).contains(&cols));
+        ((1u32 << cols) - 1) as __mmask16
+    }
+
+    /// Loads 16 columns at `ptr`; with `MASKED`, lanes that `mask` clears
+    /// read as `0.0` and touch no memory.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available, and every lane the load reads must be in
+    /// bounds.
+    #[inline(always)]
+    unsafe fn load512<const MASKED: bool>(ptr: *const f32, mask: __mmask16) -> __m512 {
+        if MASKED {
+            _mm512_maskz_loadu_ps(mask, ptr)
+        } else {
+            _mm512_loadu_ps(ptr)
+        }
+    }
+
+    /// Stores 16 columns at `ptr`; with `MASKED`, only the lanes `mask`
+    /// selects.
+    ///
+    /// # Safety
+    ///
+    /// As for [`load512`], for writes.
+    #[inline(always)]
+    unsafe fn store512<const MASKED: bool>(ptr: *mut f32, v: __m512, mask: __mmask16) {
+        if MASKED {
+            _mm512_mask_storeu_ps(ptr, mask, v);
+        } else {
+            _mm512_storeu_ps(ptr, v);
+        }
+    }
+
+    /// The f32 tiles of the AVX-512 tier: `R` rows × `V` zmm accumulators
+    /// at `(i, j)`, with the same per-lane operations as the 16-lane tile.
+    /// With `MASKED` (and `V == 1`), only the lanes `mask` selects are read
+    /// or written: masked weight lanes load `0.0` and are never stored.
+    ///
+    /// Like the zmm loads, stores and epilogue, it has no
+    /// `#[target_feature]` of its own and is always inlined, so its
+    /// intrinsics compile inside a caller that enables AVX-512F
+    /// (`row_walk_avx512` or the f32 masked tail).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available and that every lane the
+    /// tile touches is in bounds for `a`/`b`/`out` with the given `k`/`n`
+    /// strides.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn f32_tile512<const R: usize, const V: usize, const MASKED: bool>(
+        b: &[f32],
+        a: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        mask: __mmask16,
+        epi: Epilogue<'_>,
+    ) {
+        debug_assert!((i + R) * k <= a.len());
+        let cols = if MASKED {
+            mask.count_ones() as usize
+        } else {
+            16 * V
+        };
+        debug_assert!(k == 0 || (k - 1) * n + j + cols <= b.len());
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        let mut b_row = [_mm512_setzero_ps(); V];
+        let mut b_off = j;
+        for p in 0..k {
+            for (v, b_v) in b_row.iter_mut().enumerate() {
+                *b_v = load512::<MASKED>(b.as_ptr().add(b_off + 16 * v), mask);
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let a_val = _mm512_set1_ps(*a.get_unchecked((i + r) * k + p));
+                for (acc, &b_v) in acc.iter_mut().zip(&b_row) {
+                    *acc = _mm512_fmadd_ps(a_val, b_v, *acc);
+                }
+            }
+            b_off += n;
+        }
+        write_tile512::<R, V, MASKED>(&acc, out, i, j, n, epi, mask);
+    }
+
+    /// [`write_tile16`] for `R` rows × `V` 16-lane zmm accumulators, in the
+    /// same operation order; with `MASKED` (and `V == 1`), the bias and
+    /// output are read and written only in the lanes `mask` selects.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available and that the tile at
+    /// `(i, j)` is in bounds for `out` (and `bias`) with row stride `n` in
+    /// every lane it touches.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn write_tile512<const R: usize, const V: usize, const MASKED: bool>(
+        acc: &[[__m512; V]; R],
         out: &mut [f32],
         i: usize,
         j: usize,
         n: usize,
         epi: Epilogue<'_>,
+        mask: __mmask16,
     ) {
-        let bias = match epi {
-            Epilogue::Store => [_mm512_setzero_ps(); 2],
-            Epilogue::Bias(bias) | Epilogue::BiasAdd(bias) => [
-                _mm512_loadu_ps(bias.as_ptr().add(j)),
-                _mm512_loadu_ps(bias.as_ptr().add(j + 16)),
-            ],
-        };
+        let mut bias = [_mm512_setzero_ps(); V];
+        if let Epilogue::Bias(b) | Epilogue::BiasAdd(b) | Epilogue::BiasRelu(b) = epi {
+            for (v, bias) in bias.iter_mut().enumerate() {
+                *bias = load512::<MASKED>(b.as_ptr().add(j + 16 * v), mask);
+            }
+        }
         for (r, acc) in acc.iter().enumerate() {
             let out_ptr = out.as_mut_ptr().add((i + r) * n + j);
-            for (half, (&acc, &bias)) in acc.iter().zip(&bias).enumerate() {
-                let ptr = out_ptr.add(16 * half);
-                let v = match epi {
+            for (v, (&acc, &bias)) in acc.iter().zip(&bias).enumerate() {
+                let ptr = out_ptr.add(16 * v);
+                let value = match epi {
                     Epilogue::Store => acc,
                     Epilogue::Bias(_) => _mm512_add_ps(acc, bias),
                     Epilogue::BiasAdd(_) => {
-                        _mm512_add_ps(_mm512_loadu_ps(ptr), _mm512_add_ps(acc, bias))
+                        _mm512_add_ps(load512::<MASKED>(ptr, mask), _mm512_add_ps(acc, bias))
+                    }
+                    Epilogue::BiasRelu(_) => {
+                        _mm512_max_ps(_mm512_add_ps(acc, bias), _mm512_setzero_ps())
                     }
                 };
-                _mm512_storeu_ps(ptr, v);
+                store512::<MASKED>(ptr, value, mask);
             }
         }
     }
 }
 
-/// All column tiles for a block of `R` rows starting at row `i`.
+/// The full-width column tiles for a block of `R` rows at row `i`: every
+/// column but the last `n mod 16`, where it returns the tail's start.
+#[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
+#[inline(always)]
+fn full_tiles<B: GemmWeights + ?Sized, const R: usize>(
+    a: &[f32],
+    b: &B,
+    out: &mut [f32],
+    i: usize,
+    k: usize,
+    n: usize,
+    epi: Epilogue<'_>,
+    tier: Tier,
+) -> usize {
+    let mut j = 0;
+    match tier {
+        Tier::Scalar => {
+            while j + 16 <= n {
+                b.tile::<R, 16>(a, out, i, j, k, n, epi);
+                j += 16;
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => {
+            // SAFETY: `gemm_rows` asserts `tier <= Tier::best()`, so the CPUID
+            // probe found every feature these tiles enable. Bounds: `i + R
+            // <= m` and each tile has `j + W <= n`.
+            unsafe {
+                if tier == Tier::Avx512 {
+                    while j + 64 <= n {
+                        b.tile64::<R>(a, out, i, j, k, n, epi);
+                        j += 64;
+                    }
+                    if j + 32 <= n {
+                        b.tile32::<R>(a, out, i, j, k, n, epi);
+                        j += 32;
+                    }
+                }
+                while j + 16 <= n {
+                    b.tile16::<R, false>(a, out, i, j, k, n, 16, epi);
+                    j += 16;
+                }
+            }
+        }
+    }
+    j
+}
+
+/// All column tiles for a block of `R` rows starting at row `i`: the full
+/// tiles, then the last `n mod 16` columns as 8/4/1-wide scalar tiles or
+/// one masked SIMD tile.
 #[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
 #[inline(always)]
 fn row_block<B: GemmWeights + ?Sized, const R: usize>(
@@ -538,13 +828,9 @@ fn row_block<B: GemmWeights + ?Sized, const R: usize>(
     epi: Epilogue<'_>,
     tier: Tier,
 ) {
-    let mut j = 0;
+    let mut j = full_tiles::<B, R>(a, b, out, i, k, n, epi, tier);
     match tier {
         Tier::Scalar => {
-            while j + 16 <= n {
-                b.tile::<R, 16>(a, out, i, j, k, n, epi);
-                j += 16;
-            }
             if j + 8 <= n {
                 b.tile::<R, 8>(a, out, i, j, k, n, epi);
                 j += 8;
@@ -558,28 +844,14 @@ fn row_block<B: GemmWeights + ?Sized, const R: usize>(
                 j += 1;
             }
         }
+        // SAFETY: as in `full_tiles`; the masked tile covers exactly the
+        // `n - j < 16` columns left.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 | Tier::Avx512 => {
-            // SAFETY: `gemm_rows` asserts `tier <= Tier::best()`, so the CPUID
-            // probe found every feature these tiles enable. Bounds: `i + R
-            // <= m`, each full tile has `j + W <= n`, and the masked tail
-            // covers exactly the `n - j < 16` columns left.
-            unsafe {
-                if tier == Tier::Avx512 {
-                    while j + 32 <= n {
-                        b.tile32::<R>(a, out, i, j, k, n, epi);
-                        j += 32;
-                    }
-                }
-                while j + 16 <= n {
-                    b.tile16::<R, false>(a, out, i, j, k, n, 16, epi);
-                    j += 16;
-                }
-                if j < n {
-                    b.tile16::<R, true>(a, out, i, j, k, n, n - j, epi);
-                }
-            }
-        }
+        Tier::Avx2 if j < n => unsafe { b.tile16::<R, true>(a, out, i, j, k, n, n - j, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 if j < n => unsafe { b.tail512::<R>(a, out, i, j, k, n, n - j, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 | Tier::Avx512 => {}
     }
 }
 
@@ -604,7 +876,48 @@ pub(crate) fn gemm_rows<B: GemmWeights + ?Sized>(
     assert!(tier <= Tier::best(), "{tier:?} tiles are not available");
     assert_eq!(a.len(), m * k, "GEMM input is not m × k");
     assert_eq!(out.len(), m * n, "GEMM output is not m × n");
+    match tier {
+        // SAFETY: the CPUID probe found AVX-512F, AVX2 and FMA (asserted
+        // above).
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { simd::row_walk_avx512(a, m, k, b, n, out, epi) },
+        _ => row_walk(a, m, k, b, n, out, epi, tier),
+    }
+}
+
+/// The rows of [`gemm_rows`] on `tier`'s tiles: 4-row register blocks,
+/// then single rows. On the AVX-512 tier the rows first run in 8-row
+/// blocks: two 4-row blocks of full tiles, then one 8-row masked tail, so
+/// the tail keeps 8 FMA chains in flight.
+#[allow(clippy::too_many_arguments)] // flat GEMM plumbing: slices + dims
+#[inline(always)]
+fn row_walk<B: GemmWeights + ?Sized>(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &B,
+    n: usize,
+    out: &mut [f32],
+    epi: Epilogue<'_>,
+    tier: Tier,
+) {
     let mut i = 0;
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 {
+        while i + TAIL_ROWS <= m {
+            let mut j = 0;
+            for r in (0..TAIL_ROWS).step_by(4) {
+                j = full_tiles::<B, 4>(a, b, out, i + r, k, n, epi, tier);
+            }
+            if j < n {
+                // SAFETY: `gemm_rows` checked the tier; rows `i..i + 8` are
+                // in range and the tile covers exactly the `n - j < 16`
+                // columns the full tiles left.
+                unsafe { b.tail512::<TAIL_ROWS>(a, out, i, j, k, n, n - j, epi) };
+            }
+            i += TAIL_ROWS;
+        }
+    }
     while i + 4 <= m {
         row_block::<B, 4>(a, b, out, i, k, n, epi, tier);
         i += 4;
@@ -614,6 +927,9 @@ pub(crate) fn gemm_rows<B: GemmWeights + ?Sized>(
         i += 1;
     }
 }
+
+/// Rows per masked-tail block on the AVX-512 tier.
+const TAIL_ROWS: usize = 8;
 
 /// A raw output pointer that may cross threads. Soundness: the threaded
 /// driver hands each pool block a *disjoint* row range of `out`, so no two
@@ -629,8 +945,8 @@ unsafe impl Sync for SendPtr {}
 /// Pure throughput cut-off — results are identical on either side of it.
 const PAR_MIN_MACS: usize = 1 << 17;
 
-/// Fewest output rows a pool block may carry (keeps blocks on whole
-/// 4-row register blocks and bounds per-block dispatch overhead).
+/// Fewest output rows a pool block may carry (bounds per-block dispatch
+/// overhead).
 const PAR_MIN_BLOCK_ROWS: usize = 16;
 
 /// The blocked GEMM driver: `out ∘= a (m×k) × b (k×n)` under `epi`, for any
@@ -661,12 +977,14 @@ pub(crate) fn gemm<B: GemmWeights + ?Sized>(
         return gemm_rows(a, m, k, b, n, out, epi, tier);
     }
     let pool = pool.expect("threads > 1 implies a pool");
-    // Row blocks: multiples of 4 (whole register blocks), a few per thread
-    // for dynamic load balance, never smaller than PAR_MIN_BLOCK_ROWS.
+    // Row blocks: multiples of TAIL_ROWS (whole 8-row tail blocks, so a
+    // pooled product runs the same tiles as a serial one), a few per
+    // thread for dynamic load balance, never smaller than
+    // PAR_MIN_BLOCK_ROWS.
     let target_blocks = threads * 4;
     let rows_per_block = m
         .div_ceil(target_blocks)
-        .next_multiple_of(4)
+        .next_multiple_of(TAIL_ROWS)
         .max(PAR_MIN_BLOCK_ROWS);
     let blocks = m.div_ceil(rows_per_block);
     let out_ptr = SendPtr(out.as_mut_ptr());
@@ -770,12 +1088,16 @@ enum Transposed {
 /// `out = aᵀ·b` or `a·bᵀ`. The transposed operand is packed, then the plain
 /// product runs. An output narrower than one 16-wide tile (`n < 16`) with
 /// more rows than columns is computed flipped, as `(bᵀ·a)ᵀ` or `(b·aᵀ)ᵀ`,
-/// so the wide side fills the SIMD tiles: each element is the same
-/// `Σ_p fma(x_p, y_p, ·)` with its multiplicands swapped, and `fma` is
-/// commutative in them, so both orientations give the same bits. The
-/// masked column tail keeps a narrow output on SIMD as well, but it fills
-/// only `n` of its 16 lanes: on an AVX-512 host the 64×64×10 product took
-/// ~1.0 µs flipped (as 10×64×64) against ~2.0–2.5 µs direct.
+/// when the flip packs the smaller operand: the wide side then fills the
+/// SIMD tiles. Each element is the same `Σ_p fma(x_p, y_p, ·)` with its
+/// multiplicands swapped, and `fma` is commutative in them, so both
+/// orientations give the same bits.
+///
+/// Only `aᵀ·b` passes the size test: flipping `a·bᵀ` packs the `m × k`
+/// operand instead of the `n × k` one. On an AVX-512 host (best of 3 000,
+/// with the 8-row masked tail), `aᵀ·b` at 64×64×10 took ~1.8 µs flipped
+/// against ~4.0 µs direct, and `a·bᵀ` ~2.0 µs direct against ~3.5 µs
+/// flipped.
 fn transposed_product(
     which: Transposed,
     a: &Tensor,
@@ -784,12 +1106,15 @@ fn transposed_product(
     out: &mut Tensor,
     tiles: Tiles<'_>,
 ) {
-    let (m, n) = match which {
-        Transposed::A => (a.cols(), b.cols()),
-        Transposed::B => (a.rows(), b.rows()),
+    let len = |t: &Tensor| t.rows() * t.cols();
+    // `(m, n)` of the output, and the sizes of the operand each orientation
+    // packs.
+    let (m, n, direct_pack, flipped_pack) = match which {
+        Transposed::A => (a.cols(), b.cols(), len(a), len(b)),
+        Transposed::B => (a.rows(), b.rows(), len(b), len(a)),
     };
     let TransposePack { operand, flipped } = pack;
-    if n < 16 && m > n {
+    if n < 16 && m > n && flipped_pack < direct_pack {
         product_packed(which, b, a, operand, flipped, tiles);
         transpose_into(flipped, out);
     } else {
@@ -866,21 +1191,29 @@ pub fn matmul_bias_into_with(
     out: &mut Tensor,
     pool: Option<&ThreadPool>,
 ) {
-    assert_eq!(input.cols(), weight.rows(), "matmul_bias shape mismatch");
-    assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    assert_eq!(bias.cols(), weight.cols(), "bias width must match weight");
-    let (m, k, n) = (input.rows(), input.cols(), weight.cols());
-    out.resize(m, n);
-    gemm(
-        input.as_slice(),
-        m,
-        k,
-        weight.as_slice(),
-        n,
-        out.as_mut_slice(),
-        Epilogue::Bias(bias.as_slice()),
-        Tiles::best(pool),
-    );
+    out.resize(input.rows(), weight.cols());
+    linear(input, weight, bias, out, Epilogue::Bias, pool);
+}
+
+/// Fused linear layer and ReLU: `out = relu(input × weight + bias)`,
+/// written into `out` (resized as needed), with an optional
+/// [`ThreadPool`].
+///
+/// Bit-exact with [`matmul_bias_into_with`] followed by [`relu_in_place`],
+/// at any thread count.
+///
+/// # Panics
+///
+/// Panics on shape mismatch, as [`matmul_bias_into`] does.
+pub(crate) fn matmul_bias_relu_into_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    out: &mut Tensor,
+    pool: Option<&ThreadPool>,
+) {
+    out.resize(input.rows(), weight.cols());
+    linear(input, weight, bias, out, Epilogue::BiasRelu, pool);
 }
 
 /// Fused residual linear layer: `out += input × weight + bias`.
@@ -906,14 +1239,27 @@ pub fn matmul_bias_add_into_with(
     out: &mut Tensor,
     pool: Option<&ThreadPool>,
 ) {
-    assert_eq!(input.cols(), weight.rows(), "matmul_bias shape mismatch");
-    assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    assert_eq!(bias.cols(), weight.cols(), "bias width must match weight");
     assert_eq!(
         out.shape(),
         (input.rows(), weight.cols()),
         "residual output shape mismatch"
     );
+    linear(input, weight, bias, out, Epilogue::BiasAdd, pool);
+}
+
+/// `out ∘= input × weight` under the bias epilogue `epi`, on the host's
+/// widest tiles; `out` must already be `input.rows() × weight.cols()`.
+fn linear<'b>(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &'b Tensor,
+    out: &mut Tensor,
+    epi: fn(&'b [f32]) -> Epilogue<'b>,
+    pool: Option<&ThreadPool>,
+) {
+    assert_eq!(input.cols(), weight.rows(), "matmul_bias shape mismatch");
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(bias.cols(), weight.cols(), "bias width must match weight");
     gemm(
         input.as_slice(),
         input.rows(),
@@ -921,15 +1267,16 @@ pub fn matmul_bias_add_into_with(
         weight.as_slice(),
         weight.cols(),
         out.as_mut_slice(),
-        Epilogue::BiasAdd(bias.as_slice()),
+        epi(bias.as_slice()),
         Tiles::best(pool),
     );
 }
 
-/// In-place rectified linear unit (`v ← max(v, 0)`).
+/// In-place rectified linear unit (`v ← max(v, 0)`, `+0.0` for NaN and
+/// `−0.0`; the same function as [`Tensor::relu`]).
 pub fn relu_in_place(t: &mut Tensor) {
     for v in t.as_mut_slice() {
-        *v = v.max(0.0);
+        *v = relu(*v);
     }
 }
 
@@ -1167,47 +1514,77 @@ mod tests {
     #[test]
     fn simd_tile_matches_scalar_tile_bit_for_bit() {
         // Every tier the host supports, serial and on a pool, against the
-        // scalar tiles. n = 1..=70 puts every masked-tail width after 0, 1
-        // and 2 full tiles, with and without a 16-wide tile after the 32-wide
-        // ones (n mod 32 ≥ 16); m = 1/3/4/5/67 mixes 4-row blocks and
-        // single-row tails; k = 10 and 64 are the flow's widths. 67×64×n
-        // crosses the pool's parallel cut-off for n ≥ 31. Each call gets
-        // slices cut to exactly m·k, k·n, n and m·n; the output is cut from a
-        // buffer with a guard tail, so a store past its end shows.
+        // scalar tiles. n = 1..=130 puts every masked-tail width after 0, 1
+        // and 2 full 64-wide tiles, with and without a 32- and a 16-wide
+        // tile between; m = 1/3/4/5 mix 4-row blocks and single-row tails,
+        // m = 8/9/16/17 run whole 8-row tail blocks and their remainders,
+        // and m = 67 runs eight of them and a 3-row tail; k = 10 and 64
+        // are the flow's widths. 67×64×n crosses the pool's parallel
+        // cut-off for n ≥ 31, so pool blocks (whole 8-row tail blocks) run
+        // too. Each call gets slices cut to exactly m·k, k·n, n and m·n;
+        // the output is cut from a buffer with a guard tail, so a store past
+        // its end shows.
+        //
+        // Planted pre-activations: `out[0][0]` is −0.0 (an underflowing
+        // product keeps the sign of zero, and the bias there is −0.0), the
+        // last row is NaN (a NaN input) and the last column is NaN (a NaN
+        // bias); `randn` supplies the negative ones. `bias-relu` must give
+        // the bits of `bias` then `relu_in_place`: +0.0 for all three.
         const GUARD: f32 = 1234.5;
         let mut r = rng();
         let pool = ThreadPool::new(2);
         for k in [1, 10, 64] {
-            for m in [1, 3, 4, 5, 67] {
-                for n in 1..=70 {
-                    let a = Tensor::randn(m, k, &mut r);
-                    let b = Tensor::randn(k, n, &mut r);
-                    let bias = Tensor::randn(1, n, &mut r);
+            for m in [1, 3, 4, 5, 8, 9, 16, 17, 67] {
+                for n in 1..=130 {
+                    let mut a = Tensor::randn(m, k, &mut r);
+                    let mut b = Tensor::randn(k, n, &mut r);
+                    let mut bias = Tensor::randn(1, n, &mut r);
                     let base = Tensor::randn(m, n, &mut r);
+                    a.as_mut_slice()[..k].fill(1e-30);
+                    for p in 0..k {
+                        b.set(p, 0, -1e-30);
+                    }
+                    bias.set(0, 0, -0.0);
+                    if m > 1 {
+                        a.set(m - 1, 0, f32::NAN);
+                    }
+                    if n > 1 {
+                        bias.set(0, n - 1, f32::NAN);
+                    }
+                    let run = |epi: Epilogue<'_>, tiles: Tiles<'_>| {
+                        let mut buf = base.as_slice().to_vec();
+                        buf.extend([GUARD; 16]);
+                        let (out, guard) = buf.split_at_mut(m * n);
+                        gemm(a.as_slice(), m, k, b.as_slice(), n, out, epi, tiles);
+                        assert!(guard.iter().all(|&g| g == GUARD), "{m}x{k}x{n}");
+                        buf.truncate(m * n);
+                        buf
+                    };
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let mut relu_after_bias =
+                        Tensor::from_vec(m, n, run(Epilogue::Bias(bias.as_slice()), Tiles::SCALAR))
+                            .expect("m × n");
+                    assert_eq!(relu_after_bias.get(0, 0).to_bits(), (-0.0f32).to_bits());
+                    relu_in_place(&mut relu_after_bias);
+                    assert_eq!(
+                        bits(&run(Epilogue::BiasRelu(bias.as_slice()), Tiles::SCALAR)),
+                        bits(relu_after_bias.as_slice()),
+                        "{m}x{k}x{n} bias-relu against bias then relu_in_place"
+                    );
+                    assert_eq!(relu_after_bias.get(0, 0).to_bits(), 0);
                     let epilogues = [
                         ("store", Epilogue::Store),
                         ("bias", Epilogue::Bias(bias.as_slice())),
                         ("bias-add", Epilogue::BiasAdd(bias.as_slice())),
+                        ("bias-relu", Epilogue::BiasRelu(bias.as_slice())),
                     ];
                     for (name, epi) in epilogues {
-                        let run = |tiles: Tiles<'_>| {
-                            let mut buf = base.as_slice().to_vec();
-                            buf.extend([GUARD; 16]);
-                            let (out, guard) = buf.split_at_mut(m * n);
-                            gemm(a.as_slice(), m, k, b.as_slice(), n, out, epi, tiles);
-                            assert!(guard.iter().all(|&g| g == GUARD), "{m}x{k}x{n} {name}");
-                            buf.truncate(m * n);
-                            buf
-                        };
-                        let oracle = run(Tiles::SCALAR);
+                        let oracle = bits(&run(epi, Tiles::SCALAR));
                         for tier in Tier::supported() {
                             for pool in [None, Some(&pool)] {
-                                let got = run(Tiles { tier, pool });
                                 let threads = pool.map_or(1, ThreadPool::threads);
                                 assert!(
-                                    got.iter()
-                                        .zip(&oracle)
-                                        .all(|(g, o)| g.to_bits() == o.to_bits()),
+                                    bits(&run(epi, Tiles { tier, pool })) == oracle,
                                     "{m}x{k}x{n} {name} {tier:?} on {threads} threads"
                                 );
                             }
@@ -1253,10 +1630,11 @@ mod tests {
             ("2-thread pool", Tiles::best(Some(&pool))),
         ];
         // Output columns 61 = 3×16 + 8 + 4 + 1 and 10 = 8 + 1 + 1 walk
-        // every column tile; rows 67 = 16 four-row blocks + a 3-row tail;
+        // every column tile; rows 67 = 8 eight-row blocks + a 3-row tail;
         // k = 10 and 64 are the flow's widths. 67×64×61 crosses the pool's
         // parallel cut-off. Outputs narrower than 16 columns with more rows
-        // (64×64×10, 67×64×8, 67×10×1) take the flipped orientation.
+        // (64×64×10, 67×64×8, 67×10×1) take the flipped orientation for
+        // `aᵀ·b` and the direct one for `a·bᵀ`.
         let mut pack = TransposePack::default();
         let mut got = Tensor::default();
         let mut reference = Tensor::default();

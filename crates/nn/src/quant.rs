@@ -108,6 +108,32 @@ impl QuantizedLinearSnapshot {
         }
         out
     }
+
+    /// `out ∘= input × W` under `epi`; `out` must already be
+    /// `input.rows() × out_features`.
+    fn linear(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        epi: Epilogue<'_>,
+        pool: Option<&ThreadPool>,
+    ) {
+        assert_eq!(
+            input.cols(),
+            self.in_features,
+            "quantized linear shape mismatch"
+        );
+        gemm(
+            input.as_slice(),
+            input.rows(),
+            self.in_features,
+            self,
+            self.out_features,
+            out.as_mut_slice(),
+            epi,
+            Tiles::best(pool),
+        );
+    }
 }
 
 impl LinearWeights for QuantizedLinearSnapshot {
@@ -120,45 +146,22 @@ impl LinearWeights for QuantizedLinearSnapshot {
     }
 
     fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
-        assert_eq!(
-            input.cols(),
-            self.in_features,
-            "quantized linear shape mismatch"
-        );
         out.resize(input.rows(), self.out_features);
-        gemm(
-            input.as_slice(),
-            input.rows(),
-            self.in_features,
-            self,
-            self.out_features,
-            out.as_mut_slice(),
-            Epilogue::Bias(&self.bias),
-            Tiles::best(pool),
-        );
+        self.linear(input, out, Epilogue::Bias(&self.bias), pool);
+    }
+
+    fn forward_relu_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+        out.resize(input.rows(), self.out_features);
+        self.linear(input, out, Epilogue::BiasRelu(&self.bias), pool);
     }
 
     fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
-        assert_eq!(
-            input.cols(),
-            self.in_features,
-            "quantized linear shape mismatch"
-        );
         assert_eq!(
             out.shape(),
             (input.rows(), self.out_features),
             "quantized residual output shape mismatch"
         );
-        gemm(
-            input.as_slice(),
-            input.rows(),
-            self.in_features,
-            self,
-            self.out_features,
-            out.as_mut_slice(),
-            Epilogue::BiasAdd(&self.bias),
-            Tiles::best(pool),
-        );
+        self.linear(input, out, Epilogue::BiasAdd(&self.bias), pool);
     }
 }
 
@@ -336,8 +339,9 @@ mod tests {
     fn simd_qtile_matches_scalar_qtile_bit_for_bit() {
         // Every SIMD tier the host supports against the scalar tiles. The
         // widths walk the masked tail alone (10, the flow's output layers),
-        // after one and two 16-lane tiles (35, 42) and after the AVX-512
-        // tier's 32-wide pairs (48, 80).
+        // after one and two 16-lane tiles (35, 42), after the AVX-512
+        // tier's 32-wide pairs (48) and after a 64-wide tile (80, 138); the
+        // rows run 8-row tail blocks and their remainders (8, 17, 67).
         let mut r = rng();
         for (m, k, n) in [
             (4, 32, 16),
@@ -347,11 +351,16 @@ mod tests {
             (8, 1, 80),
             (67, 128, 10),
             (6, 10, 42),
+            (17, 10, 138),
         ] {
             let snap = linear_snapshot(k, n, &mut r);
             let qsnap = QuantizedLinearSnapshot::from_snapshot(&snap);
             let x = Tensor::randn(m, k, &mut r);
-            for epi in [Epilogue::Bias(&qsnap.bias), Epilogue::BiasAdd(&qsnap.bias)] {
+            for epi in [
+                Epilogue::Bias(&qsnap.bias),
+                Epilogue::BiasAdd(&qsnap.bias),
+                Epilogue::BiasRelu(&qsnap.bias),
+            ] {
                 let run = |tier| {
                     let mut out = vec![1.0f32; m * n];
                     gemm_rows(x.as_slice(), m, k, &qsnap, n, &mut out, epi, tier);

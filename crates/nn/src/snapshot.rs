@@ -15,8 +15,8 @@
 //! for the operation-order argument.
 
 use crate::kernels::{
-    activate_in_place, matmul_bias_add_into_with, matmul_bias_into_with, relu_in_place,
-    tanh_in_place,
+    activate_in_place, matmul_bias_add_into_with, matmul_bias_into_with,
+    matmul_bias_relu_into_with, tanh_in_place,
 };
 use crate::layers::ActivationKind;
 use crate::pool::ThreadPool;
@@ -144,6 +144,13 @@ pub trait LinearWeights {
     /// count).
     fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>);
 
+    /// Fused `out = relu(input × W + b)`, resizing `out` as needed, with an
+    /// optional GEMM thread pool: the bits of
+    /// [`forward_into_with`](Self::forward_into_with) then
+    /// [`relu_in_place`](crate::kernels::relu_in_place), with no second
+    /// pass over `out`.
+    fn forward_relu_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>);
+
     /// Fused residual `out += input × W + b` (`out` must already be
     /// `input.rows() × out_features`), with an optional GEMM thread pool.
     fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>);
@@ -156,6 +163,10 @@ impl LinearWeights for LinearSnapshot {
 
     fn forward_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
         matmul_bias_into_with(input, &self.weight, &self.bias, out, pool);
+    }
+
+    fn forward_relu_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+        matmul_bias_relu_into_with(input, &self.weight, &self.bias, out, pool);
     }
 
     fn forward_add_into_with(&self, input: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
@@ -177,6 +188,18 @@ pub struct BlockSnapshot<L = LinearSnapshot> {
     pub fc2: L,
     /// Nonlinearity between the two.
     pub activation: ActivationKind,
+}
+
+impl<L: LinearWeights> BlockSnapshot<L> {
+    /// `out = activation(fc1(x))`, with a ReLU fused into the GEMM.
+    fn fc1_into(&self, x: &Tensor, out: &mut Tensor, pool: Option<&ThreadPool>) {
+        if self.activation == ActivationKind::Relu {
+            self.fc1.forward_relu_into_with(x, out, pool);
+        } else {
+            self.fc1.forward_into_with(x, out, pool);
+            activate_in_place(self.activation, out);
+        }
+    }
 }
 
 /// An owned copy of a [`ResNet`](crate::ResNet)'s weights — the coupling
@@ -242,11 +265,10 @@ impl<L: LinearWeights> ResNetSnapshot<L> {
     pub fn forward_into(&self, x: &Tensor, ws: &mut NetWorkspace, out: &mut Tensor) {
         let mut h = ws.take();
         let mut tmp = ws.take();
-        self.input.forward_into_with(x, &mut h, ws.thread_pool());
-        relu_in_place(&mut h);
+        self.input
+            .forward_relu_into_with(x, &mut h, ws.thread_pool());
         for block in &self.blocks {
-            block.fc1.forward_into_with(&h, &mut tmp, ws.thread_pool());
-            activate_in_place(block.activation, &mut tmp);
+            block.fc1_into(&h, &mut tmp, ws.thread_pool());
             block
                 .fc2
                 .forward_add_into_with(&tmp, &mut h, ws.thread_pool());
@@ -292,8 +314,7 @@ impl WeightSnapshot {
             }
             WeightSnapshot::Residual(block) => {
                 let mut tmp = ws.take();
-                block.fc1.forward_into_with(x, &mut tmp, ws.thread_pool());
-                activate_in_place(block.activation, &mut tmp);
+                block.fc1_into(x, &mut tmp, ws.thread_pool());
                 block.fc2.forward_into_with(&tmp, out, ws.thread_pool());
                 // IEEE addition is commutative in value, so `fc2out + x`
                 // equals the reference `x + fc2out` to the last bit.

@@ -477,9 +477,9 @@ impl Tensor {
         self.map(crate::math::fast_tanh)
     }
 
-    /// Elementwise rectified linear unit.
+    /// Elementwise rectified linear unit, `+0.0` for NaN and `−0.0`.
     pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
+        self.map(crate::kernels::relu)
     }
 
     /// Elementwise logistic sigmoid (vectorizable

@@ -72,6 +72,32 @@ fn fast_forward_matches_reference_to_zero_ulp() {
     }
 }
 
+/// The paper's own architecture (`FlowConfig::paper()`: 18 coupling layers,
+/// hidden width 256, so four 64-wide tiles per row block) through the same
+/// 0-ULP inverse, forward and log-prob checks, on a few hundred rows.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the paper config is slow unoptimised: run with cargo test --release --test fastpath"
+)]
+fn paper_config_fast_paths_match_reference_to_zero_ulp() {
+    let flow = random_flow(FlowConfig::paper(), 700);
+    let mut rng = nnrng::seeded(701);
+    let rows = 300;
+    let z = Tensor::randn(rows, flow.dim(), &mut rng);
+    assert_eq!(
+        flow.inverse(&z).as_slice(),
+        flow.inverse_reference(&z).as_slice(),
+        "inverse"
+    );
+    let x = Tensor::randn(rows, flow.dim(), &mut rng);
+    let (z_ref, ld_ref) = flow.forward_reference(&x);
+    let (z_fast, ld_fast) = flow.forward(&x);
+    assert_eq!(z_fast.as_slice(), z_ref.as_slice(), "forward");
+    assert_eq!(ld_fast.as_slice(), ld_ref.as_slice(), "log-det");
+    assert_eq!(flow.log_prob(&x), flow.log_prob_reference(&x), "log-prob");
+}
+
 #[test]
 fn resnet_snapshot_matches_taped_forward_to_zero_ulp() {
     let mut rng = nnrng::seeded(500);
