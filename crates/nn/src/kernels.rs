@@ -1630,11 +1630,12 @@ mod tests {
             ("2-thread pool", Tiles::best(Some(&pool))),
         ];
         // Output columns 61 = 3×16 + 8 + 4 + 1 and 10 = 8 + 1 + 1 walk
-        // every column tile; rows 67 = 8 eight-row blocks + a 3-row tail;
-        // k = 10 and 64 are the flow's widths. 67×64×61 crosses the pool's
-        // parallel cut-off. Outputs narrower than 16 columns with more rows
-        // (64×64×10, 67×64×8, 67×10×1) take the flipped orientation for
-        // `aᵀ·b` and the direct one for `a·bᵀ`.
+        // every scalar column tile; rows 67 = 8 eight-row (AVX-512) or 16
+        // four-row blocks + a 3-row tail; k = 10 and 64 are the flow's
+        // widths. 67×64×61 crosses the pool's parallel cut-off. Outputs
+        // narrower than 16 columns with more rows (64×64×10, 67×64×8,
+        // 67×10×1) take the flipped orientation for `aᵀ·b` and the direct
+        // one for `a·bᵀ`.
         let mut pack = TransposePack::default();
         let mut got = Tensor::default();
         let mut reference = Tensor::default();
