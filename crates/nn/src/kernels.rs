@@ -439,7 +439,7 @@ impl GemmWeights for [f32] {
     /// of a 4-cycle FMA on two ports leave no slack, so the order of the
     /// FMAs matters: compiled on its own, LLVM issues them `p` by `p`;
     /// inlined into the row walk, it grouped them row by row, and the
-    /// 1024×64×10 product took ~26 µs instead of ~19 µs. Hence
+    /// 1024×64×10 product took ~20–22 µs instead of ~17.7 µs. Hence
     /// `#[inline(never)]`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
