@@ -624,7 +624,7 @@ impl AttackEngine {
                         latent_dim,
                         chunks_done,
                     );
-                    checkpoint::save(&snapshot, path)?;
+                    checkpoint::save(&snapshot, &state.generated.sorted(), path)?;
                     saved_at = Some(chunks_done);
                 }
                 next_due = next_due_after(state.guesses_made);
@@ -651,7 +651,7 @@ impl AttackEngine {
                     latent_dim,
                     chunks_done,
                 );
-                checkpoint::save(&snapshot, path)?;
+                checkpoint::save(&snapshot, &state.generated.sorted(), path)?;
             }
             if let Some(path) = attack.archive_path.as_deref() {
                 write_guess_archive(&state.generated, path)?;
@@ -668,22 +668,17 @@ impl AttackEngine {
         })
     }
 
-    /// Captures everything `PFATTACK v1` persists at a wave boundary.
-    fn snapshot_state(
+    /// Captures everything `PFATTACK v1` persists at a wave boundary but
+    /// the dedup multiset, borrowing the state's lists.
+    fn snapshot_state<'s>(
         &self,
         attack: &Attack<'_>,
-        state: &ReduceState<'_>,
+        state: &'s ReduceState<'_>,
         guesser: &dyn Guesser,
         guesser_digest: Option<u64>,
         latent_dim: u32,
         chunks_done: usize,
-    ) -> CheckpointState {
-        let mut generated: Vec<(Vec<u8>, u64)> = state
-            .generated
-            .iter_counted()
-            .map(|(guess, count)| (guess.as_bytes().to_vec(), count))
-            .collect();
-        generated.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    ) -> CheckpointState<'s> {
         CheckpointState {
             budget: attack.budget,
             batch_size: attack.batch_size as u64,
@@ -699,13 +694,12 @@ impl AttackEngine {
             chunks_done: chunks_done as u64,
             guesses_made: state.guesses_made,
             next_checkpoint: state.next_checkpoint as u64,
-            reports: state.reports.clone(),
-            matched_passwords: state.matched_in_order.clone(),
-            nonmatched_samples: state.nonmatched_samples.clone(),
+            reports: state.reports.as_slice().into(),
+            matched_passwords: state.matched_in_order.as_slice().into(),
+            nonmatched_samples: state.nonmatched_samples.as_slice().into(),
             latent_dim,
-            matched_points: state.matched_latents.points().to_vec(),
-            matched_usage: state.matched_latents.usage_counts().to_vec(),
-            generated,
+            matched_points: state.matched_latents.points().into(),
+            matched_usage: state.matched_latents.usage_counts().into(),
         }
     }
 
@@ -720,7 +714,7 @@ impl AttackEngine {
         latent: Option<&dyn LatentGuesser>,
         path: &Path,
     ) -> Result<usize> {
-        let cp = checkpoint::load(path)?;
+        let (cp, generated) = checkpoint::load(path)?;
 
         ensure_knob("budget", cp.budget, attack.budget)?;
         ensure_knob("batch_size", cp.batch_size, attack.batch_size as u64)?;
@@ -807,14 +801,14 @@ impl AttackEngine {
 
         state.guesses_made = cp.guesses_made;
         state.next_checkpoint = cp.next_checkpoint as usize;
-        state.reports = cp.reports;
-        state.matched_in_order = cp.matched_passwords;
-        state.nonmatched_samples = cp.nonmatched_samples;
-        state.matched_latents = MatchedLatents::from_parts(cp.matched_points, cp.matched_usage);
-        for (guess, count) in cp.generated {
-            let guess = String::from_utf8(guess).map_err(|_| {
-                FlowError::AttackPersistence("dedup set contains invalid UTF-8".to_string())
-            })?;
+        state.reports = cp.reports.into_owned();
+        state.matched_in_order = cp.matched_passwords.into_owned();
+        state.nonmatched_samples = cp.nonmatched_samples.into_owned();
+        state.matched_latents = MatchedLatents::from_parts(
+            cp.matched_points.into_owned(),
+            cp.matched_usage.into_owned(),
+        );
+        for (guess, count) in generated {
             state.generated.insert_with_count(guess, count);
         }
         Ok(chunks_done)
@@ -843,11 +837,9 @@ fn ensure_knob<T: PartialEq + std::fmt::Display>(
 fn write_guess_archive(generated: &ShardedSet, path: &Path) -> Result<()> {
     let archive_err =
         |e: passflow_store::StoreError| FlowError::AttackPersistence(format!("{path:?}: {e}"));
-    let mut records: Vec<(&String, u64)> = generated.iter_counted().collect();
-    records.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
     let mut writer =
         GuessArchiveWriter::create(path, GuessConfig::default()).map_err(archive_err)?;
-    for (guess, count) in records {
+    for (guess, count) in generated.sorted() {
         writer.push(guess, count).map_err(archive_err)?;
     }
     writer.finish().map_err(archive_err)?;
@@ -1067,27 +1059,22 @@ impl ReduceState<'_> {
             // Every guess the attack has ever produced is in `generated`,
             // and every target in `generated` was counted as a match when it
             // first appeared — so one probe classifies repeats (bumping the
-            // emission count the `PFGUESS` archive persists), and the string
-            // itself is *moved* into whichever set keeps it: matched guesses
-            // are cloned exactly once (dedup set + match list), unmatched
-            // ones not at all (beyond the ≤cap samples).
-            if self.generated.increment(&guess) {
-                continue;
-            }
-            if self.targets.contains(&guess) {
-                if self.track_latents {
-                    if let Some(z) = latent {
-                        self.matched_latents.insert(z);
+            // emission count the `PFGUESS` archive persists) and keeps a new
+            // guess, whose string is *moved* into the set: matched guesses
+            // are cloned exactly once (into the match list), unmatched ones
+            // not at all (beyond the ≤cap samples).
+            self.generated.tally(guess, |guess| {
+                if self.targets.contains(guess) {
+                    if self.track_latents {
+                        if let Some(z) = latent {
+                            self.matched_latents.insert(z);
+                        }
                     }
+                    self.matched_in_order.push(guess.to_string());
+                } else if self.nonmatched_samples.len() < self.nonmatched_cap {
+                    self.nonmatched_samples.push(guess.to_string());
                 }
-                self.generated.insert(guess.clone());
-                self.matched_in_order.push(guess);
-            } else {
-                if self.nonmatched_samples.len() < self.nonmatched_cap {
-                    self.nonmatched_samples.push(guess.clone());
-                }
-                self.generated.insert(guess);
-            }
+            });
         }
 
         while self.next_checkpoint < checkpoints.len()

@@ -35,6 +35,7 @@
 //! bits, usage counts), and the dedup multiset (record count, byte length,
 //! then a counts-bearing `PFGUESS` stream plus its running checksum).
 
+use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
@@ -62,8 +63,11 @@ fn persist_err(msg: impl Into<String>) -> FlowError {
     FlowError::AttackPersistence(msg.into())
 }
 
-/// Everything a `PFATTACK v1` file persists, in memory.
-pub(crate) struct CheckpointState {
+/// Everything a `PFATTACK v1` file persists, in memory, except the dedup
+/// multiset, which [`save`] takes and [`load`] returns beside it. The
+/// accounting lists borrow the engine's own when saving, so a write copies
+/// no guess.
+pub(crate) struct CheckpointState<'a> {
     // --- configuration (validated knob-by-knob on resume) ---
     pub budget: u64,
     pub batch_size: u64,
@@ -81,16 +85,14 @@ pub(crate) struct CheckpointState {
     pub chunks_done: u64,
     pub guesses_made: u64,
     pub next_checkpoint: u64,
-    pub reports: Vec<CheckpointReport>,
+    pub reports: Cow<'a, [CheckpointReport]>,
     // --- accounting ---
-    pub matched_passwords: Vec<String>,
-    pub nonmatched_samples: Vec<String>,
+    pub matched_passwords: Cow<'a, [String]>,
+    pub nonmatched_samples: Cow<'a, [String]>,
     /// Latent dimensionality of the matched points (0 when not tracked).
     pub latent_dim: u32,
-    pub matched_points: Vec<Vec<f32>>,
-    pub matched_usage: Vec<u32>,
-    /// The dedup multiset: `(guess bytes, emission count)`, sorted by bytes.
-    pub generated: Vec<(Vec<u8>, u64)>,
+    pub matched_points: Cow<'a, [Vec<f32>]>,
+    pub matched_usage: Cow<'a, [u32]>,
 }
 
 // ---------------------------------------------------------------------------
@@ -165,19 +167,19 @@ impl<'a> Dec<'a> {
     }
     fn str16(&mut self) -> Result<String> {
         let len = self.u16()? as usize;
-        string_from(self.take(len)?)
+        string_from(self.take(len)?.to_vec())
     }
     fn str32(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
-        string_from(self.take(len)?)
+        string_from(self.take(len)?.to_vec())
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
 
-fn string_from(bytes: &[u8]) -> Result<String> {
-    String::from_utf8(bytes.to_vec()).map_err(|_| persist_err("checkpoint contains invalid UTF-8"))
+fn string_from(bytes: Vec<u8>) -> Result<String> {
+    String::from_utf8(bytes).map_err(|_| persist_err("checkpoint contains invalid UTF-8"))
 }
 
 fn encode_strategy(enc: &mut Enc, strategy: &GuessingStrategy) {
@@ -258,10 +260,20 @@ fn decode_strategy(dec: &mut Dec<'_>) -> Result<GuessingStrategy> {
 // Save / load
 // ---------------------------------------------------------------------------
 
-/// Writes `state` to `path` atomically (a `.tmp` sibling is renamed into
-/// place, so readers never observe a half-written checkpoint).
-pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
+/// Writes `state` and the dedup multiset `generated` (in byte order, as
+/// `ShardedSet::sorted` yields it) to `path` atomically: a `.tmp` sibling
+/// is renamed into place, so readers never observe a half-written
+/// checkpoint.
+pub(crate) fn save(
+    state: &CheckpointState<'_>,
+    generated: &[(&str, u64)],
+    path: &Path,
+) -> Result<()> {
+    // The preamble comes first, so the payload is encoded in place.
     let mut enc = Enc { buf: Vec::new() };
+    enc.buf.extend_from_slice(MAGIC);
+    enc.u32(VERSION);
+    enc.u32(0);
 
     // Section 1: config knobs.
     enc.u64(state.budget);
@@ -293,7 +305,7 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
     enc.u64(state.guesses_made);
     enc.u64(state.next_checkpoint);
     enc.u32(u32::try_from(state.reports.len()).expect("report list fits in u32"));
-    for report in &state.reports {
+    for report in state.reports.iter() {
         enc.u64(report.guesses);
         enc.u64(report.unique);
         enc.u64(report.matched);
@@ -302,55 +314,50 @@ pub(crate) fn save(state: &CheckpointState, path: &Path) -> Result<()> {
 
     // Section 3: match accounting.
     enc.u64(state.matched_passwords.len() as u64);
-    for p in &state.matched_passwords {
+    for p in state.matched_passwords.iter() {
         enc.str32(p);
     }
     enc.u64(state.nonmatched_samples.len() as u64);
-    for p in &state.nonmatched_samples {
+    for p in state.nonmatched_samples.iter() {
         enc.str32(p);
     }
 
     // Section 4: matched latents (the Dynamic Sampling mixture state).
     enc.u32(state.latent_dim);
     enc.u64(state.matched_points.len() as u64);
-    for point in &state.matched_points {
+    for point in state.matched_points.iter() {
         debug_assert_eq!(point.len(), state.latent_dim as usize);
         for &v in point {
             enc.f32_bits(v);
         }
     }
-    for &usage in &state.matched_usage {
+    for &usage in state.matched_usage.iter() {
         enc.u32(usage);
     }
 
-    // Section 5: the dedup multiset as a sorted PFGUESS stream.
-    debug_assert!(state.generated.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut stream = Vec::new();
-    let mut writer = GuessStreamWriter::new(&mut stream, true);
-    for (guess, count) in &state.generated {
+    // Section 5: the dedup multiset as a sorted PFGUESS stream, whose byte
+    // length is patched in once the stream is written.
+    enc.u64(generated.len() as u64);
+    let len_at = enc.buf.len();
+    enc.u64(0);
+    let mut writer = GuessStreamWriter::new(&mut enc.buf, true);
+    for &(guess, count) in generated {
         writer
-            .push(guess, *count)
+            .push(guess.as_bytes(), count)
             .map_err(|e| persist_err(format!("encoding dedup set: {e}")))?;
     }
     let stream_checksum = writer.checksum();
-    drop(writer);
-    enc.u64(state.generated.len() as u64);
-    enc.u64(stream.len() as u64);
-    enc.buf.extend_from_slice(&stream);
+    let stream_len = (enc.buf.len() - len_at - 8) as u64;
+    enc.buf[len_at..len_at + 8].copy_from_slice(&stream_len.to_le_bytes());
     enc.u64(stream_checksum);
 
-    // Preamble + payload + trailing checksum, written atomically.
-    let payload = enc.buf;
-    let mut file_bytes = Vec::with_capacity(payload.len() + 24);
-    file_bytes.extend_from_slice(MAGIC);
-    file_bytes.extend_from_slice(&VERSION.to_le_bytes());
-    file_bytes.extend_from_slice(&0u32.to_le_bytes());
-    file_bytes.extend_from_slice(&payload);
-    file_bytes.extend_from_slice(&fnv1a(FNV_SEED, &payload).to_le_bytes());
+    // The trailing checksum covers the payload, after the preamble.
+    let checksum = fnv1a(FNV_SEED, &enc.buf[16..]);
+    enc.u64(checksum);
 
     #[cfg(test)]
     SAVES.with(|n| n.set(n.get() + 1));
-    passflow_store::write_atomic(path, &file_bytes)
+    passflow_store::write_atomic(path, &enc.buf)
         .map_err(|e| persist_err(format!("writing checkpoint {path:?}: {e}")))
 }
 
@@ -361,8 +368,9 @@ thread_local! {
 }
 
 /// Reads and fully validates a `PFATTACK v1` file (magic, version, payload
-/// checksum, section layout, dedup-stream checksum).
-pub(crate) fn load(path: &Path) -> Result<CheckpointState> {
+/// checksum, section layout, UTF-8 strings, dedup-stream checksum). Returns
+/// the state and the dedup multiset in byte order.
+pub(crate) fn load(path: &Path) -> Result<(CheckpointState<'static>, Vec<(String, u64)>)> {
     let bytes =
         fs::read(path).map_err(|e| persist_err(format!("reading checkpoint {path:?}: {e}")))?;
     if bytes.len() < 24 {
@@ -475,7 +483,7 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointState> {
         .next_guess()
         .map_err(|e| persist_err(format!("decoding dedup set: {e}")))?
     {
-        generated.push((guess, count));
+        generated.push((string_from(guess)?, count));
     }
     if reader.records() != record_count {
         return Err(persist_err(format!(
@@ -487,7 +495,7 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointState> {
         return Err(persist_err("dedup-stream checksum mismatch"));
     }
 
-    Ok(CheckpointState {
+    let state = CheckpointState {
         budget,
         batch_size,
         seed,
@@ -502,21 +510,24 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointState> {
         chunks_done,
         guesses_made,
         next_checkpoint,
-        reports,
-        matched_passwords,
-        nonmatched_samples,
+        reports: reports.into(),
+        matched_passwords: matched_passwords.into(),
+        nonmatched_samples: nonmatched_samples.into(),
         latent_dim,
-        matched_points,
-        matched_usage,
-        generated,
-    })
+        matched_points: matched_points.into(),
+        matched_usage: matched_usage.into(),
+    };
+    Ok((state, generated))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_state() -> CheckpointState {
+    /// The dedup multiset saved beside [`sample_state`].
+    const GENERATED: [(&str, u64); 3] = [("123456", 1), ("hunter2", 4), ("zzz", 2)];
+
+    fn sample_state() -> CheckpointState<'static> {
         CheckpointState {
             budget: 10_000,
             batch_size: 128,
@@ -540,17 +551,13 @@ mod tests {
                 unique: 900,
                 matched: 2,
                 matched_percent: 66.666,
-            }],
-            matched_passwords: vec!["hunter2".into(), "123456".into()],
-            nonmatched_samples: vec!["zzz".into()],
+            }]
+            .into(),
+            matched_passwords: vec!["hunter2".to_string(), "123456".to_string()].into(),
+            nonmatched_samples: vec!["zzz".to_string()].into(),
             latent_dim: 2,
-            matched_points: vec![vec![0.5, -0.5], vec![1.0, 2.0]],
-            matched_usage: vec![3, 0],
-            generated: vec![
-                (b"123456".to_vec(), 1),
-                (b"hunter2".to_vec(), 4),
-                (b"zzz".to_vec(), 2),
-            ],
+            matched_points: vec![vec![0.5, -0.5], vec![1.0, 2.0]].into(),
+            matched_usage: vec![3, 0].into(),
         }
     }
 
@@ -562,8 +569,8 @@ mod tests {
     fn round_trips_every_section() {
         let state = sample_state();
         let path = scratch("roundtrip.pfa");
-        save(&state, &path).unwrap();
-        let loaded = load(&path).unwrap();
+        save(&state, &GENERATED, &path).unwrap();
+        let (loaded, generated) = load(&path).unwrap();
         assert_eq!(loaded.budget, state.budget);
         assert_eq!(loaded.batch_size, state.batch_size);
         assert_eq!(loaded.seed, state.seed);
@@ -584,7 +591,8 @@ mod tests {
         assert_eq!(loaded.latent_dim, state.latent_dim);
         assert_eq!(loaded.matched_points, state.matched_points);
         assert_eq!(loaded.matched_usage, state.matched_usage);
-        assert_eq!(loaded.generated, state.generated);
+        let generated: Vec<(&str, u64)> = generated.iter().map(|(g, c)| (g.as_str(), *c)).collect();
+        assert_eq!(generated, GENERATED);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -592,7 +600,7 @@ mod tests {
     fn corruption_is_a_typed_persistence_error() {
         let state = sample_state();
         let path = scratch("corrupt.pfa");
-        save(&state, &path).unwrap();
+        save(&state, &GENERATED, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
 
         // Flip a payload byte: checksum must catch it.
@@ -622,7 +630,7 @@ mod tests {
     fn oversized_latent_dim_is_rejected_before_reserving() {
         let state = sample_state();
         let path = scratch("latent-dim.pfa");
-        save(&state, &path).unwrap();
+        save(&state, &GENERATED, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
 
         // Section 4 opens with latent_dim = 2, two points, then 0.5f32.
@@ -653,6 +661,32 @@ mod tests {
                 "latent_dim={latent_dim} n_points={n_points}"
             );
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn invalid_utf8_in_the_dedup_set_is_a_typed_persistence_error() {
+        let state = sample_state();
+        let path = scratch("dedup-utf8.pfa");
+        save(&state, &GENERATED, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+
+        // The dedup stream is the last section, so the last "zzz" is its
+        // record (the earlier one is the non-matched sample).
+        let at = bytes
+            .windows(3)
+            .rposition(|w| w == b"zzz")
+            .expect("dedup record present");
+        bytes[at] = 0xff;
+        // Re-seal the trailer so the payload checksum cannot object.
+        let end = bytes.len() - 8;
+        let sealed = fnv1a(FNV_SEED, &bytes[16..end]);
+        bytes[end..].copy_from_slice(&sealed.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load(&path),
+            Err(FlowError::AttackPersistence(msg)) if msg.contains("invalid UTF-8")
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

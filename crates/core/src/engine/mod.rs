@@ -14,8 +14,8 @@
 //!   protocol through [`AttackEngine`]: budget-aligned chunking, parallel
 //!   sharded generation with per-chunk deterministic RNG streams (the same
 //!   seed produces the same [`CheckpointReport`]s for *any* shard count),
-//!   dedup via a [`ShardedSet`], and streaming checkpoint reports through an
-//!   observer callback.
+//!   dedup of every guess with its emission count, and streaming checkpoint
+//!   reports through an observer callback.
 //!
 //! Long-running distributed attacks persist their progress as `PFATTACK v1`
 //! checkpoints ([`Attack::checkpoint_every`] / [`Attack::resume`]) and their
@@ -54,4 +54,3 @@ pub use guesser::{
     FlowSession, GuessSession, Guesser, LatentGuesser, LatentSession, StatelessLatentSession,
     StatelessSession,
 };
-pub use sharded::ShardedSet;

@@ -1,6 +1,6 @@
 //! A hash-sharded counted string set used for guess deduplication.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 /// Number of internal shards. A power of two so the shard index is a mask.
@@ -11,23 +11,26 @@ const NUM_SHARDS: usize = 16;
 /// number of times the attack emitted it, which is what `PFGUESS v1` guess
 /// archives persist.
 ///
-/// The guessing attack inserts hundreds of millions of strings into this set
-/// at paper scale; sharding keeps rehash pauses short (each shard rehashes
-/// independently at 1/16 of the size). Only the engine's calling thread
-/// touches the set: it folds chunks into it, and smoothing's membership
-/// queries run there too; the pool threads never read it.
+/// The 16 shards bound peak memory: a growing shard rehashes at 1/16 of
+/// the set's size, so the old and new tables held at once stay small. One
+/// `HashMap<String, u64>` in their place raised the `guess` benchmark's
+/// peak RSS from a median of 25.70 MB (25.64-26.90) to 29.0 MB
+/// (28.66-30.03) over six alternating pairs, since its whole-size rehash
+/// holds both arrays at once. Only the engine's calling thread touches
+/// the set: it folds chunks into it, and smoothing's membership queries
+/// run there too; the pool threads never read it.
 ///
 /// Shard selection is deterministic (a fixed-seed SipHash of the string), so
 /// unique counts never depend on thread scheduling.
-#[derive(Clone, Debug, Default)]
-pub struct ShardedSet {
+#[derive(Debug)]
+pub(crate) struct ShardedSet {
     shards: Vec<HashMap<String, u64>>,
     hasher: BuildHasherDefault<DefaultHasher>,
 }
 
 impl ShardedSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ShardedSet {
             shards: (0..NUM_SHARDS).map(|_| HashMap::new()).collect(),
             hasher: BuildHasherDefault::default(),
@@ -38,77 +41,48 @@ impl ShardedSet {
         (self.hasher.hash_one(value) as usize) & (NUM_SHARDS - 1)
     }
 
-    /// Inserts `value`, returning `true` if it was not present before. A
-    /// repeated insert bumps the emission count instead of growing the set.
-    pub fn insert(&mut self, value: String) -> bool {
+    /// Counts one emission of `value` with a single shard probe: a repeat
+    /// bumps its count, and a new value is shown to `on_new` and then
+    /// stored with count 1.
+    pub(crate) fn tally(&mut self, value: String, on_new: impl FnOnce(&str)) {
         let shard = self.shard_of(&value);
         match self.shards[shard].entry(value) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() = e.get().saturating_add(1);
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(mut e) => *e.get_mut() = e.get().saturating_add(1),
+            Entry::Vacant(e) => {
+                on_new(e.key());
                 e.insert(1);
-                true
             }
         }
     }
 
     /// Restores a guess with an explicit emission count (checkpoint resume).
     /// Counts for an already-present guess accumulate.
-    pub fn insert_with_count(&mut self, value: String, count: u64) {
+    pub(crate) fn insert_with_count(&mut self, value: String, count: u64) {
         let shard = self.shard_of(&value);
         let slot = self.shards[shard].entry(value).or_insert(0);
         *slot = slot.saturating_add(count.max(1));
     }
 
-    /// Bumps the count of an already-present guess without allocating,
-    /// returning `true` when the guess was present (the fast dedup path).
-    pub fn increment(&mut self, value: &str) -> bool {
-        let shard = self.shard_of(value);
-        match self.shards[shard].get_mut(value) {
-            Some(count) => {
-                *count = count.saturating_add(1);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Returns `true` if `value` is in the set.
-    pub fn contains(&self, value: &str) -> bool {
+    pub(crate) fn contains(&self, value: &str) -> bool {
         self.shards[self.shard_of(value)].contains_key(value)
     }
 
-    /// How many times `value` has been emitted, or 0 when absent.
-    pub fn count_of(&self, value: &str) -> u64 {
-        self.shards[self.shard_of(value)]
-            .get(value)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Total number of distinct values across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(HashMap::len).sum()
     }
 
-    /// Returns `true` if the set holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
-    }
-
-    /// Iterates over all values, shard by shard (no particular order).
-    pub fn iter(&self) -> impl Iterator<Item = &String> {
-        self.shards.iter().flat_map(HashMap::keys)
-    }
-
-    /// Iterates over `(value, emission count)` pairs (no particular order).
-    pub fn iter_counted(&self) -> impl Iterator<Item = (&String, u64)> {
-        self.shards
-            .iter()
-            .flat_map(HashMap::iter)
-            .map(|(k, &v)| (k, v))
+    /// Every `(value, emission count)` in byte order: the one walk that
+    /// both persisted forms (`PFATTACK` and `PFGUESS`) read. It borrows the
+    /// values, so no guess is copied.
+    pub(crate) fn sorted(&self) -> Vec<(&str, u64)> {
+        let mut records = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            records.extend(shard.iter().map(|(k, &v)| (k.as_str(), v)));
+        }
+        records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        records
     }
 }
 
@@ -116,48 +90,49 @@ impl ShardedSet {
 mod tests {
     use super::*;
 
+    /// Tallies `value`, returning whether `on_new` saw it as new.
+    fn tally_is_new(set: &mut ShardedSet, value: &str) -> bool {
+        let mut seen = None;
+        set.tally(value.to_string(), |v| seen = Some(v.to_string()));
+        if let Some(seen) = &seen {
+            assert_eq!(seen, value, "on_new is shown the value itself");
+        }
+        seen.is_some()
+    }
+
     #[test]
     fn insert_contains_len_round_trip() {
         let mut set = ShardedSet::new();
-        assert!(set.is_empty());
-        assert!(set.insert("123456".to_string()));
-        assert!(!set.insert("123456".to_string()));
-        assert!(set.insert("hunter2".to_string()));
+        assert_eq!(set.len(), 0);
+        assert!(tally_is_new(&mut set, "123456"));
+        assert!(!tally_is_new(&mut set, "123456"));
+        assert!(tally_is_new(&mut set, "hunter2"));
         assert!(set.contains("123456"));
         assert!(!set.contains("letmein"));
         assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
     }
 
     #[test]
     fn counts_track_repeated_emissions() {
         let mut set = ShardedSet::new();
-        assert_eq!(set.count_of("123456"), 0);
-        assert!(
-            !set.increment("123456"),
-            "bumping an absent guess is a no-op"
-        );
-        set.insert("123456".to_string());
-        set.insert("123456".to_string());
-        assert!(set.increment("123456"));
-        assert_eq!(set.count_of("123456"), 3);
+        for _ in 0..3 {
+            tally_is_new(&mut set, "123456");
+        }
         set.insert_with_count("hunter2".to_string(), 5);
         set.insert_with_count("hunter2".to_string(), 2);
-        assert_eq!(set.count_of("hunter2"), 7);
-        let mut counted: Vec<(String, u64)> =
-            set.iter_counted().map(|(k, v)| (k.clone(), v)).collect();
-        counted.sort();
-        assert_eq!(
-            counted,
-            vec![("123456".to_string(), 3), ("hunter2".to_string(), 7)]
+        assert!(
+            !tally_is_new(&mut set, "hunter2"),
+            "a restored guess is not new"
         );
+        set.insert_with_count("123456".to_string(), 0);
+        assert_eq!(set.sorted(), vec![("123456", 4), ("hunter2", 8)]);
     }
 
     #[test]
     fn values_spread_across_shards() {
         let mut set = ShardedSet::new();
         for i in 0..10_000 {
-            set.insert(format!("password{i}"));
+            set.tally(format!("password{i}"), |_| {});
         }
         assert_eq!(set.len(), 10_000);
         let occupied = set.shards.iter().filter(|s| !s.is_empty()).count();
@@ -168,13 +143,25 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_every_value_once() {
+    fn sorted_yields_every_value_once_in_byte_order() {
         let mut set = ShardedSet::new();
-        for i in 0..100 {
-            set.insert(i.to_string());
+        let mut expected = std::collections::BTreeMap::new();
+        for i in 0..300u32 {
+            // Repeats, plain ASCII and a two-byte lead character.
+            let value = match i % 3 {
+                0 => (i % 100).to_string(),
+                1 => format!("é{i}"),
+                _ => format!("Z{i}"),
+            };
+            set.tally(value.clone(), |_| {});
+            *expected.entry(value).or_insert(0u64) += 1;
         }
-        let mut values: Vec<u32> = set.iter().map(|v| v.parse().unwrap()).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..100).collect::<Vec<_>>());
+        let sorted = set.sorted();
+        assert_eq!(sorted.len(), set.len());
+        assert!(sorted
+            .windows(2)
+            .all(|w| w[0].0.as_bytes() < w[1].0.as_bytes()));
+        let expected: Vec<(&str, u64)> = expected.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        assert_eq!(sorted, expected);
     }
 }

@@ -74,7 +74,7 @@ pub use config::{FlowConfig, TrainConfig};
 pub use coupling::CouplingLayer;
 pub use engine::{
     Attack, AttackEngine, AttackOutcome, CheckpointReport, FlowSession, GuessSession, Guesser,
-    LatentGuesser, LatentSession, ShardedSet,
+    LatentGuesser, LatentSession,
 };
 pub use error::{FlowError, Result};
 pub use fastpath::{

@@ -60,8 +60,8 @@ pub use passflow_core::{
     FlowScorer, FlowSnapshot, FlowWorkspace, GaussianSmoothing, GuessSession, Guesser,
     GuessingStrategy, LatentGuesser, LatentSession, MaskStrategy, PassFlow, PasswordStrength,
     Penalization, ProbabilityModel, QuantizationReport, QuantizedFlowSnapshot, QuantizedScorer,
-    SampleTable, SamplingRankEstimate, Schedule, ShardedSet, StrengthEstimate, TrainConfig,
-    TrainLoop, TrainState, Trainer, TrainingReport,
+    SampleTable, SamplingRankEstimate, Schedule, StrengthEstimate, TrainConfig, TrainLoop,
+    TrainState, Trainer, TrainingReport,
 };
 pub use passflow_eval::{EvalScale, Workbench};
 pub use passflow_passwords::{

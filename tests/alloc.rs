@@ -234,6 +234,54 @@ fn row_split_allocations_are_bounded_per_chunk(flow: &PassFlow, targets: &HashSe
     }
 }
 
+fn cadence_checkpoints_copy_no_guess(flow: &PassFlow, targets: &HashSet<String>) {
+    const BUDGET: u64 = 8_192;
+    const EVERY: u64 = 1_024;
+    let dir = std::env::temp_dir().join(format!("pf-alloc-cadence-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // `every` 0 writes only the completion checkpoint.
+    let campaign = |every: u64| {
+        counted(|| {
+            Attack::new(targets)
+                .budget(BUDGET)
+                .batch_size(512)
+                .strategy(GuessingStrategy::DynamicWithSmoothing {
+                    params: DynamicParams::new(0, 0.1, 8),
+                    smoothing: GaussianSmoothing::default(),
+                })
+                .seed(5)
+                .sync_every(1)
+                .checkpoint_every(every)
+                .checkpoint_to(dir.join(format!("every-{every}.pfattack")))
+                .run(flow)
+        })
+    };
+    let (once_calls, _, once) = campaign(0);
+    let (cadence_calls, _, cadence) = campaign(EVERY);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (once, cadence) = (once.unwrap(), cadence.unwrap());
+    assert_eq!(cadence, once);
+    let last = once.final_report();
+    assert!(
+        last.matched > 0,
+        "the match lists a write borrows are filled"
+    );
+    // The cadence's last write is the completion write, so it adds
+    // BUDGET / EVERY - 1 writes.
+    let extra_writes = BUDGET / EVERY - 1;
+    let per_write = cadence_calls.saturating_sub(once_calls) / extra_writes;
+    // A write borrows the dedup set in byte order and the engine's match
+    // lists, so what it allocates is the sorted view, the encoder's buffer
+    // growth and the file: 22 per write. Copying each guess made at least
+    // one allocation per unique guess per write (915 at the end here).
+    assert!(
+        per_write <= 32,
+        "a cadence write made {per_write} allocations ({} unique, {} matched)",
+        last.unique,
+        last.matched
+    );
+}
+
 #[test]
 fn heap_traffic_pins() {
     let (evaluation, _) = flow_fixture(FlowConfig::evaluation());
@@ -246,4 +294,5 @@ fn heap_traffic_pins() {
     // runs on the tiny flow, whose do.
     let (tiny, targets) = flow_fixture(FlowConfig::tiny());
     row_split_allocations_are_bounded_per_chunk(&tiny, &targets);
+    cadence_checkpoints_copy_no_guess(&tiny, &targets);
 }
